@@ -12,10 +12,9 @@ object {"correct", "attempted", "failed", "metrics"} holding exactly
 the end-to-end metrics (--trace 0) or the per-layer metrics
 (--trace 1) that BENCHMARK.json names.
 
-Extra flags for development and the smoke test: --passes N (exactly N
-passes instead of --seconds), --setup-reps K, --reference FILE (check
-against another reference), --record FILE (write the default seed's
-outputs as a new reference).
+--seconds 0 runs the fewest passes (one untraced, two traced). Extra
+flags: --reference FILE (check against another reference), --record
+FILE (write the default seed's outputs as a new reference).
 
 Exits 2 without printing a result when the simulator sources, the
 build or a metric are missing.
@@ -66,8 +65,6 @@ def parse_args():
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seconds", type=int, default=10)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--passes", type=int)
-    p.add_argument("--setup-reps", type=int)
     p.add_argument("--reference")
     p.add_argument("--record")
     return p.parse_args()
@@ -89,10 +86,6 @@ def main():
            "--work-dir", OUT / "perfbench-work",
            "--trace-out",
            OUT / "traces" / f"{args.workload}-seed{args.seed}.json"]
-    if args.passes is not None:
-        cmd += ["--passes", args.passes]
-    if args.setup_reps is not None:
-        cmd += ["--setup-reps", args.setup_reps]
     if args.record:
         cmd += ["--record", args.record]
     (OUT / "traces").mkdir(parents=True, exist_ok=True)

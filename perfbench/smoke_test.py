@@ -3,13 +3,14 @@
 
     python3 perfbench/smoke_test.py
 
-Runs every workload at minimal size (one pass, one set-up) through
-run.py, untraced and traced, and checks that:
+Runs every workload at minimal size (--seconds 0: one pass, two when
+traced) through run.py, untraced and traced, and checks that:
 
 - every metric BENCHMARK.json names is in the result line, with its
   unit, and no other; end-to-end values are non-zero;
 - every end-to-end metric (wall_s ... failed_frac) is printed with its
-  unit, and failed_frac is 0;
+  unit, and failed_frac is 0; sim_mcycles_per_s reads n/a on
+  sweep_replay, whose passes simulate nothing;
 - the traced run writes a trace that scripts/validate_trace.py accepts;
 - a deliberately perturbed reference is reported as a failed unit
   (exit 0, "correct": false), not as a crash;
@@ -30,7 +31,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = ROOT / ".bench_build"
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
-MINIMAL = ["--seconds", "1", "--passes", "1", "--setup-reps", "1"]
+MINIMAL = ["--seconds", "0"]
 # Every end-to-end metric a run prints, bound-checked in BENCHMARK.json
 # or not.
 PRINTED = {"wall_s": "s", "sim_mcycles_per_s": "Mcycles/s",
@@ -88,6 +89,13 @@ def check_workload(w):
             for name, unit in PRINTED.items():
                 expect(printed.get(name, ("", ""))[1] == unit,
                        f"{what}: {name} not printed with unit {unit}")
+            mcycles = printed.get("sim_mcycles_per_s", ("",))[0]
+            if w == "sweep_replay":
+                expect(mcycles == "n/a",
+                       f"{what}: sim_mcycles_per_s {mcycles}, want n/a")
+            else:
+                expect(mcycles not in ("", "n/a") and float(mcycles) > 0,
+                       f"{what}: sim_mcycles_per_s {mcycles}")
             expect(printed.get("failed_frac", ("",))[0] == "0",
                    f"{what}: failed_frac {printed.get('failed_frac')}")
         else:

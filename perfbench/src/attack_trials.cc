@@ -8,6 +8,12 @@
  * build, prepare, the victim run and each receiver call get their
  * own span. Units are ~300-cycle victim trials, so per-trial overheads
  * are a large share of host time.
+ *
+ * Before the first pass (untimed) every channel run is also made once
+ * through the library's own runDCacheChannel / runICacheChannel. Each
+ * pass compares its tallies (bits sent, bit errors, discarded trials)
+ * with those results, so a copy that drifts from the library shows as
+ * failed units.
  */
 
 #include <optional>
@@ -38,7 +44,16 @@ struct ChannelRun
 {
     std::vector<std::uint8_t> bits;
     std::uint64_t noiseSeed = 0;
+    /** The library's result for the same bits and noise seed. */
+    ChannelResult library;
 };
+
+bool
+sameTally(const ChannelResult &a, const ChannelResult &b)
+{
+    return a.bitsSent == b.bitsSent && a.bitErrors == b.bitErrors &&
+           a.discardedTrials == b.discardedTrials;
+}
 
 class AttackTrials : public Workload
 {
@@ -60,6 +75,24 @@ class AttackTrials : public Workload
         const ChannelConfig cfg;
         const Span span("attack.fixture");
         acquireAttackFixture(cfg.core, cfg.hier);
+        libraryChecked_ = false;
+    }
+
+    void
+    beforePass() override
+    {
+        if (libraryChecked_)
+            return;
+        for (unsigned c = 0; c < 2; ++c) {
+            for (ChannelRun &run : runs_[c]) {
+                ChannelConfig cfg;
+                cfg.seed = run.noiseSeed;
+                cfg.trialsPerBit = kTrialsPerBit;
+                run.library = c == 0 ? runDCacheChannel(run.bits, cfg)
+                                     : runICacheChannel(run.bits, cfg);
+            }
+        }
+        libraryChecked_ = true;
     }
 
     void
@@ -112,31 +145,61 @@ class AttackTrials : public Workload
     {
         const std::uint8_t decoded =
             votes[1] > votes[0] ? 1 : (votes[0] > votes[1] ? 0 : 2);
-        if (decoded != bit)
+        ++tally_.bitsSent;
+        if (decoded != bit) {
+            ++tally_.bitErrors;
             counters_["attack.bit_errors"] += 1;
+        }
+    }
+
+    /** Start a channel run: its units are held until the run's tally
+     *  can be compared with the library's. */
+    void
+    beginRun(UnitSink &sink)
+    {
+        tally_ = ChannelResult{};
+        pending_.clear();
+        unitBase_ = sink.nextUnitId();
+        SpanRecorder::setUnit(unitBase_);
     }
 
     void
-    addTrial(UnitSink &sink, std::int64_t &t0, const char *channel,
-             unsigned run, unsigned bit_index, unsigned trial,
-             std::uint8_t bit, int decode, const TrialResult &tr)
+    addTrial(std::int64_t &t0, const char *channel, unsigned run,
+             unsigned bit_index, unsigned trial, std::uint8_t bit,
+             int decode, const TrialResult &tr)
     {
         const std::int64_t now = nowNs();
-        UnitResult u;
-        u.label = strf("%s/run%u/bit%u/trial%u", channel, run, bit_index,
-                       trial);
-        u.output = strf("bit=%u decode=%d cycles=%llu finished=%d",
-                        bit, decode,
-                        static_cast<unsigned long long>(tr.cycles),
-                        tr.finished ? 1 : 0);
-        u.invariantsOk = tr.finished;
-        sink.add(u, now - t0);
+        Pending p;
+        p.unit.label = strf("%s/run%u/bit%u/trial%u", channel, run,
+                            bit_index, trial);
+        p.unit.output = strf("bit=%u decode=%d cycles=%llu finished=%d",
+                             bit, decode,
+                             static_cast<unsigned long long>(tr.cycles),
+                             tr.finished ? 1 : 0);
+        p.unit.invariantsOk = tr.finished;
+        p.ns = now - t0;
+        pending_.push_back(std::move(p));
         counters_["cpu.sim_cycles"] += tr.cycles;
         counters_["attack.trials"] += 1;
         if (decode >= 0)
             counters_["attack.clear_decodes"] += 1;
+        else
+            ++tally_.discardedTrials;
         t0 = nowNs();
-        SpanRecorder::setUnit(sink.nextUnitId());
+        SpanRecorder::setUnit(unitBase_ + pending_.size());
+    }
+
+    /** Report the run's units; every one fails if the run's tally
+     *  differs from the library's. */
+    void
+    endRun(UnitSink &sink, const ChannelRun &run)
+    {
+        const bool agrees = sameTally(tally_, run.library);
+        for (Pending &p : pending_) {
+            p.unit.invariantsOk = p.unit.invariantsOk && agrees;
+            sink.add(p.unit, p.ns);
+        }
+        pending_.clear();
     }
 
     /** One D-Cache channel run. The first trial's unit also carries
@@ -144,7 +207,7 @@ class AttackTrials : public Workload
     void
     runDCache(UnitSink &sink, const ChannelRun &run, unsigned r)
     {
-        SpanRecorder::setUnit(sink.nextUnitId());
+        beginRun(sink);
         std::int64_t t0 = nowNs();
         ChannelConfig cfg;
         cfg.noise = NoiseConfig::calibrated();
@@ -202,18 +265,19 @@ class AttackTrials : public Workload
                 }
                 if (d != OrderDecode::Unclear)
                     ++votes[static_cast<int>(d)];
-                addTrial(sink, t0, "dcache", r, b, t, bit,
-                         static_cast<int>(d), tr);
+                addTrial(t0, "dcache", r, b, t, bit, static_cast<int>(d),
+                         tr);
             }
             countBit(bit, votes);
         }
+        endRun(sink, run);
     }
 
     /** One I-Cache channel run (set-up carried by the first trial). */
     void
     runICache(UnitSink &sink, const ChannelRun &run, unsigned r)
     {
-        SpanRecorder::setUnit(sink.nextUnitId());
+        beginRun(sink);
         std::int64_t t0 = nowNs();
         ChannelConfig cfg;
         cfg.noise = NoiseConfig::calibrated();
@@ -263,13 +327,25 @@ class AttackTrials : public Workload
                     guess = receiver.probePresent() ? 0 : 1;
                 }
                 ++votes[guess];
-                addTrial(sink, t0, "icache", r, b, t, bit, guess, tr);
+                addTrial(t0, "icache", r, b, t, bit, guess, tr);
             }
             countBit(bit, votes);
         }
+        endRun(sink, run);
     }
 
+    /** A trial's unit, held until its channel run ends. */
+    struct Pending
+    {
+        UnitResult unit;
+        std::int64_t ns = 0;
+    };
+
     ChannelRun runs_[2][kRunsPerChannel];
+    bool libraryChecked_ = false;
+    ChannelResult tally_;
+    std::vector<Pending> pending_;
+    std::uint64_t unitBase_ = 0;
     Counters counters_;
     std::uint64_t cycles_ = 0;
 };

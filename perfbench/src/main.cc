@@ -3,13 +3,13 @@
  * perfbench: the simulator benchmark.
  *
  *   perfbench --workload NAME [--seed N] [--seconds S] [--trace 0|1]
- *             [--passes N] [--setup-reps K] [--reference FILE]
- *             [--record FILE] [--trace-out FILE] [--work-dir DIR]
+ *             [--reference FILE] [--record FILE] [--trace-out FILE]
+ *             [--work-dir DIR]
  *
- * Sets the workload up --setup-reps times (setup_s is the median; the
- * first repetition is timed from process start), then runs passes of
- * the workload's fixed unit list until --seconds have elapsed (or
- * exactly --passes). Every unit's simulated outputs are checked: at
+ * Sets the workload up repeatedly (setup_s is the median), then runs
+ * passes of the workload's fixed unit list until --seconds have
+ * elapsed; --seconds 0 runs the fewest passes (one, or two traced).
+ * Every unit's simulated outputs are checked: at
  * the default seed against the recorded reference, at any other seed
  * against the first pass and the workload's seed-independent
  * invariants. A failed check counts a failed unit; it is not an error.
@@ -17,6 +17,8 @@
  * Timings are medians over the untraced passes: wall_s of the pass
  * times, unit_ms_p50/p90 of each pass's own unit percentiles (every
  * pass has at least 112 units, so its p90 has ten beyond it).
+ * sim_mcycles_per_s is "n/a" and left out of the result line for a
+ * workload whose passes simulate nothing (sweep_replay).
  *
  * --trace 1 alternates untraced and traced passes: the per-layer
  * metrics come from the traced passes' spans, and the difference in
@@ -66,8 +68,16 @@ strf(const char *fmt, ...)
 namespace
 {
 
-/** Taken during static initialisation, before main(). */
+/** Taken during static initialisation, before main(); the trace
+ *  file's time origin. */
 const std::int64_t g_processStartNs = nowNs();
+
+/** Set-up repeats until kSetupBudgetS seconds of set-up have run,
+ *  at least kMinSetupReps and at most kMaxSetupReps times; setup_s is
+ *  the median. Short set-ups thus get many samples. */
+constexpr unsigned kMinSetupReps = 5;
+constexpr unsigned kMaxSetupReps = 101;
+constexpr double kSetupBudgetS = 1.0;
 
 /** The seed the reference outputs were recorded with. */
 constexpr std::uint64_t kDefaultSeed = 1;
@@ -88,8 +98,6 @@ struct Options
     std::uint64_t seed = kDefaultSeed;
     double seconds = 10.0;
     bool trace = false;
-    unsigned passes = 0;
-    unsigned setupReps = 5;
     std::string reference;
     std::string record;
     std::string traceOut;
@@ -124,10 +132,6 @@ parseArgs(int argc, char **argv)
             o.seconds = static_cast<double>(parseUnsigned(flag, v));
         else if (flag == "--trace")
             o.trace = parseUnsigned(flag, v) != 0;
-        else if (flag == "--passes")
-            o.passes = static_cast<unsigned>(parseUnsigned(flag, v));
-        else if (flag == "--setup-reps")
-            o.setupReps = static_cast<unsigned>(parseUnsigned(flag, v));
         else if (flag == "--reference")
             o.reference = v;
         else if (flag == "--record")
@@ -141,8 +145,6 @@ parseArgs(int argc, char **argv)
     }
     if (o.workload.empty())
         die("--workload is required");
-    if (o.setupReps == 0)
-        die("--setup-reps must be at least 1");
     if (!o.record.empty() && o.seed != kDefaultSeed)
         die("--record needs the default seed");
     return o;
@@ -206,7 +208,13 @@ class Checker : public UnitSink
         ++attempted_;
         if (!ok) {
             ++failed_;
-            if (failed_ <= 5) {
+            if (failed_ <= 5 && !u.invariantsOk) {
+                std::fprintf(stderr,
+                             "perfbench: unit %llu (%s) broke the "
+                             "workload's invariants: got '%s'\n",
+                             static_cast<unsigned long long>(index_),
+                             u.label.c_str(), u.output.c_str());
+            } else if (failed_ <= 5) {
                 std::fprintf(stderr,
                              "perfbench: unit %llu (%s) failed its "
                              "check: got '%s'%s%s%s\n",
@@ -426,27 +434,34 @@ run(const Options &o)
     std::unique_ptr<Workload> wl = makeWorkload(o);
     SpanRecorder &recorder = SpanRecorder::global();
 
-    // Set-up, repeated; the first repetition includes process start.
-    // All but the last run on a fresh thread, so per-thread pools (the
-    // attack fixtures) start empty each time, as in a new process; the
-    // last one runs here and leaves the state the passes use.
+    // Set-up, repeated. All but the last run on a fresh thread, so
+    // per-thread pools (the attack fixtures) start empty each time, as
+    // in a new process; the last one runs here and leaves the state the
+    // passes use. Each is timed inside its thread, so thread spawn, join
+    // and teardown are not counted.
+    auto timed_setup = [&] {
+        const std::int64_t t0 = nowNs();
+        wl->setup(o.seed);
+        return static_cast<double>(nowNs() - t0) / 1e9;
+    };
     std::vector<double> setup_s;
+    double setup_total_s = 0.0;
     recorder.setEnabled(o.trace);
-    for (unsigned r = 0; r < o.setupReps; ++r) {
-        const std::int64_t t0 = r == 0 ? g_processStartNs : nowNs();
-        if (r + 1 < o.setupReps)
-            std::thread([&] { wl->setup(o.seed); }).join();
-        else
-            wl->setup(o.seed);
-        setup_s.push_back(static_cast<double>(nowNs() - t0) / 1e9);
+    while (setup_s.size() + 1 < kMinSetupReps ||
+           (setup_total_s < kSetupBudgetS &&
+            setup_s.size() + 1 < kMaxSetupReps)) {
+        double dt = 0.0;
+        std::thread([&] { dt = timed_setup(); }).join();
+        setup_s.push_back(dt);
+        setup_total_s += dt;
     }
+    setup_s.push_back(timed_setup());
     recorder.setEnabled(false);
     std::vector<SpanRecord> kept = recorder.take();
     const SpanSummary setup_spans = summarize(kept);
 
     // Passes. With tracing, odd passes are traced.
-    const unsigned min_passes =
-        std::max(o.passes, o.trace ? 2u : 1u);
+    const unsigned min_passes = o.trace ? 2 : 1;
     const std::int64_t measure_start = nowNs();
     std::vector<double> wall_plain, wall_traced, unit_p50, unit_p90;
     std::size_t timed_units = 0;
@@ -476,8 +491,7 @@ run(const Options &o)
         }
         const double elapsed =
             static_cast<double>(nowNs() - measure_start) / 1e9;
-        if (pass + 1 >= min_passes &&
-            (o.passes != 0 || elapsed >= o.seconds))
+        if (pass + 1 >= min_passes && elapsed >= o.seconds)
             break;
     }
 
@@ -496,23 +510,28 @@ run(const Options &o)
     const double failed_frac =
         ratio(static_cast<double>(checker.failed()),
               static_cast<double>(checker.attempted()));
-    const std::vector<Metric> end_to_end = {
+    const bool simulates = wl->cyclesPerPass() != 0;
+    std::vector<Metric> end_to_end = {
         {"wall_s", wall_s, "s"},
-        {"sim_mcycles_per_s",
-         ratio(static_cast<double>(wl->cyclesPerPass()), wall_s) / 1e6,
-         "Mcycles/s"},
         {"unit_ms_p50", percentile(unit_p50, 0.5), "ms"},
         {"unit_ms_p90", percentile(unit_p90, 0.5), "ms"},
         {"setup_s", percentile(setup_s, 0.5), "s"},
         {"peak_rss_mb", peakRssMb(), "MB"},
         {"failed_frac", failed_frac, "ratio"},
     };
+    if (simulates) {
+        end_to_end.insert(
+            end_to_end.begin() + 1,
+            {"sim_mcycles_per_s",
+             ratio(static_cast<double>(wl->cyclesPerPass()), wall_s) / 1e6,
+             "Mcycles/s"});
+    }
 
     std::printf("workload %s seed %llu: %zu untraced + %zu traced "
-                "passes, %zu timed units, %u set-ups\n",
+                "passes, %zu timed units, %zu set-ups\n",
                 o.workload.c_str(), static_cast<unsigned long long>(o.seed),
                 wall_plain.size(), wall_traced.size(), timed_units,
-                o.setupReps);
+                setup_s.size());
     std::printf("outputs checked against %s: %llu attempted, %llu "
                 "failed\n",
                 check_reference ? "the recorded reference"
@@ -524,9 +543,16 @@ run(const Options &o)
                 percentile(wall_plain, 0.0), percentile(wall_plain, 0.25),
                 percentile(wall_plain, 0.5), percentile(wall_plain, 0.75),
                 percentile(wall_plain, 1.0));
+    std::printf("set-up seconds: min %.6g, quartiles %.6g %.6g %.6g, "
+                "max %.6g\n",
+                percentile(setup_s, 0.0), percentile(setup_s, 0.25),
+                percentile(setup_s, 0.5), percentile(setup_s, 0.75),
+                percentile(setup_s, 1.0));
     for (const Metric &m : end_to_end)
         std::printf("%-34s %.10g %s\n", m.name.c_str(), m.value,
                     m.unit.c_str());
+    if (!simulates)
+        std::printf("%-34s n/a Mcycles/s\n", "sim_mcycles_per_s");
 
     std::vector<Metric> per_layer;
     if (o.trace) {
@@ -535,7 +561,8 @@ run(const Options &o)
             100.0 * (ratio(traced_wall, wall_s) - 1.0);
         per_layer = perLayerMetrics(
             *wl, pass_spans, static_cast<double>(wall_traced.size()),
-            setup_spans, static_cast<double>(o.setupReps), overhead_pct);
+            setup_spans, static_cast<double>(setup_s.size()),
+            overhead_pct);
         std::printf("traced wall_s %.10g s (tracing overhead %.2f%%); "
                     "per-layer _ms are self time per pass\n",
                     traced_wall, overhead_pct);

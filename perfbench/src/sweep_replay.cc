@@ -23,7 +23,6 @@
 #include "scenarios/scenarios.hh"
 #include "sim/experiment/report.hh"
 #include "sim/experiment/runner.hh"
-#include "sim/obs/metrics.hh"
 #include "sim/service/cache.hh"
 #include "sim/service/fingerprint.hh"
 #include "sim/service/wire.hh"
@@ -83,10 +82,6 @@ class SweepReplay : public Workload
             (cacheRoot_ / ("setup-" + std::to_string(setups_++))).string());
         const experiment::ScenarioRegistry &registry = scenarios::all();
 
-        // With metric publication on, the cold pass also counts the
-        // simulated cycles the cached points stand for.
-        obs::MetricRegistry::global().clear();
-        obs::setMetricsEnabled(true);
         for (std::size_t i = 0; i < std::size(kScenarios); ++i) {
             Job job;
             job.scenario = *registry.find(kScenarios[i]);
@@ -108,17 +103,10 @@ class SweepReplay : public Workload
                 job.computed.push_back(pointDigest(p.rows, p.legacy));
             jobs_.push_back(std::move(job));
         }
-        obs::setMetricsEnabled(false);
         {
             const Span span("service.store");
             cache_->flushIndex(service::buildFingerprint());
         }
-        cycles_ = 0;
-        for (const obs::MetricSample &m :
-             obs::MetricRegistry::global().snapshot().entries)
-            if (m.path == "core0.pipeline.cycles")
-                cycles_ += static_cast<std::uint64_t>(m.sum);
-        obs::MetricRegistry::global().clear();
     }
 
     void
@@ -155,9 +143,8 @@ class SweepReplay : public Workload
 
     Counters counters() const override { return counters_; }
 
-    /** A pass replays every point, each standing for the simulated
-     *  cycles its computation took. */
-    std::uint64_t cyclesPerPass() const override { return cycles_; }
+    /** Passes simulate nothing: every point is replayed. */
+    std::uint64_t cyclesPerPass() const override { return 0; }
 
   private:
     struct Job
@@ -238,7 +225,6 @@ class SweepReplay : public Workload
     std::unique_ptr<service::ResultCache> cache_;
     std::vector<Job> jobs_;
     Counters counters_;
-    std::uint64_t cycles_ = 0;
 };
 
 } // namespace

@@ -67,7 +67,8 @@ class Workload
     /** Counters of the last pass. */
     virtual Counters counters() const = 0;
 
-    /** Simulated cycles one pass represents (for sim_mcycles_per_s). */
+    /** Simulated cycles of one pass (for sim_mcycles_per_s); 0 if a
+     *  pass simulates nothing and the metric does not apply. */
     virtual std::uint64_t cyclesPerPass() const = 0;
 
     /** Add the per-layer metrics keyed by span tag (host ns per
