@@ -463,8 +463,8 @@ registerMicrobench(experiment::ScenarioRegistry &r)
     sc.defaultSeed = 0;
     sc.trialsMeaning = "measurement window multiplier (~25 ms each)";
     // Rows are wall-clock timings of *this* host right now — caching
-    // them would serve stale perf numbers, so the result cache and
-    // the sweep service both refuse to memoize this scenario.
+    // them would serve stale perf numbers, so the result cache refuses
+    // to memoize this scenario.
     sc.cacheable = false;
     sc.columns = {"bench", "iterations", "ns_per_op",
                   "sim_cycles_per_sec"};

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Smoke-test the sweep-service result cache end to end.
+"""Smoke-test the result cache end to end.
 
 Runs one scenario twice through `specsim_bench --cache-dir` (cold,
 then warm) and asserts the cache contract:

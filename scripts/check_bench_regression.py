@@ -68,19 +68,14 @@ def median(values):
     return s[mid] if n % 2 else (s[mid - 1] + s[mid]) / 2.0
 
 
-def append_trajectory(path, label, factor, ratios, speedups,
-                      fleet=None):
+def append_trajectory(path, label, factor, ratios, speedups):
     """Append one normalized measurement to the trajectory artifact.
 
     Each entry carries only machine-independent numbers: the median
     current/baseline factor, each kernel's ratio normalized by that
     factor (1.0 = moved with the suite, >1 = outpaced it), and the
-    same-machine raw-engine speedups. When a fleet measurement from
-    scripts/fleet_smoke.py --bench-out is supplied, its 1-daemon vs
-    2-daemon cold wall times (same machine, same run — the scaling
-    ratio is machine-independent) ride along in a "fleet" block. A
-    corrupt or missing artifact starts a fresh one rather than
-    failing the gate.
+    same-machine raw-engine speedups. A corrupt or missing artifact
+    starts a fresh one rather than failing the gate.
     """
     try:
         with open(path) as f:
@@ -97,8 +92,6 @@ def append_trajectory(path, label, factor, ratios, speedups,
         "raw_speedups": {k: round(v, 6)
                          for k, v in sorted(speedups.items())},
     }
-    if fleet is not None:
-        entry["fleet"] = fleet
     doc["entries"].append(entry)
     try:
         with open(path, "w") as f:
@@ -127,9 +120,6 @@ def main():
     ap.add_argument("--label", default="local",
                     help="label for the trajectory entry (e.g. a commit "
                          "sha; default: local)")
-    ap.add_argument("--fleet-bench", metavar="PATH",
-                    help="fleet timing JSON from scripts/fleet_smoke.py "
-                         "--bench-out, embedded in the trajectory entry")
     args = ap.parse_args()
 
     # A cache-warm measurement (specsim_bench --cache-dir replayed
@@ -212,22 +202,8 @@ def main():
     # The trajectory records regressing runs too — a dip in the artifact
     # is exactly the signal it exists to preserve.
     if args.trajectory:
-        fleet = None
-        if args.fleet_bench:
-            fdoc = load_doc(args.fleet_bench)
-            if fdoc.get("schema") != "specsim-fleet-bench-v1":
-                print(f"error: {args.fleet_bench} is not a "
-                      "specsim-fleet-bench-v1 document", file=sys.stderr)
-                sys.exit(2)
-            fleet = {k: fdoc[k] for k in
-                     ("scenario", "workers_per_daemon", "cores",
-                      "one_daemon_s", "two_daemon_s", "scaling")
-                     if k in fdoc}
-            print(f"fleet: {fleet.get('scaling', '?')}x 2-daemon "
-                  f"scaling on {fleet.get('cores', '?')} core(s) "
-                  f"embedded in trajectory entry")
         append_trajectory(args.trajectory, args.label, factor, ratios,
-                          speedups, fleet)
+                          speedups)
 
     if failures:
         print("\nperf regression detected:", file=sys.stderr)

@@ -2,10 +2,9 @@
 # of every simulator source file. Run as a build-time custom command
 # (cmake -DSRC_DIR=... -DOUT_FILE=... -P gen_fingerprint.cmake), so the
 # fingerprint tracks source *contents*, not just the configure-time
-# file list. The sweep-service result cache bakes this string into
-# every cache key: any code change produces a new fingerprint and
-# therefore misses on every stale entry (see docs/experiments.md,
-# "Sweep service & result cache").
+# file list. The result cache bakes this string into every cache key:
+# any code change produces a new fingerprint and therefore misses on
+# every stale entry (see docs/experiments.md, "Result cache").
 #
 # The hash is order-stable: files are hashed individually, then the
 # sorted "path=sha1" lines are hashed together.

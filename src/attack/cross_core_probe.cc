@@ -221,6 +221,10 @@ CrossCoreHarness::prepare(unsigned secret, NoiseModel *noise)
     // The spare direct-LLC client id System reserves past its cores.
     const CoreId warm_id = static_cast<CoreId>(sys_.numCores());
 
+    // Nothing here decodes the visible LLC trace; drop the previous
+    // trial's so it does not grow with every trial.
+    hier.clearLlcTrace();
+
     for (const auto &[addr, value] : atk_.memInit)
         mem.write(addr, value);
     mem.write(atk_.secretSlot, secret);

@@ -200,6 +200,10 @@ SmtProbeHarness::SmtProbeHarness(SmtAttack attack,
 void
 SmtProbeHarness::prepare(unsigned secret, NoiseModel *noise)
 {
+    // Nothing here decodes the visible LLC trace; drop the previous
+    // trial's so it does not grow with every trial.
+    hier_.clearLlcTrace();
+
     for (const auto &[addr, value] : atk_.memInit)
         mem_.write(addr, value);
     mem_.write(atk_.secretSlot, secret);

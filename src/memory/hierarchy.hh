@@ -321,7 +321,13 @@ class Hierarchy
     /** @name Visible LLC access trace (the paper's C(E)). */
     /// @{
     const std::vector<VisibleAccess> &llcTrace() const { return trace_; }
-    void clearLlcTrace() { trace_.clear(); }
+    /** Empty the trace; the publishMetrics() baseline restarts with
+     *  it, so accesses appended afterwards are all published. */
+    void clearLlcTrace()
+    {
+        trace_.clear();
+        tracePublished_ = 0;
+    }
     /// @}
 
     /** @name Introspection for receivers / tests. */

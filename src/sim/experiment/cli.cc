@@ -98,14 +98,6 @@ CliArgs::parse(int argc, char **argv) const
                 return res;
             }
             opt.cacheDir = argv[++i];
-        } else if (arg == "--connect") {
-            if (i + 1 >= argc) {
-                res.error = "--connect requires an endpoint "
-                            "(socket path or host:port, "
-                            "comma-separated for a fleet)";
-                return res;
-            }
-            opt.connectSock = argv[++i];
         } else if (arg == "--log-level") {
             if (i + 1 >= argc) {
                 res.error = "--log-level requires a value";
@@ -170,7 +162,7 @@ CliArgs::usage() const
                     " [--csv | --json] [--out FILE]"
                     " [--metrics-out FILE] [--trace-out FILE]"
                     " [--profile] [--log-level L]"
-                    " [--cache-dir DIR] [--connect EP[,EP...]]";
+                    " [--cache-dir DIR]";
     for (const ExtraFlag &f : extraFlags_)
         u += " [--" + f.name + " N]";
     u += "\n";
@@ -191,12 +183,6 @@ CliArgs::usage() const
          "stderr\n";
     u += "  --cache-dir DIR     memoize point results in a "
          "content-addressed on-disk cache\n";
-    u += "  --connect EP[,EP...]  submit the sweep to running "
-         "specsim_serve daemons; each EP\n"
-         "                      is a Unix-socket path or HOST:PORT — "
-         "several endpoints form\n"
-         "                      a fleet the sweep is sharded across "
-         "(with failover)\n";
     u += "  --log-level L       silent|warn|info|debug|trace or 0-4 "
          "(overrides $SPECSIM_LOG)\n";
     for (const ExtraFlag &f : extraFlags_) {

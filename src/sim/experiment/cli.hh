@@ -60,10 +60,6 @@ struct RunOptions
      *  results are memoized on disk and reused when (scenario, flags,
      *  seed, point, build fingerprint) all match. */
     std::string cacheDir;
-    /** Unix-domain socket of a running `specsim_serve` ("" = run
-     *  in-process). The sweep is submitted as a job and results are
-     *  streamed back; output is byte-identical to a local run. */
-    std::string connectSock;
     /** Log level override ("" = keep env/default). Validated at
      *  parse time against sim/log.hh's names. */
     std::string logLevel;

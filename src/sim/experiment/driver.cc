@@ -17,9 +17,7 @@
 #include "sim/obs/profile.hh"
 #include "sim/obs/trace.hh"
 #include "sim/service/cache.hh"
-#include "sim/service/client.hh"
 #include "sim/service/fingerprint.hh"
-#include "sim/service/fleet.hh"
 #include "sim/stats.hh"
 
 namespace specint::experiment
@@ -43,8 +41,8 @@ driverSignalHandler(int sig)
 /**
  * Arm cooperative SIGINT/SIGTERM: the first signal sets a flag the
  * run loop polls (finish in-flight points, flush partial results,
- * exit 128+sig); the second one terminates. No SA_RESTART, so a
- * --connect client blocked in read() wakes up to notice the flag.
+ * exit 128+sig); the second one terminates. The flag is polled
+ * between points, so no blocked system call has to wake for it.
  */
 void
 installSignalHandlers()
@@ -259,128 +257,72 @@ runResolved(const Scenario &scenario, const RunOptions &options)
 
     installSignalHandlers();
 
-    // CSV streams point-by-point (both locally and over --connect) so
-    // an interrupted sweep still flushes every completed row; the
-    // bytes are identical to the buffered renderCsv() path.
+    // CSV streams point-by-point so an interrupted sweep still
+    // flushes every completed row; the bytes are identical to the
+    // buffered renderCsv() path.
     CsvStreamSink csv;
     if (options.format == OutputFormat::Csv)
         csv.arm(scenario.columns, options.outPath);
 
+    RunHooks hooks;
+    hooks.cancelled = [] { return g_signal != 0; };
+    if (csv.armed())
+        hooks.onOrdered = [&csv](std::size_t, const ReportPoint &p) {
+            csv.emit(p);
+        };
+
     const char *fingerprint = service::buildFingerprint();
     std::unique_ptr<service::ResultCache> cache;
-    std::uint64_t failed_points = 0;
-
-    Report report;
-    if (!options.connectSock.empty()) {
-        // Remote path: the sweep runs on one or more `specsim_serve`
-        // daemons; each owns its sharding, caching, and in-flight
-        // dedup, and the fleet client shards/merges across them.
-        if (!options.cacheDir.empty())
+    if (!options.cacheDir.empty()) {
+        if (!scenario.cacheable) {
             std::fprintf(stderr,
-                         "[service] --cache-dir is ignored with "
-                         "--connect (the daemons own their caches)\n");
-        std::function<void(std::size_t, const ReportPoint &)> sink;
-        if (csv.armed())
-            sink = [&csv](std::size_t, const ReportPoint &p) {
-                csv.emit(p);
-            };
-        const std::vector<std::string> endpoints =
-            service::parseEndpointList(options.connectSock);
-        const service::FleetOutcome outcome =
-            service::runJobOverFleet(endpoints, scenario, options,
-                                     report, sink,
-                                     [] { return g_signal != 0; });
-        if (outcome.interrupted) {
-            csv.finalize(false);
-            std::fprintf(stderr,
-                         "[experiment] %s: interrupted; partial "
-                         "results flushed\n",
+                         "[cache] scenario '%s' measures host time; "
+                         "--cache-dir ignored\n",
                          scenario.name.c_str());
-            return 128 + static_cast<int>(g_signal);
+        } else {
+            cache = std::make_unique<service::ResultCache>(
+                options.cacheDir);
         }
-        if (!outcome.ok) {
-            std::fprintf(stderr, "error: %s\n",
-                         outcome.error.c_str());
-            return 1;
-        }
-        failed_points = outcome.failedPoints;
-        std::fprintf(
-            stderr,
-            "[service] %s: %llu points over %zu endpoint%s (%llu "
-            "cached, %llu executed, %llu failed, %llu rebalanced, "
-            "%llu endpoint deaths) in %.1f ms\n",
-            scenario.name.c_str(),
-            static_cast<unsigned long long>(outcome.done.points),
-            outcome.endpointsUsed,
-            outcome.endpointsUsed == 1 ? "" : "s",
-            static_cast<unsigned long long>(outcome.done.hits),
-            static_cast<unsigned long long>(outcome.done.executed),
-            static_cast<unsigned long long>(outcome.done.failed),
-            static_cast<unsigned long long>(outcome.done.revoked),
-            static_cast<unsigned long long>(outcome.endpointDeaths),
-            static_cast<double>(report.wallUs) / 1000.0);
-    } else {
-        RunHooks hooks;
-        hooks.cancelled = [] { return g_signal != 0; };
-        if (csv.armed())
-            hooks.onOrdered = [&csv](std::size_t,
-                                     const ReportPoint &p) {
-                csv.emit(p);
-            };
-        if (!options.cacheDir.empty()) {
-            if (!scenario.cacheable) {
-                std::fprintf(
-                    stderr,
-                    "[cache] scenario '%s' measures host time; "
-                    "--cache-dir ignored\n",
-                    scenario.name.c_str());
-            } else {
-                cache = std::make_unique<service::ResultCache>(
-                    options.cacheDir);
-            }
-        }
-        if (cache && cache->enabled()) {
-            const service::JobSpec spec =
-                service::JobSpec::fromOptions(scenario.name, options);
-            hooks.tryFetch = [&cache, spec, fingerprint](
-                                 const PointContext &ctx,
-                                 PointResult &result) {
-                return cache->lookup(
-                    service::makeCacheKey(spec, ctx.pointIndex,
-                                          ctx.pointSeed, ctx.point,
-                                          fingerprint),
-                    result.rows, result.legacy);
-            };
-            hooks.onExecuted = [&cache, spec, fingerprint](
-                                   const PointContext &ctx,
-                                   const PointResult &result) {
-                cache->store(
-                    service::makeCacheKey(spec, ctx.pointIndex,
-                                          ctx.pointSeed, ctx.point,
-                                          fingerprint),
-                    result.rows, result.legacy);
-            };
-        }
+    }
+    if (cache && cache->enabled()) {
+        const service::JobSpec spec =
+            service::JobSpec::fromOptions(scenario.name, options);
+        hooks.tryFetch = [&cache, spec, fingerprint](
+                             const PointContext &ctx,
+                             PointResult &result) {
+            return cache->lookup(
+                service::makeCacheKey(spec, ctx.pointIndex,
+                                      ctx.pointSeed, ctx.point,
+                                      fingerprint),
+                result.rows, result.legacy);
+        };
+        hooks.onExecuted = [&cache, spec, fingerprint](
+                               const PointContext &ctx,
+                               const PointResult &result) {
+            cache->store(service::makeCacheKey(spec, ctx.pointIndex,
+                                               ctx.pointSeed, ctx.point,
+                                               fingerprint),
+                         result.rows, result.legacy);
+        };
+    }
 
-        const ExperimentRunner runner(options.jobs);
-        report = runner.run(scenario, options, hooks);
+    const ExperimentRunner runner(options.jobs);
+    Report report = runner.run(scenario, options, hooks);
 
-        if (cache) {
-            const service::CacheStats cs = cache->stats();
-            report.cacheEnabled = true;
-            report.cacheHits = cs.hits;
-            report.cacheMisses = cs.misses;
-            cache->flushIndex(fingerprint);
-            std::fprintf(
-                stderr,
-                "[cache] dir=%s hits=%llu misses=%llu stores=%llu "
-                "corrupt=%llu\n",
-                cache->dir().c_str(),
-                static_cast<unsigned long long>(cs.hits),
-                static_cast<unsigned long long>(cs.misses),
-                static_cast<unsigned long long>(cs.stores),
-                static_cast<unsigned long long>(cs.corrupt));
-        }
+    if (cache) {
+        const service::CacheStats cs = cache->stats();
+        report.cacheEnabled = true;
+        report.cacheHits = cs.hits;
+        report.cacheMisses = cs.misses;
+        cache->flushIndex(fingerprint);
+        std::fprintf(stderr,
+                     "[cache] dir=%s hits=%llu misses=%llu stores=%llu "
+                     "corrupt=%llu\n",
+                     cache->dir().c_str(),
+                     static_cast<unsigned long long>(cs.hits),
+                     static_cast<unsigned long long>(cs.misses),
+                     static_cast<unsigned long long>(cs.stores),
+                     static_cast<unsigned long long>(cs.corrupt));
     }
 
     int obs_code = 0;
@@ -448,7 +390,7 @@ runResolved(const Scenario &scenario, const RunOptions &options)
 
     const bool csv_ok = csv.finalize(true);
     int code = emitReport(scenario, report, options, csv.armed());
-    if (!csv_ok || failed_points > 0)
+    if (!csv_ok)
         code = std::max(code, 1);
     return code != 0 ? code : obs_code;
 }

@@ -32,8 +32,8 @@ struct ReportPoint
      *  the sum estimates the serial cost even when workers
      *  oversubscribe the machine). */
     std::uint64_t durationUs = 0;
-    /** Set once the point completed (false only in interrupted or
-     *  point-failed runs). */
+    /** Set once the point completed (false only in interrupted
+     *  runs). */
     bool done = false;
 };
 
@@ -63,7 +63,7 @@ struct Report
      *  point completed; the assembled points up to each worker's stop
      *  are still valid. */
     bool interrupted = false;
-    /** Result-cache accounting (--cache-dir / --connect runs only;
+    /** Result-cache accounting (--cache-dir runs only;
      *  cacheEnabled=false keeps the JSON emitter byte-identical for
      *  uncached runs). */
     bool cacheEnabled = false;

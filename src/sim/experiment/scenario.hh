@@ -89,7 +89,7 @@ struct Scenario
     /**
      * Whether point results are a pure function of the PointContext
      * (the seeding discipline above) and therefore safe to memoize in
-     * the sweep-service result cache. Scenarios that measure host
+     * the result cache. Scenarios that measure host
      * time (microbench) must clear this: a cached wall-clock number
      * is stale the moment it is written.
      */

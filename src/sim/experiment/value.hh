@@ -51,7 +51,7 @@ class Value
     bool truthy() const { return num() != 0.0; }
     const std::string &strValue() const { return s_; }
 
-    /** @name Exact per-kind views, used by the sweep-service codec to
+    /** @name Exact per-kind views, used by the result-cache codec to
      *  round-trip cells losslessly (src/sim/service/). */
     /// @{
     std::int64_t intValue() const { return i_; }

@@ -199,9 +199,9 @@ ResultCache::store(const CacheKey &key,
     if (ec)
         return;
 
-    // Unique tmp name per writer: concurrent processes (server
-    // workers, parallel one-shot runs) never clobber each other's
-    // half-written files, and rename() makes publication atomic.
+    // Unique tmp name per writer: concurrent runs sharing one
+    // --cache-dir never clobber each other's half-written files, and
+    // rename() makes publication atomic.
     const std::string tmp_path =
         (fs::path(dir_) / "tmp" /
          (key.hex() + "." + std::to_string(::getpid())))
@@ -230,11 +230,11 @@ ResultCache::flushIndex(const std::string &fingerprint)
         return;
     // Cumulative counters: merge this handle's stats into whatever a
     // previous run recorded, atomically like any entry. The
-    // read-merge-write below is a classic lost-update race when
-    // several daemons share one --cache-dir, so it runs under an
-    // exclusive flock on a sidecar lockfile (advisory, but every
-    // writer is this code). Object files need no lock: they are
-    // content-addressed and published by rename.
+    // read-merge-write below is a classic lost-update race when two
+    // runs share one --cache-dir, so it runs under an exclusive flock
+    // on a sidecar lockfile (advisory, but every writer is this
+    // code). Object files need no lock: they are content-addressed
+    // and published by rename.
     const std::string lock_path =
         (fs::path(dir_) / "index.lock").string();
     const int lock_fd =

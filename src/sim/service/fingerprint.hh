@@ -1,6 +1,6 @@
 /**
  * @file
- * Build fingerprint for the sweep-service result cache.
+ * Build fingerprint for the result cache.
  *
  * Every cache key includes a hash of the simulator's own sources,
  * baked in at build time (scripts/gen_fingerprint.cmake writes the

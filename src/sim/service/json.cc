@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal JSON parser/serializer implementation for the sweep service.
+ * Minimal JSON parser/serializer implementation for the result cache.
  */
 
 #include "sim/service/json.hh"
@@ -128,12 +128,6 @@ Json::set(const std::string &key, Json v)
     obj_[key] = std::move(v);
 }
 
-bool
-Json::has(const std::string &key) const
-{
-    return obj_.find(key) != obj_.end();
-}
-
 const Json &
 Json::get(const std::string &key) const
 {
@@ -154,13 +148,6 @@ Json::getStr(const std::string &key, std::string fallback) const
 {
     const Json &v = get(key);
     return v.isStr() ? v.strValue() : std::move(fallback);
-}
-
-bool
-Json::getBool(const std::string &key, bool fallback) const
-{
-    const Json &v = get(key);
-    return v.isBool() ? v.boolValue() : fallback;
 }
 
 std::string
@@ -344,7 +331,7 @@ struct Parser
                     else
                         return fail("malformed \\u escape");
                 }
-                // The service only ever emits \u00XX control-char
+                // The cache only ever emits \u00XX control-char
                 // escapes; decode the BMP point as UTF-8 so foreign
                 // producers still round-trip.
                 if (code < 0x80) {

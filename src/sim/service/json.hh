@@ -1,17 +1,17 @@
 /**
  * @file
- * Minimal JSON value model for the sweep service.
+ * Minimal JSON value model for the result cache.
  *
- * The service's wire protocol and cache entries are line-delimited
- * JSON, so the service needs to *parse* JSON — which the experiment
- * layer's emit-only helpers never did. This is a deliberately small
- * recursive-descent implementation with one property the service
+ * Cache entries and the cache index are one-line JSON documents, so
+ * the cache needs to *parse* JSON — which the experiment layer's
+ * emit-only helpers never did. This is a deliberately small
+ * recursive-descent implementation with one property the cache
  * depends on: integer-looking numbers are kept as exact 64-bit values
  * (seeds are full-width uint64_t, which a double cannot represent), and
  * doubles round-trip through 17-significant-digit text.
  *
  * dump() never emits a raw newline (strings are escaped), so any
- * dumped value is safe to frame as one line of the protocol.
+ * dumped value is one line.
  */
 
 #ifndef SPECINT_SIM_SERVICE_JSON_HH
@@ -81,16 +81,13 @@ class Json
 
     /** Object field access; get() returns null for absent keys. */
     void set(const std::string &key, Json v);
-    bool has(const std::string &key) const;
     const Json &get(const std::string &key) const;
-    const std::map<std::string, Json> &fields() const { return obj_; }
 
     /** Typed object-field conveniences (fallback on absent/mistyped). */
     std::uint64_t getU64(const std::string &key,
                          std::uint64_t fallback = 0) const;
     std::string getStr(const std::string &key,
                        std::string fallback = {}) const;
-    bool getBool(const std::string &key, bool fallback = false) const;
 
     /** Compact single-line serialization (keys in sorted map order, so
      *  dumps are deterministic). */

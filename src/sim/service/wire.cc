@@ -1,7 +1,6 @@
 /**
  * @file
- * Wire codec implementation: cell/row round-trip, message builders and
- * decoders, newline framing over blocking fds.
+ * Cell/row codec implementation and JobSpec construction.
  */
 
 #include "sim/service/wire.hh"
@@ -9,7 +8,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <unistd.h>
 
 namespace specint::service
 {
@@ -146,301 +144,6 @@ JobSpec::fromOptions(const std::string &scenario_name,
     spec.seed = opt.seed;
     spec.extra = opt.extra;
     return spec;
-}
-
-RunOptions
-JobSpec::toOptions() const
-{
-    RunOptions opt;
-    opt.trials = trials;
-    opt.seed = seed;
-    opt.extra = extra;
-    return opt;
-}
-
-namespace
-{
-
-Json
-encodeSpecInto(Json j, const JobSpec &spec)
-{
-    j.set("scenario", Json::str(spec.scenario));
-    j.set("trials", Json::uinteger(spec.trials));
-    j.set("seed", Json::uinteger(spec.seed));
-    Json extra = Json::object();
-    for (const auto &[k, v] : spec.extra)
-        extra.set(k, Json::uinteger(v));
-    j.set("extra", std::move(extra));
-    return j;
-}
-
-bool
-decodeSpecFrom(const Json &j, JobSpec &out)
-{
-    if (!j.get("scenario").isStr())
-        return false;
-    out.scenario = j.getStr("scenario");
-    out.trials = static_cast<unsigned>(j.getU64("trials", 1));
-    out.seed = j.getU64("seed", 0);
-    out.extra.clear();
-    const Json &extra = j.get("extra");
-    if (extra.isObj()) {
-        for (const auto &[k, v] : extra.fields()) {
-            if (!v.isNumber())
-                return false;
-            out.extra[k] = v.u64();
-        }
-    }
-    return true;
-}
-
-} // namespace
-
-Json
-makeJobMsg(const JobSpec &spec)
-{
-    Json j = Json::object();
-    j.set("type", Json::str("job"));
-    j.set("protocol", Json::uinteger(kProtocolVersion));
-    return encodeSpecInto(std::move(j), spec);
-}
-
-Json
-makeJobMsg(const JobSpec &spec,
-           const std::vector<std::size_t> &points)
-{
-    Json j = makeJobMsg(spec);
-    Json subset = Json::array();
-    for (std::size_t index : points)
-        subset.push(Json::uinteger(index));
-    j.set("points", std::move(subset));
-    return j;
-}
-
-Json
-makeHelloMsg(unsigned workers, const std::string &fingerprint)
-{
-    Json j = Json::object();
-    j.set("type", Json::str("hello"));
-    j.set("protocol", Json::uinteger(kProtocolVersion));
-    j.set("min_protocol", Json::uinteger(kMinProtocolVersion));
-    j.set("workers", Json::uinteger(workers));
-    j.set("fingerprint", Json::str(fingerprint));
-    return j;
-}
-
-Json
-makeExecMsg(const JobSpec &spec, std::size_t index)
-{
-    Json j = Json::object();
-    j.set("type", Json::str("exec"));
-    j.set("index", Json::uinteger(index));
-    return encodeSpecInto(std::move(j), spec);
-}
-
-Json
-makePointMsg(const PointMsg &point, const char *type)
-{
-    Json j = Json::object();
-    j.set("type", Json::str(type));
-    j.set("index", Json::uinteger(point.index));
-    if (point.failed) {
-        j.set("failed", Json::boolean(true));
-        j.set("error", Json::str(point.error));
-        return j;
-    }
-    if (point.cached)
-        j.set("cached", Json::boolean(true));
-    j.set("duration_us", Json::uinteger(point.durationUs));
-    j.set("rows", encodeRows(point.rows));
-    j.set("legacy", Json::str(point.legacy));
-    return j;
-}
-
-Json
-makeRevokeMsg(std::size_t max_points)
-{
-    Json j = Json::object();
-    j.set("type", Json::str("revoke"));
-    j.set("max", Json::uinteger(max_points));
-    return j;
-}
-
-Json
-makeRevokedMsg(const std::vector<std::size_t> &indices)
-{
-    Json j = Json::object();
-    j.set("type", Json::str("revoked"));
-    Json arr = Json::array();
-    for (std::size_t index : indices)
-        arr.push(Json::uinteger(index));
-    j.set("indices", std::move(arr));
-    return j;
-}
-
-Json
-makeDoneMsg(const DoneMsg &done)
-{
-    Json j = Json::object();
-    j.set("type", Json::str("done"));
-    j.set("points", Json::uinteger(done.points));
-    j.set("hits", Json::uinteger(done.hits));
-    j.set("executed", Json::uinteger(done.executed));
-    j.set("failed", Json::uinteger(done.failed));
-    j.set("revoked", Json::uinteger(done.revoked));
-    j.set("wall_us", Json::uinteger(done.wallUs));
-    return j;
-}
-
-Json
-makeErrorMsg(const std::string &message)
-{
-    Json j = Json::object();
-    j.set("type", Json::str("error"));
-    j.set("message", Json::str(message));
-    return j;
-}
-
-bool
-decodeJobMsg(const Json &j, JobMsg &out)
-{
-    if (!j.isObj() || j.getStr("type") != "job" ||
-        !decodeSpecFrom(j, out.spec))
-        return false;
-    // A v1 client never sent a protocol field; decode it as 1 so the
-    // server can name the version in its rejection.
-    out.protocol = j.getU64("protocol", 1);
-    out.hasSubset = false;
-    out.points.clear();
-    const Json &subset = j.get("points");
-    if (!subset.isNull()) {
-        if (!subset.isArr())
-            return false;
-        out.hasSubset = true;
-        out.points.reserve(subset.items().size());
-        for (const Json &idx : subset.items()) {
-            if (!idx.isNumber())
-                return false;
-            out.points.push_back(
-                static_cast<std::size_t>(idx.u64()));
-        }
-    }
-    return true;
-}
-
-bool
-decodeExecMsg(const Json &j, JobSpec &spec, std::size_t &index)
-{
-    if (!j.isObj() || j.getStr("type") != "exec" ||
-        !j.get("index").isNumber())
-        return false;
-    index = static_cast<std::size_t>(j.getU64("index"));
-    return decodeSpecFrom(j, spec);
-}
-
-bool
-decodePointMsg(const Json &j, PointMsg &out)
-{
-    if (!j.isObj() || !j.get("index").isNumber())
-        return false;
-    const std::string type = j.getStr("type");
-    if (type != "point" && type != "result")
-        return false;
-    out = PointMsg{};
-    out.index = static_cast<std::size_t>(j.getU64("index"));
-    if (j.getBool("failed")) {
-        out.failed = true;
-        out.error = j.getStr("error", "unknown failure");
-        return true;
-    }
-    out.cached = j.getBool("cached");
-    out.durationUs = j.getU64("duration_us");
-    out.legacy = j.getStr("legacy");
-    return decodeRows(j.get("rows"), out.rows);
-}
-
-bool
-decodeRevokeMsg(const Json &j, std::size_t &max_points)
-{
-    if (!j.isObj() || j.getStr("type") != "revoke" ||
-        !j.get("max").isNumber())
-        return false;
-    max_points = static_cast<std::size_t>(j.getU64("max"));
-    return true;
-}
-
-bool
-decodeRevokedMsg(const Json &j, std::vector<std::size_t> &out)
-{
-    if (!j.isObj() || j.getStr("type") != "revoked" ||
-        !j.get("indices").isArr())
-        return false;
-    out.clear();
-    for (const Json &idx : j.get("indices").items()) {
-        if (!idx.isNumber())
-            return false;
-        out.push_back(static_cast<std::size_t>(idx.u64()));
-    }
-    return true;
-}
-
-bool
-decodeDoneMsg(const Json &j, DoneMsg &out)
-{
-    if (!j.isObj() || j.getStr("type") != "done")
-        return false;
-    out.points = j.getU64("points");
-    out.hits = j.getU64("hits");
-    out.executed = j.getU64("executed");
-    out.failed = j.getU64("failed");
-    out.revoked = j.getU64("revoked");
-    out.wallUs = j.getU64("wall_us");
-    return true;
-}
-
-bool
-LineReader::readLine(std::string &out)
-{
-    while (true) {
-        const std::size_t nl = buf_.find('\n');
-        if (nl != std::string::npos) {
-            out.assign(buf_, 0, nl);
-            buf_.erase(0, nl + 1);
-            return true;
-        }
-        char chunk[4096];
-        const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-        if (n > 0) {
-            buf_.append(chunk, static_cast<std::size_t>(n));
-            continue;
-        }
-        if (n < 0 && errno == EINTR) {
-            if (interrupted_ && interrupted_())
-                return false;
-            continue;
-        }
-        eof_ = (n == 0);
-        return false;
-    }
-}
-
-bool
-writeLine(int fd, const std::string &line)
-{
-    std::string framed = line;
-    framed += '\n';
-    std::size_t off = 0;
-    while (off < framed.size()) {
-        const ssize_t n =
-            ::write(fd, framed.data() + off, framed.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
 }
 
 } // namespace specint::service

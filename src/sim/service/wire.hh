@@ -1,71 +1,27 @@
 /**
  * @file
- * Wire protocol for the sweep service: message codecs + line framing.
+ * Cell/row codec for cached point results.
  *
- * Every message — client <-> server and server <-> worker — is one
- * line of JSON (dump() never emits raw newlines), discriminated by a
- * "type" field:
- *
- *   client -> server   {"type":"job","protocol":2,"scenario":S,
- *                       "trials":N,"seed":N,"extra":{flag:value,...},
- *                       "points":[I..]}   ("points" optional: absent
- *                                          = the full sweep grid)
- *                      {"type":"revoke","max":N}
- *   server -> client   {"type":"hello","protocol":2,"min_protocol":2,
- *                       "workers":N,"fingerprint":"<sha1>"}
- *                      {"type":"point","index":I,"rows":[[cell..]..],
- *                       "legacy":"...","cached":B,"duration_us":N}
- *                      {"type":"point","index":I,"failed":true,
- *                       "error":"..."}
- *                      {"type":"revoked","indices":[I..]}
- *                      {"type":"done","points":N,"hits":N,
- *                       "executed":N,"failed":N,"revoked":N,
- *                       "wall_us":N}
- *                      {"type":"error","message":"..."}
- *   server -> worker   {"type":"exec","scenario":S,"trials":N,
- *                       "seed":N,"extra":{...},"index":I}
- *   worker -> server   {"type":"result",...point fields...}
- *
- * Protocol v2 (the fleet revision) adds three things over v1: the job
- * message carries the client's protocol number and an optional subset
- * of grid indices (a fleet client splits one sweep across daemons),
- * and a started job accepts "revoke" requests — the server gives back
- * up to "max" not-yet-started points (tail first) so the client can
- * reassign them to an idle endpoint. Version negotiation lives in
- * "hello": the server advertises [min_protocol, protocol] and rejects
- * a job whose "protocol" falls outside it with a one-line error
- * (a v1 job message has no "protocol" field and decodes as 1).
- *
- * Points are streamed to clients in grid order (the server holds back
- * out-of-order completions), so a client can emit CSV rows as points
- * land and still produce byte-identical output.
- *
- * Cell codec: each experiment::Value is a small tagged object. Reals
- * carry their %.17g text plus display precision, so a decoded cell
- * renders byte-identically to the original on every emitter.
+ * Each experiment::Value is a small tagged JSON object. Reals carry
+ * their %.17g text plus display precision, so a decoded cell renders
+ * byte-identically to the original on every emitter (what the result
+ * cache needs to replay CSV output exactly).
  */
 
 #ifndef SPECINT_SIM_SERVICE_WIRE_HH
 #define SPECINT_SIM_SERVICE_WIRE_HH
 
 #include <cstdint>
-#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "sim/experiment/cli.hh"
-#include "sim/experiment/scenario.hh"
+#include "sim/experiment/value.hh"
 #include "sim/service/json.hh"
 
 namespace specint::service
 {
-
-/** Protocol revision; bumped on incompatible message changes.
- *  v2: job subsets + revoke (fleet sharding); v1 clients rejected. */
-constexpr std::uint64_t kProtocolVersion = 2;
-
-/** Oldest client protocol a server still accepts. */
-constexpr std::uint64_t kMinProtocolVersion = 2;
 
 /** @name Cell / row codec (lossless round-trip). */
 /// @{
@@ -75,9 +31,9 @@ Json encodeRows(const std::vector<experiment::Row> &rows);
 bool decodeRows(const Json &j, std::vector<experiment::Row> &out);
 /// @}
 
-/** The semantic subset of RunOptions a job carries: exactly the
+/** The semantic subset of RunOptions a cache key covers: exactly the
  *  fields a point result may depend on (trials, seed, extra flags).
- *  Presentation knobs (jobs/format/out/observability) stay local. */
+ *  Presentation knobs (jobs/format/out/observability) stay out. */
 struct JobSpec
 {
     std::string scenario;
@@ -87,134 +43,7 @@ struct JobSpec
 
     static JobSpec fromOptions(const std::string &scenario_name,
                                const experiment::RunOptions &opt);
-    /** Rebuild RunOptions (semantic fields only) for executors. */
-    experiment::RunOptions toOptions() const;
 };
-
-/** A decoded job request: the semantic spec plus the v2 envelope
- *  (client protocol and optional grid-index subset). */
-struct JobMsg
-{
-    JobSpec spec;
-    /** Protocol the client speaks; a v1 job has no "protocol" field
-     *  and decodes as 1. */
-    std::uint64_t protocol = 1;
-    /** When true, run only @ref points (grid indices); otherwise the
-     *  whole expanded grid. */
-    bool hasSubset = false;
-    std::vector<std::size_t> points;
-};
-
-/** One executed (or failed) point travelling over the wire. */
-struct PointMsg
-{
-    std::size_t index = 0;
-    bool failed = false;
-    std::string error;
-    bool cached = false;
-    std::uint64_t durationUs = 0;
-    std::vector<experiment::Row> rows;
-    std::string legacy;
-};
-
-/** Job-completion summary. */
-struct DoneMsg
-{
-    std::uint64_t points = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t executed = 0;
-    std::uint64_t failed = 0;
-    /** Points the client revoked (given back unstarted) — they are
-     *  counted in @ref points but were neither executed nor failed. */
-    std::uint64_t revoked = 0;
-    std::uint64_t wallUs = 0;
-};
-
-/** @name Message builders (each returns a complete "type"-tagged
- *  object ready for dump()). */
-/// @{
-/** Full-grid job (no subset). Stamps the current protocol. */
-Json makeJobMsg(const JobSpec &spec);
-/** Subset job: run only @p points (grid indices). */
-Json makeJobMsg(const JobSpec &spec,
-                const std::vector<std::size_t> &points);
-Json makeHelloMsg(unsigned workers, const std::string &fingerprint);
-Json makeExecMsg(const JobSpec &spec, std::size_t index);
-Json makePointMsg(const PointMsg &point, const char *type = "point");
-Json makeRevokeMsg(std::size_t max_points);
-Json makeRevokedMsg(const std::vector<std::size_t> &indices);
-Json makeDoneMsg(const DoneMsg &done);
-Json makeErrorMsg(const std::string &message);
-/// @}
-
-/** @name Message decoders. Each checks the "type" tag and required
- *  fields; returns false on mismatch. */
-/// @{
-bool decodeJobMsg(const Json &j, JobMsg &out);
-bool decodeExecMsg(const Json &j, JobSpec &spec, std::size_t &index);
-bool decodePointMsg(const Json &j, PointMsg &out);
-bool decodeRevokeMsg(const Json &j, std::size_t &max_points);
-bool decodeRevokedMsg(const Json &j, std::vector<std::size_t> &out);
-bool decodeDoneMsg(const Json &j, DoneMsg &out);
-/// @}
-
-/** Incremental newline framing over externally read chunks (the
- *  server's poll loop feeds it; it never blocks). */
-class LineBuffer
-{
-  public:
-    void feed(const char *data, std::size_t n) { buf_.append(data, n); }
-
-    /** Extract the next complete line (without '\n'); false if none
-     *  is buffered yet. */
-    bool next(std::string &out)
-    {
-        const std::size_t nl = buf_.find('\n');
-        if (nl == std::string::npos)
-            return false;
-        out.assign(buf_, 0, nl);
-        buf_.erase(0, nl + 1);
-        return true;
-    }
-
-  private:
-    std::string buf_;
-};
-
-/**
- * Buffered newline-framed reader over a blocking fd. readLine()
- * returns false on EOF, error, or interruption (distinguish EOF with
- * eof()).
- */
-class LineReader
-{
-  public:
-    explicit LineReader(int fd) : fd_(fd) {}
-
-    /** A read interrupted by a signal (EINTR) normally retries; with
-     *  a check installed it first polls it and gives up when it
-     *  returns true (cooperative SIGINT handling in the client). */
-    void setInterruptCheck(std::function<bool()> check)
-    {
-        interrupted_ = std::move(check);
-    }
-
-    /** Read one line (without the trailing '\n'). */
-    bool readLine(std::string &out);
-
-    bool eof() const { return eof_; }
-
-  private:
-    int fd_;
-    std::string buf_;
-    bool eof_ = false;
-    std::function<bool()> interrupted_;
-};
-
-/** Write @p line plus a trailing newline, retrying partial writes.
- *  Returns false on error (e.g. peer gone; SIGPIPE must be ignored by
- *  the caller's process). */
-bool writeLine(int fd, const std::string &line);
 
 } // namespace specint::service
 

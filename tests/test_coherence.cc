@@ -419,5 +419,24 @@ TEST(CoherenceChannelTest, InvalidationLeavesCoherenceTraffic)
     EXPECT_GT(invalidations, 0u);
 }
 
+TEST(CoherenceChannelTest, LlcTraceDoesNotGrowAcrossTrials)
+{
+    // prepare() drops the previous trial's visible LLC trace, so a
+    // long-lived harness holds one trial's worth, not every trial's.
+    CoherenceAttackParams params;
+    params.kind = CoherenceChannelKind::PrefetchTraining;
+    CoherenceHarness harness(params, SchemeKind::InvisiSpecSpectre);
+    const Hierarchy &hier = harness.system().hierarchy();
+    harness.prepare(0);
+    harness.runTrial();
+    const std::size_t first = hier.llcTrace().size();
+    EXPECT_GT(first, 0u);
+    for (unsigned t = 1; t < 10; ++t) {
+        harness.prepare(0);
+        harness.runTrial();
+    }
+    EXPECT_LE(hier.llcTrace().size(), first);
+}
+
 } // namespace
 } // namespace specint

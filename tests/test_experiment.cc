@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -351,6 +352,43 @@ TEST(ExperimentRunner, EveryPointExecutesExactlyOnce)
         EXPECT_EQ(p.rows.size(), 1u);
 }
 
+TEST(ExperimentRunner, KeepsMoreThanOnePointInFlight)
+{
+    // What a parallel speedup depends on, checked without a clock
+    // race: at jobs = 2 two points run at once. Each point waits for a
+    // second one to start (bounded by one shared deadline, so a serial
+    // runner fails in seconds instead of hanging).
+    std::atomic<unsigned> in_flight{0};
+    std::atomic<unsigned> max_in_flight{0};
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    Scenario sc = syntheticScenario();
+    const auto inner = sc.run;
+    sc.run = [&, inner](const PointContext &ctx, const RunOptions &opt) {
+        const unsigned now = in_flight.fetch_add(1) + 1;
+        unsigned seen = max_in_flight.load();
+        while (seen < now &&
+               !max_in_flight.compare_exchange_weak(seen, now)) {
+        }
+        while (max_in_flight.load() < 2 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        PointResult res = inner(ctx, opt);
+        in_flight.fetch_sub(1);
+        return res;
+    };
+
+    const Report parallel = ExperimentRunner(2).run(sc, optionsWith(2));
+    EXPECT_EQ(max_in_flight.load(), 2u);
+
+    const Report serial =
+        ExperimentRunner(1).run(syntheticScenario(), optionsWith(1));
+    ASSERT_EQ(parallel.points.size(), serial.points.size());
+    EXPECT_EQ(parallel.renderCsv(), serial.renderCsv());
+    for (std::size_t i = 0; i < serial.points.size(); ++i)
+        EXPECT_EQ(parallel.points[i].legacy, serial.points[i].legacy);
+}
+
 TEST(ExperimentRunner, SeedAndTrialsChangeResults)
 {
     const Scenario sc = syntheticScenario();
@@ -502,24 +540,6 @@ TEST(RegisteredScenarios, Fig11FixtureReuseIsByteIdentical)
     EXPECT_EQ(fresh.renderCsv(), reused.renderCsv());
     EXPECT_EQ(redactTimings(fresh.renderJson()),
               redactTimings(reused.renderJson()));
-}
-
-TEST(RegisteredScenarios, Table1ParallelSweepIsFaster)
-{
-    // The whole point of the parallel runner: the table1 sweep should
-    // complete measurably faster than serial when real hardware
-    // parallelism exists. CPU-time accounting keeps the comparison
-    // honest (wall < summed per-point CPU cost = the serial estimate).
-    if (std::thread::hardware_concurrency() < 2)
-        GTEST_SKIP() << "needs >= 2 hardware threads";
-
-    const Scenario *sc = scenarios::all().find("table1");
-    ASSERT_NE(sc, nullptr);
-    RunOptions opt;
-    opt.jobs = std::thread::hardware_concurrency();
-    const Report rep = ExperimentRunner(opt.jobs).run(*sc, opt);
-    EXPECT_LT(rep.wallUs, rep.cpuUs())
-        << "parallel sweep no faster than its serial cost estimate";
 }
 
 TEST(RegisteredScenarios, SweepSizesMatchLegacyGrids)

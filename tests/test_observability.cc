@@ -383,6 +383,26 @@ TEST_F(ObservabilityTest, MetricsAccumulateAcrossRunsWithoutDoubleCount)
     ASSERT_NE(ret1, nullptr);
     ASSERT_NE(ret2, nullptr);
     EXPECT_EQ(ret2->count, 2 * ret1->count);
+
+    // Cleared-trace runs (what trial harnesses do before every trial):
+    // flush every line the trace saw so each run starts cold, clear
+    // the trace, run. Each run must publish exactly the accesses it
+    // appended, not its size minus a stale pre-clear baseline.
+    obs::setMetricsEnabled(true);
+    std::uint64_t published = llc2->count;
+    for (int run = 0; run < 2; ++run) {
+        for (const VisibleAccess &a : hier.llcTrace())
+            hier.flushLine(a.lineAddr);
+        hier.clearLlcTrace();
+        core.run(tinyProgram());
+        const std::uint64_t appended = hier.llcTrace().size();
+        EXPECT_GT(appended, 0u) << "run " << run;
+        const obs::MetricsSnapshot snap =
+            obs::MetricRegistry::global().snapshot();
+        const std::uint64_t now = snap.find("llc.visible_accesses")->count;
+        EXPECT_EQ(now - published, appended) << "run " << run;
+        published = now;
+    }
 }
 
 // ---------------------------------------------------------------------

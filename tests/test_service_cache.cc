@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests of the sweep-service result cache (src/sim/service/cache.*):
- * canonical-key stability and sensitivity (every semantic input must
- * change the key), store/lookup round-trips through the wire codec,
- * and the corruption defenses — truncated, garbage, tampered and
+ * Tests of the result cache (src/sim/service/cache.*): canonical-key
+ * stability and sensitivity (every semantic input must change the
+ * key), store/lookup round-trips through the row codec, the
+ * corruption defenses — truncated, garbage, tampered and
  * version-skewed entries must all be rejected and recomputed, never
- * trusted.
+ * trusted — and the driver's cached path end to end: CSV output with
+ * a cold or warm --cache-dir is byte-identical to an uncached run at
+ * any --jobs.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "scenarios/scenarios.hh"
+#include "sim/experiment/driver.hh"
 #include "sim/experiment/sweep.hh"
 #include "sim/experiment/value.hh"
 #include "sim/service/cache.hh"
@@ -103,7 +107,7 @@ sampleRows()
     return {r1, r2};
 }
 
-/** Deep row equality via the deterministic wire encoding. */
+/** Deep row equality via the deterministic row encoding. */
 void
 expectRowsEqual(const std::vector<Row> &a, const std::vector<Row> &b)
 {
@@ -361,12 +365,12 @@ TEST(ResultCache, FingerprintChangeMissesOldEntries)
 
 TEST(ResultCache, ConcurrentWritersNeverLoseIndexUpdates)
 {
-    // Multiple daemons may share one --cache-dir (a fleet on one
-    // host). Object files are content-addressed and rename-published,
-    // but index.json is a read-merge-write — without the flock it is
-    // a lost-update race. Hammer it: several forked writers each
-    // store distinct entries and flush concurrently; the final index
-    // must account for every store.
+    // Several runs may share one --cache-dir at once. Object files
+    // are content-addressed and rename-published, but index.json is a
+    // read-merge-write — without the flock it is a lost-update race.
+    // Hammer it: several forked writers each store distinct entries
+    // and flush concurrently; the final index must account for every
+    // store.
     constexpr int kWriters = 8;
     constexpr int kStoresPerWriter = 4;
 
@@ -425,3 +429,102 @@ TEST(ResultCache, ConcurrentWritersNeverLoseIndexUpdates)
                 << "writer " << w << " store " << s;
         }
 }
+
+// --------------------------------------------------------------------------
+// The driver's cached path (runScenarioCli with --cache-dir)
+// --------------------------------------------------------------------------
+
+namespace
+{
+
+std::string
+readFile(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+Json
+readJson(const fs::path &path)
+{
+    Json j;
+    EXPECT_TRUE(Json::parse(readFile(path), j)) << path;
+    return j;
+}
+
+/** Run `specsim_bench <args...>` in-process; returns the exit code. */
+int
+runCli(std::vector<std::string> args)
+{
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return runScenarioCli(scenarios::all(), args.front(),
+                          static_cast<int>(argv.size()), argv.data());
+}
+
+std::uint64_t
+defaultPointCount(const std::string &name)
+{
+    const Scenario *sc = scenarios::all().find(name);
+    RunOptions defaults;
+    defaults.trials = sc->defaultTrials;
+    defaults.seed = sc->defaultSeed;
+    for (const ExtraFlag &f : sc->extraFlags)
+        defaults.extra[f.name] = f.defaultValue;
+    return sc->sweep(defaults).size();
+}
+
+} // namespace
+
+class CachedCli : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(CachedCli, CsvIsByteIdenticalUncachedColdAndWarmAtJobs1And4)
+{
+    // Six runs per scenario: {no cache, cold, warm} x {--jobs 1, 4}.
+    // At --jobs 4 points finish out of order, so this also covers the
+    // grid-order CSV streaming of cached and computed points alike.
+    const std::string name = GetParam();
+    const std::uint64_t points = defaultPointCount(name);
+    TempDir tmp;
+    std::vector<std::string> csvs;
+    for (const std::string jobs : {"1", "4"}) {
+        const fs::path cache = tmp.path / ("cache-j" + jobs);
+        for (const std::string mode : {"none", "cold", "warm"}) {
+            const fs::path out =
+                tmp.path / (name + "-j" + jobs + "-" + mode + ".csv");
+            std::vector<std::string> args = {name,    "--csv",
+                                             "--out", out.string(),
+                                             "--jobs", jobs};
+            if (mode != "none") {
+                args.push_back("--cache-dir");
+                args.push_back(cache.string());
+            }
+            ASSERT_EQ(runCli(args), 0) << mode << " --jobs " << jobs;
+            csvs.push_back(readFile(out));
+            if (mode == "cold") {
+                EXPECT_EQ(readJson(cache / "index.json").getU64("stores"),
+                          points)
+                    << "--jobs " << jobs;
+            }
+        }
+    }
+    ASSERT_FALSE(csvs.front().empty());
+    for (std::size_t i = 1; i < csvs.size(); ++i)
+        EXPECT_EQ(csvs[i], csvs.front()) << "run " << i;
+
+    // A warm JSON report accounts every point as a hit.
+    const fs::path json = tmp.path / (name + "-warm.json");
+    ASSERT_EQ(runCli({name, "--json", "--out", json.string(),
+                      "--cache-dir", (tmp.path / "cache-j1").string()}),
+              0);
+    const Json cache = readJson(json).get("cache");
+    EXPECT_EQ(cache.getU64("hits"), points);
+    EXPECT_EQ(cache.getU64("misses"), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Scenarios, CachedCli,
+                         ::testing::Values("fig8", "ablation_rs"));

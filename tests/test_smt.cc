@@ -473,5 +473,25 @@ TEST(SmtChannelTest, ChannelSurvivesPartitionedWindowResources)
     EXPECT_EQ(res.channel.bitErrors, 0u);
 }
 
+TEST(SmtChannelTest, LlcTraceDoesNotGrowAcrossTrials)
+{
+    // prepare() drops the previous trial's visible LLC trace, so a
+    // long-lived harness holds one trial's worth, not every trial's.
+    SmtAttackParams params;
+    params.kind = SmtChannelKind::Mshr;
+    SmtProbeHarness harness(buildSmtAttack(params),
+                            SchemeKind::InvisiSpecSpectre);
+    const Hierarchy &hier = harness.core().hierarchy();
+    harness.prepare(0);
+    harness.runTrial();
+    const std::size_t first = hier.llcTrace().size();
+    EXPECT_GT(first, 0u);
+    for (unsigned t = 1; t < 10; ++t) {
+        harness.prepare(0);
+        harness.runTrial();
+    }
+    EXPECT_LE(hier.llcTrace().size(), first);
+}
+
 } // namespace
 } // namespace specint
