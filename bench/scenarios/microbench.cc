@@ -143,9 +143,9 @@ benchHierarchyColdAccess(unsigned trials)
  *  pointer chases over a footprint far beyond the small hierarchy, so
  *  the window fills and the core spends most cycles stalled on misses
  *  — the profile of the attack scenarios (secret-dependent misses)
- *  and the case the stall fast-forward engine targets. The default
- *  spec is the opposite extreme: a straight-line compulsory-miss
- *  instruction stream whose stall cycles drain the window. */
+ *  and the case stall fast-forward collapses. The default spec is the
+ *  opposite extreme: a straight-line compulsory-miss instruction
+ *  stream whose stall cycles drain the window. */
 WorkloadSpec
 memStallSpec(unsigned instructions)
 {
@@ -157,28 +157,9 @@ memStallSpec(unsigned instructions)
     return spec;
 }
 
-/** Raw-speed engine mode: stall fast-forward plus stats-lite (the
- *  golden-trace/fuzz harnesses prove both are cycle-exact). */
-CoreConfig
-rawCoreConfig(bool raw)
-{
-    CoreConfig cfg;
-    cfg.fastForward = raw;
-    cfg.statsLite = raw;
-    return cfg;
-}
-
-HierarchyConfig
-rawHierConfig(bool raw)
-{
-    HierarchyConfig cfg = HierarchyConfig::small();
-    cfg.statsLite = raw;
-    return cfg;
-}
-
 KernelResult
 benchCoreSimulation(unsigned trials, unsigned instructions,
-                    bool raw = false, bool memstall = false)
+                    bool memstall = false)
 {
     WorkloadSpec spec =
         memstall ? memStallSpec(instructions) : WorkloadSpec{};
@@ -188,11 +169,11 @@ benchCoreSimulation(unsigned trials, unsigned instructions,
         [&](std::uint64_t n) {
             std::uint64_t cycles = 0;
             for (std::uint64_t i = 0; i < n; ++i) {
-                Hierarchy hier(rawHierConfig(raw));
+                Hierarchy hier(HierarchyConfig::small());
                 MainMemory mem;
                 for (const auto &[a, v] : wl.memInit)
                     mem.write(a, v);
-                Core core(rawCoreConfig(raw), 0, hier, mem);
+                Core core(CoreConfig{}, 0, hier, mem);
                 cycles += core.run(wl.prog).cycles;
             }
             return cycles;
@@ -202,7 +183,7 @@ benchCoreSimulation(unsigned trials, unsigned instructions,
 
 KernelResult
 benchSmtCoreSimulation(unsigned trials, unsigned instructions,
-                       bool raw = false, bool memstall = false)
+                       bool memstall = false)
 {
     WorkloadSpec spec =
         memstall ? memStallSpec(instructions) : WorkloadSpec{};
@@ -215,14 +196,13 @@ benchSmtCoreSimulation(unsigned trials, unsigned instructions,
         [&](std::uint64_t n) {
             std::uint64_t cycles = 0;
             for (std::uint64_t i = 0; i < n; ++i) {
-                Hierarchy hier(rawHierConfig(raw));
+                Hierarchy hier(HierarchyConfig::small());
                 MainMemory mem;
                 for (const auto &[a, v] : wl0.memInit)
                     mem.write(a, v);
                 for (const auto &[a, v] : wl1.memInit)
                     mem.write(a, v);
-                SmtCore core(rawCoreConfig(raw), SmtConfig{}, 0, hier,
-                             mem);
+                SmtCore core(CoreConfig{}, SmtConfig{}, 0, hier, mem);
                 cycles += core.run({&wl0.prog, &wl1.prog}).cycles;
             }
             return cycles;
@@ -232,7 +212,7 @@ benchSmtCoreSimulation(unsigned trials, unsigned instructions,
 
 KernelResult
 benchSystemSimulation(unsigned trials, unsigned instructions,
-                      bool raw = false, bool memstall = false)
+                      bool memstall = false)
 {
     WorkloadSpec spec =
         memstall ? memStallSpec(instructions) : WorkloadSpec{};
@@ -250,8 +230,6 @@ benchSystemSimulation(unsigned trials, unsigned instructions,
             for (std::uint64_t i = 0; i < n; ++i) {
                 SystemConfig cfg;
                 cfg.numCores = 2;
-                cfg.core = rawCoreConfig(raw);
-                cfg.hier = rawHierConfig(raw);
                 cfg.hier.llcPortBusy = 2;
                 cfg.hier.llcMshrs = 8;
                 System sys(cfg);
@@ -368,40 +346,20 @@ const Kernel kKernels[] = {
      [](unsigned t) { return benchCoreSimulation(t, 1000); }},
     {"CoreSimulation/4000",
      [](unsigned t) { return benchCoreSimulation(t, 4000); }},
-    {"CoreSimulation/4000/raw",
-     [](unsigned t) { return benchCoreSimulation(t, 4000, true); }},
     {"CoreSimulation/4000/memstall",
-     [](unsigned t) { return benchCoreSimulation(t, 4000, false, true); }},
-    {"CoreSimulation/4000/memstall/raw",
-     [](unsigned t) { return benchCoreSimulation(t, 4000, true, true); }},
+     [](unsigned t) { return benchCoreSimulation(t, 4000, true); }},
     {"SmtCoreSimulation/1000",
      [](unsigned t) { return benchSmtCoreSimulation(t, 1000); }},
     {"SmtCoreSimulation/4000",
      [](unsigned t) { return benchSmtCoreSimulation(t, 4000); }},
-    {"SmtCoreSimulation/4000/raw",
-     [](unsigned t) { return benchSmtCoreSimulation(t, 4000, true); }},
     {"SmtCoreSimulation/4000/memstall",
-     [](unsigned t) {
-         return benchSmtCoreSimulation(t, 4000, false, true);
-     }},
-    {"SmtCoreSimulation/4000/memstall/raw",
-     [](unsigned t) {
-         return benchSmtCoreSimulation(t, 4000, true, true);
-     }},
+     [](unsigned t) { return benchSmtCoreSimulation(t, 4000, true); }},
     {"SystemSimulation/1000",
      [](unsigned t) { return benchSystemSimulation(t, 1000); }},
     {"SystemSimulation/4000",
      [](unsigned t) { return benchSystemSimulation(t, 4000); }},
-    {"SystemSimulation/4000/raw",
-     [](unsigned t) { return benchSystemSimulation(t, 4000, true); }},
     {"SystemSimulation/4000/memstall",
-     [](unsigned t) {
-         return benchSystemSimulation(t, 4000, false, true);
-     }},
-    {"SystemSimulation/4000/memstall/raw",
-     [](unsigned t) {
-         return benchSystemSimulation(t, 4000, true, true);
-     }},
+     [](unsigned t) { return benchSystemSimulation(t, 4000, true); }},
     {"ReceiverPrimeDecode", benchReceiverPrimeDecode},
     {"EndToEndAttackTrial", benchEndToEndAttackTrial},
     {"TrialSetup/fresh", benchTrialSetupFresh},

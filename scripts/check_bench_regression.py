@@ -6,28 +6,18 @@ baseline (bench/baselines/BENCH_microbench.json) and fails when a
 kernel's simulation throughput regressed.
 
 CI runners differ wildly in absolute speed, so raw cycles-per-second
-cannot be compared across machines. Two machine-independent checks are
-applied instead:
-
-1. Per-kernel relative regression. The median of the per-kernel
-   current/baseline ratios estimates the machine-speed factor between
-   the two measurements; a kernel whose own ratio falls more than
-   --tolerance below that factor got slower *relative to the rest of
-   the suite* — a real per-kernel regression, not a slow runner.
-
-2. Raw-engine speedup regression. For every "<kernel>/raw" row the
-   speedup over its non-raw sibling is a pure ratio of same-machine
-   numbers. It must not fall more than --tolerance below the
-   baseline's speedup for the same pair: the raw engine (stall
-   fast-forward + arena + stats-lite) earning less over the baseline
-   engine is exactly the regression this gate exists to catch.
+cannot be compared across machines. A machine-independent check is
+applied instead: the median of the per-kernel current/baseline ratios
+estimates the machine-speed factor between the two measurements; a
+kernel whose own ratio falls more than --tolerance below that factor
+got slower *relative to the rest of the suite* — a real per-kernel
+regression, not a slow runner.
 
 With --trajectory the run also appends its machine-normalized numbers
-(the machine-speed factor, each kernel's ratio-over-factor, and the
-raw-engine speedup pairs) to a BENCH_trajectory.json artifact. Those
-normalized medians are comparable across runners, so the artifact
-accumulates a perf trajectory of the repo over time that CI can upload
-alongside the gate result.
+(the machine-speed factor and each kernel's ratio-over-factor) to a
+BENCH_trajectory.json artifact. Those normalized medians are comparable
+across runners, so the artifact accumulates a perf trajectory of the
+repo over time that CI can upload alongside the gate result.
 
 Exit status: 0 = pass, 1 = regression, 2 = usage/data error.
 """
@@ -68,14 +58,13 @@ def median(values):
     return s[mid] if n % 2 else (s[mid - 1] + s[mid]) / 2.0
 
 
-def append_trajectory(path, label, factor, ratios, speedups):
+def append_trajectory(path, label, factor, ratios):
     """Append one normalized measurement to the trajectory artifact.
 
     Each entry carries only machine-independent numbers: the median
-    current/baseline factor, each kernel's ratio normalized by that
-    factor (1.0 = moved with the suite, >1 = outpaced it), and the
-    same-machine raw-engine speedups. A corrupt or missing artifact
-    starts a fresh one rather than failing the gate.
+    current/baseline factor and each kernel's ratio normalized by that
+    factor (1.0 = moved with the suite, >1 = outpaced it). A corrupt or
+    missing artifact starts a fresh one rather than failing the gate.
     """
     try:
         with open(path) as f:
@@ -89,8 +78,6 @@ def append_trajectory(path, label, factor, ratios, speedups):
         "machine_factor": round(factor, 6),
         "normalized": {k: round(r / factor, 6)
                        for k, r in sorted(ratios.items())},
-        "raw_speedups": {k: round(v, 6)
-                         for k, v in sorted(speedups.items())},
     }
     doc["entries"].append(entry)
     try:
@@ -141,7 +128,7 @@ def main():
     base = load_rows(args.baseline)
 
     # A kernel measured now but absent from the baseline would silently
-    # escape both checks below — surface it instead of skipping it, so a
+    # escape the check below — surface it instead of skipping it, so a
     # new kernel cannot ship ungated by accident. The fix is to refresh
     # bench/baselines/BENCH_microbench.json (or pass --allow-missing for
     # a local run against an older baseline).
@@ -163,7 +150,7 @@ def main():
 
     failures = []
 
-    # Check 1: per-kernel ratio vs the machine-speed factor.
+    # Per-kernel ratio vs the machine-speed factor.
     ratios = {k: cur[k] / base[k] for k in common}
     factor = median(ratios.values())
     floor = factor * (1.0 - args.tolerance)
@@ -178,32 +165,10 @@ def main():
         print(f"  {k}: cur={cur[k]:.3g} base={base[k]:.3g} "
               f"ratio={ratios[k]:.3f} [{status}]")
 
-    # Check 2: raw-engine speedup pairs.
-    speedups = {}
-    print("raw-engine speedups (kernel/raw vs kernel):")
-    for k in common:
-        if not k.endswith("/raw"):
-            continue
-        sib = k[: -len("/raw")]
-        if sib not in common:
-            continue
-        cur_sp = cur[k] / cur[sib]
-        base_sp = base[k] / base[sib]
-        speedups[sib] = cur_sp
-        status = "ok"
-        if cur_sp < base_sp * (1.0 - args.tolerance):
-            status = "REGRESSED"
-            failures.append(
-                f"{k}: speedup {cur_sp:.2f}x vs baseline "
-                f"{base_sp:.2f}x")
-        print(f"  {sib}: cur={cur_sp:.2f}x base={base_sp:.2f}x "
-              f"[{status}]")
-
     # The trajectory records regressing runs too — a dip in the artifact
     # is exactly the signal it exists to preserve.
     if args.trajectory:
-        append_trajectory(args.trajectory, args.label, factor, ratios,
-                          speedups)
+        append_trajectory(args.trajectory, args.label, factor, ratios)
 
     if failures:
         print("\nperf regression detected:", file=sys.stderr)

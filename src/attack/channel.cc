@@ -14,24 +14,11 @@
 #include "cpu/core.hh"
 #include "memory/eviction_set.hh"
 #include "memory/hierarchy.hh"
-#include "sim/log.hh"
 #include "sim/obs/metrics.hh"
 #include "sim/obs/trace.hh"
 
 namespace specint
 {
-
-/** Attack runs decode the observation traces stats-lite elides; a
- *  stats-lite config here is silent corruption, not speed. */
-static void
-rejectStatsLite(const char *entry, const ChannelConfig &cfg)
-{
-    if (cfg.core.statsLite || cfg.hier.statsLite) {
-        fatal(std::string(entry) +
-              ": statsLite elides the traces the attacker decodes; "
-              "disable it for attack runs");
-    }
-}
 
 std::vector<std::uint8_t>
 randomBits(unsigned n, std::uint64_t seed)
@@ -87,8 +74,7 @@ struct ChannelSystem
     }
 };
 
-/** End-of-run channel counters for the metric registry. (statsLite is
- *  rejected for attack runs, so only the global switch gates this.) */
+/** End-of-run channel counters for the metric registry. */
 void
 publishChannelMetrics(const char *prefix, const ChannelResult &res)
 {
@@ -108,7 +94,6 @@ ChannelResult
 runDCacheChannel(const std::vector<std::uint8_t> &bits,
                  const ChannelConfig &cfg)
 {
-    rejectStatsLite("runDCacheChannel", cfg);
     SenderParams params = cfg.sender;
     // The D-Cache channel works with either D-side gadget (G^D_NPEU is
     // the paper's PoC; G^D_MSHR is the Fig. 4 variant) but always uses
@@ -172,7 +157,6 @@ ChannelResult
 runICacheChannel(const std::vector<std::uint8_t> &bits,
                  const ChannelConfig &cfg)
 {
-    rejectStatsLite("runICacheChannel", cfg);
     SenderParams params = cfg.sender;
     params.gadget = GadgetKind::Rs;
     params.ordering = OrderingKind::Presence;

@@ -345,11 +345,6 @@ CoherenceChannelResult
 runCoherenceChannel(const std::vector<std::uint8_t> &bits,
                     const CoherenceChannelConfig &cfg)
 {
-    if (cfg.core.statsLite || cfg.hier.statsLite) {
-        fatal("runCoherenceChannel: statsLite elides the coherence "
-              "trace the attacker decodes; disable it for attack "
-              "runs");
-    }
     CoherenceHarness harness(cfg.attack, cfg.scheme, cfg.core,
                              cfg.hier);
     NoiseModel noise(cfg.noise, cfg.seed);

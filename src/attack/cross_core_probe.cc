@@ -323,11 +323,6 @@ CrossCoreChannelResult
 runCrossCoreChannel(const std::vector<std::uint8_t> &bits,
                     const CrossCoreChannelConfig &cfg)
 {
-    if (cfg.core.statsLite || cfg.hier.statsLite) {
-        fatal("runCrossCoreChannel: statsLite elides the observation "
-              "traces the attacker decodes; disable it for attack "
-              "runs");
-    }
     CrossCoreHarness harness(cfg.attack, cfg.scheme, cfg.core,
                              cfg.hier);
     NoiseModel noise(cfg.noise, cfg.seed);

@@ -282,11 +282,6 @@ SmtChannelResult
 runSmtContentionChannel(const std::vector<std::uint8_t> &bits,
                         const SmtChannelConfig &cfg)
 {
-    if (cfg.core.statsLite || cfg.hier.statsLite) {
-        fatal("runSmtContentionChannel: statsLite elides the "
-              "contention observations the attacker decodes; disable "
-              "it for attack runs");
-    }
     SmtProbeHarness harness(buildSmtAttack(cfg.attack), cfg.scheme,
                             cfg.core, cfg.smt, cfg.hier);
     NoiseModel noise(cfg.noise, cfg.seed);

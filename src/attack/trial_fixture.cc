@@ -54,9 +54,6 @@ attackFixtureKey(const CoreConfig &core, const HierarchyConfig &hier)
     num(core.squashPenalty);
     num(core.storeForwardLatency);
     num(core.maxCycles);
-    num(core.recordTrace);
-    num(core.fastForward);
-    num(core.statsLite);
 
     k += "}hier{";
     num(hier.cores);
@@ -75,12 +72,10 @@ attackFixtureKey(const CoreConfig &core, const HierarchyConfig &hier)
     num(hier.coherence.enabled);
     num(hier.coherence.invalidateLatency);
     num(hier.coherence.writebackLatency);
-    num(hier.coherence.recordTrace);
     num(static_cast<std::uint64_t>(hier.prefetch.kind));
     num(hier.prefetch.degree);
     num(hier.prefetch.streamTableSize);
     num(hier.prefetch.trainOnHit);
-    num(hier.statsLite);
     k += '}';
     return k;
 }

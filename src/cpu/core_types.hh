@@ -44,32 +44,6 @@ struct CoreConfig
     /** Runaway guard for run(). */
     std::uint64_t maxCycles = 2'000'000;
 
-    /** Record timing of labeled instructions. */
-    bool recordTrace = true;
-
-    /**
-     * Stall fast-forward: when no pipeline structure can change state
-     * this cycle (everything is waiting on fills or busy timers with
-     * known completion times), run() advances the cycle counter to the
-     * next transition in one step instead of ticking empty stages.
-     * Cycle-exact by construction (tests/test_golden_traces.cc,
-     * tests/test_fastforward_fuzz.cc prove it differentially); off by
-     * default so existing harnesses see the literal tick loop.
-     * Ineligible (silently ignored) while a per-cycle hook or SMT
-     * contention sampling is active — see
-     * PipelineEngine::fastForwardEligible().
-     */
-    bool fastForward = false;
-
-    /**
-     * Stats-lite mode: skip the per-retire instruction trace and the
-     * per-cycle SMT contention sampling. Cycle counts and aggregate
-     * stats are unchanged — only observation logs are elided. Must be
-     * off in every attack scenario (the attack entry points fatal()
-     * otherwise).
-     */
-    bool statsLite = false;
-
     /**
      * Structural sanity check. @return "" if the configuration is
      * usable, otherwise a description of the first problem (zero-size

@@ -98,7 +98,7 @@ CommitUnit::retire(std::vector<std::unique_ptr<ThreadContext>> &threads,
             h.retiredAt() = now;
             ++th.stats.retired;
 
-            if (obs::tracingEnabled() && !cfg_.statsLite) {
+            if (obs::tracingEnabled()) {
                 // One span per retired instruction: dispatch to
                 // retirement, the window the instruction occupied a
                 // ROB slot.
@@ -108,8 +108,7 @@ CommitUnit::retire(std::vector<std::unique_ptr<ThreadContext>> &threads,
                     "seq", h.seq);
             }
 
-            if (cfg_.recordTrace && !cfg_.statsLite &&
-                !h.si().label.empty()) {
+            if (!h.si().label.empty()) {
                 th.trace.push_back({h.si().label, h.pc(), h.seq,
                                     h.dispatchedAt(), h.issuedAt(),
                                     h.completeAt, h.retiredAt(),
@@ -339,7 +338,7 @@ CommitUnit::squashAfter(ThreadContext &th, const DynInst &br, Tick now)
     th.frontend.redirect(new_pc, now + cfg_.squashPenalty);
     ++th.stats.squashes;
 
-    if (obs::tracingEnabled() && !cfg_.statsLite) {
+    if (obs::tracingEnabled()) {
         obs::EventTracer::global().instant(
             threadTraceTrack(th.tid), "squash", "pipeline", now,
             "branch_pc", br.pc(), "redirect_pc", new_pc);

@@ -130,6 +130,7 @@ PipelineEngine::beginRun(const std::vector<const Program *> &progs)
     for ([[maybe_unused]] const Program *p : progs)
         assert(p && !p->empty());
     now_ = 0;
+    ffProbes_ = ffSkips_ = ffSkippedCycles_ = 0;
     rs_.clear();
     lsq_.clear();
     ports_.reset();
@@ -204,17 +205,18 @@ PipelineEngine::publishMetrics()
         reg.counterAdd(t + "stalls.mshr_contended",
                        s.mshrContendedCycles);
         reg.counterAdd(t + "stalls.rs_blocked", s.rsBlockedCycles);
-        if (!cfg_.statsLite) {
-            // SoA-bank usage: allocations this run and peak occupancy
-            // against the bank's fixed capacity (reuse pressure).
-            const Rob &rob = tp->rob;
-            reg.counterAdd(t + "pool.rob.pushes", rob.pushes());
-            reg.sampleAdd(t + "pool.rob.high_water",
-                          static_cast<double>(rob.highWater()));
-            reg.sampleAdd(t + "pool.rob.capacity",
-                          static_cast<double>(rob.capacity()));
-        }
+        // SoA-bank usage: allocations this run and peak occupancy
+        // against the bank's fixed capacity (reuse pressure).
+        const Rob &rob = tp->rob;
+        reg.counterAdd(t + "pool.rob.pushes", rob.pushes());
+        reg.sampleAdd(t + "pool.rob.high_water",
+                      static_cast<double>(rob.highWater()));
+        reg.sampleAdd(t + "pool.rob.capacity",
+                      static_cast<double>(rob.capacity()));
     }
+    reg.counterAdd(core + "ff.probes", ffProbes_);
+    reg.counterAdd(core + "ff.skips", ffSkips_);
+    reg.counterAdd(core + "ff.skipped_cycles", ffSkippedCycles_);
     // The Hierarchy is shared by every engine of a System; publishing
     // from core 0 only keeps the shared counters single-sourced.
     if (id_ == 0)
@@ -226,27 +228,25 @@ PipelineEngine::run(const std::vector<const Program *> &progs)
 {
     beginRun(progs);
     // Eligibility is checked once: the hook and the sampling flag are
-    // fixed for the duration of a run.
-    if (fastForwardEligible()) {
-        // Skipping is optional — any dead cycle not skipped simply
-        // ticks normally with identical results — so after a failed
-        // attempt (nothing skippable: the pipeline is busy) the
-        // predicate backs off for a few ticks instead of rescanning
-        // the ROB every cycle of a busy stretch. Long stalls (memory
-        // misses) still collapse; at most the first few cycles of a
-        // dead region are ticked.
-        unsigned backoff = 0;
-        while (step()) {
-            if (backoff > 0) {
-                --backoff;
-                continue;
-            }
-            if (fastForward(cfg_.maxCycles) == 0)
-                backoff = 3;
+    // fixed for the duration of a run. Ineligible runs tick every
+    // cycle.
+    const bool skip = fastForwardEligible();
+    // Skipping is optional — any dead cycle not skipped simply ticks
+    // normally with identical results — so after a failed attempt
+    // (nothing skippable: the pipeline is busy) the predicate backs
+    // off for a few ticks instead of rescanning the ROB every cycle of
+    // a busy stretch. Long stalls (memory misses) still collapse; at
+    // most the first few cycles of a dead region are ticked.
+    unsigned backoff = 0;
+    while (step()) {
+        if (!skip)
+            continue;
+        if (backoff > 0) {
+            --backoff;
+            continue;
         }
-    } else {
-        while (step()) {
-        }
+        if (fastForward(cfg_.maxCycles) == 0)
+            backoff = 3;
     }
     return finishRun();
 }
@@ -261,7 +261,7 @@ PipelineEngine::fastForwardEligible() const
     // A per-cycle hook models a concurrent agent acting every cycle,
     // and contention sampling records one sample per cycle: both make
     // empty cycles observable, so the skip is only legal without them.
-    return cfg_.fastForward && !cycleHook_ && !smt_.recordContention;
+    return !cycleHook_ && !smt_.recordContention;
 }
 
 Tick
@@ -369,6 +369,8 @@ PipelineEngine::fastForwardTo(Tick target)
     if (target <= now_)
         return;
     const Tick skipped = target - now_;
+    ++ffSkips_;
+    ffSkippedCycles_ += skipped;
     // The only per-cycle stat that accrues during dead cycles; its
     // condition cannot change while no stage transitions. Contention
     // flags stay false (no issue attempts), so the contended-cycle
@@ -380,7 +382,7 @@ PipelineEngine::fastForwardTo(Tick target)
     // The skipped region is by construction transition-free, so the
     // trace records it as one arithmetic stall span instead of the
     // per-cycle events the naive loop would (not) have produced.
-    if (obs::tracingEnabled() && !cfg_.statsLite) {
+    if (obs::tracingEnabled()) {
         if (stallTraceTrack_ == 0) {
             stallTraceTrack_ = obs::EventTracer::global().track(
                 "core" + std::to_string(id_) + ".stall");
@@ -393,6 +395,13 @@ PipelineEngine::fastForwardTo(Tick target)
 }
 
 Tick
+PipelineEngine::probeTransition()
+{
+    ++ffProbes_;
+    return nextTransitionAt();
+}
+
+Tick
 PipelineEngine::fastForward(Tick bound)
 {
     // Never skip past the end of the run: with every Halt retired
@@ -401,7 +410,7 @@ PipelineEngine::fastForward(Tick bound)
     if (allHalted() || now_ >= cfg_.maxCycles)
         return 0;
     const Tick before = now_;
-    const Tick next = nextTransitionAt();
+    const Tick next = probeTransition();
     if (next > now_)
         fastForwardTo(std::min(next, bound));
     return now_ - before;
@@ -434,7 +443,7 @@ PipelineEngine::sampleContention()
             ++th.stats.portContendedCycles;
         if (th.mshrContended)
             ++th.stats.mshrContendedCycles;
-        if (!smt_.recordContention || cfg_.statsLite)
+        if (!smt_.recordContention)
             continue;
         ContentionSample s;
         s.cycle = now_;

@@ -100,7 +100,8 @@ class PipelineEngine
 
     BranchPredictor &predictor(ThreadId tid);
 
-    /** Run one program per thread to completion (or maxCycles). */
+    /** Run one program per thread to completion (or maxCycles),
+     *  skipping dead cycles (see "Stall fast-forward" below). */
     EngineRunResult run(const std::vector<const Program *> &progs);
 
     /**
@@ -113,14 +114,17 @@ class PipelineEngine
      */
     void resetForRun();
 
-    /** @name Incremental run API (the System layer's tick loop). */
+    /** @name Incremental run API (the System layer's tick loop).
+     *  beginRun(), step() until false, finishRun() is the literal
+     *  tick-every-cycle loop: the differential reference run() is
+     *  tested against. */
     /// @{
     /** Reset the pipeline and start executing @p progs (one per
      *  thread) from cycle 0. */
     void beginRun(const std::vector<const Program *> &progs);
-    /** Simulate one cycle. @return false if the engine was already
-     *  done (all Halts retired or maxCycles reached) and no cycle was
-     *  simulated. */
+    /** Simulate one cycle (never skips). @return false if the engine
+     *  was already done (all Halts retired or maxCycles reached) and
+     *  no cycle was simulated. */
     bool step();
     /** Every thread's Halt has retired. */
     bool halted() const { return allHalted(); }
@@ -131,7 +135,7 @@ class PipelineEngine
     /// @}
 
     /**
-     * @name Stall fast-forward (cfg.fastForward)
+     * @name Stall fast-forward
      *
      * Every structure in the engine is time-queried against now() —
      * MSHRs expire on lookup, ports and the frontend keep busy-until
@@ -142,11 +146,12 @@ class PipelineEngine
      * clock there in one step. The skip is legal iff no structure
      * transitions in between — see docs/architecture.md for the
      * invariant and tests/test_golden_traces.cc /
-     * tests/test_fastforward_fuzz.cc for the differential proof.
+     * tests/test_fastforward_fuzz.cc for the differential proof
+     * against the literal step() loop.
      */
     /// @{
-    /** Fast-forward is enabled and nothing observes individual empty
-     *  cycles (per-cycle hook, SMT contention sampling). */
+    /** Nothing observes individual empty cycles (per-cycle hook, SMT
+     *  contention sampling), so run() may skip them. */
     bool fastForwardEligible() const;
     /**
      * Earliest cycle at which any pipeline structure can change state:
@@ -162,11 +167,15 @@ class PipelineEngine
      * Core/SmtCore façades.
      */
     bool allThreadsStalled() const { return nextTransitionAt() > now_; }
+    /** nextTransitionAt() on behalf of a skip attempt, counted as one
+     *  fast-forward probe (core<N>.ff.probes). */
+    Tick probeTransition();
     /** Skip dead cycles up to @p bound. @return cycles skipped. */
     Tick fastForward(Tick bound);
     /** Advance the clock to @p target (clamped to maxCycles),
-     *  accounting the per-cycle stats that accrue while stalled. The
-     *  caller asserts the skipped range is dead (nextTransitionAt()). */
+     *  accounting the per-cycle stats that accrue while stalled; a
+     *  move counts as one skip (core<N>.ff.skips). The caller asserts
+     *  the skipped range is dead (nextTransitionAt()). */
     void fastForwardTo(Tick target);
     /// @}
 
@@ -223,6 +232,10 @@ class PipelineEngine
     CycleHook cycleHook_;
     /** Lazily interned trace track for fast-forward stall spans. */
     std::uint32_t stallTraceTrack_ = 0;
+    /** Fast-forward efficacy this run (reset by beginRun()). */
+    std::uint64_t ffProbes_ = 0;
+    std::uint64_t ffSkips_ = 0;
+    Tick ffSkippedCycles_ = 0;
 };
 
 } // namespace specint

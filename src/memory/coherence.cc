@@ -54,8 +54,7 @@ void
 CoherenceDirectory::record(Tick now, Addr line, CoherenceMsg msg,
                            CoreId from, CoreId to)
 {
-    if (params_.recordTrace)
-        trace_.push_back({now, line, msg, from, to});
+    trace_.push_back({now, line, msg, from, to});
 }
 
 CoherenceDirectory::ReadOutcome

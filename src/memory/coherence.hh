@@ -74,8 +74,6 @@ struct CoherenceParams
     /** Cycles a read adds when a remote Modified owner must write the
      *  dirty line back before the data can be served. */
     Tick writebackLatency = 40;
-    /** Record the per-message coherence traffic trace. */
-    bool recordTrace = true;
 };
 
 /** Message kinds appearing in the coherence traffic trace. */

@@ -108,15 +108,6 @@ Hierarchy::Hierarchy(HierarchyConfig cfg)
               const std::string err = cfg_.validate();
               if (!err.empty())
                   fatal("HierarchyConfig: " + err);
-              // Stats-lite also silences the coherence-event trace
-              // (timing and MESI state transitions are unaffected).
-              if (cfg_.statsLite && cfg_.coherence.recordTrace) {
-                  if (cfg_.coherence.enabled) {
-                      inform("Hierarchy: statsLite disables the "
-                             "coherence-event trace");
-                  }
-                  cfg_.coherence.recordTrace = false;
-              }
               // One client per core plus the spare direct-LLC id the
               // attack harnesses use (accessDirect with id == cores),
               // so a standalone Hierarchy honours that convention too.
@@ -278,7 +269,7 @@ Hierarchy::execute(MemTransaction &txn)
             walkInvisible(txn);
         break;
     }
-    if (obs::tracingEnabled() && !cfg_.statsLite)
+    if (obs::tracingEnabled())
         traceTxn(txn);
     if (txn.train && txn.source == TxnSource::Demand &&
         txn.type == AccessType::Data && prefetchEnabled()) {
@@ -367,9 +358,7 @@ Hierarchy::walkVisible(MemTransaction &txn)
     // LLC stage. The transaction reaches the shared level: this is a
     // visible access and enters the C(E) trace regardless of hit/miss
     // (both change LLC replacement state).
-    if (!cfg_.statsLite)
-        trace_.push_back({core, lineAlign(addr), now, txn.type,
-                          txn.source});
+    trace_.push_back({core, lineAlign(addr), now, txn.type, txn.source});
 
     // Coherence: a read arriving at the shared level may have to
     // demote a remote owner (Modified owners add the writeback
@@ -437,10 +426,8 @@ Hierarchy::walkDirect(MemTransaction &txn)
     const Addr addr = txn.addr;
     const Tick now = txn.issuedAt;
 
-    if (!cfg_.statsLite) {
-        trace_.push_back({core, lineAlign(addr), now, AccessType::Data,
-                          TxnSource::Direct});
-    }
+    trace_.push_back({core, lineAlign(addr), now, AccessType::Data,
+                      TxnSource::Direct});
 
     // A direct client has no private caches: it never joins the sharer
     // set, but it still forces a dirty remote owner to write back.
@@ -477,8 +464,7 @@ Hierarchy::coherenceWriteFinish(MemTransaction &txn)
         txn.core, txn.addr, txn.issuedAt, /*take_ownership=*/true);
     for (CoreId victim : out.invalidate)
         invalidatePrivate(victim, lineAlign(txn.addr));
-    if (!out.invalidate.empty() && obs::tracingEnabled() &&
-        !cfg_.statsLite) {
+    if (!out.invalidate.empty() && obs::tracingEnabled()) {
         traceInvalidations(txn.core, out.invalidate.size(), txn.addr,
                            txn.issuedAt);
     }
@@ -616,8 +602,7 @@ Hierarchy::specStoreUpgrade(CoreId core, Addr addr, Tick now,
         directory_.write(core, addr, now, take_ownership);
     for (CoreId victim : out.invalidate)
         invalidatePrivate(victim, lineAlign(addr));
-    if (!out.invalidate.empty() && obs::tracingEnabled() &&
-        !cfg_.statsLite)
+    if (!out.invalidate.empty() && obs::tracingEnabled())
         traceInvalidations(core, out.invalidate.size(), addr, now);
     return out.extraLatency;
 }
@@ -709,15 +694,13 @@ Hierarchy::publishMetrics()
 
     reg.counterAdd("llc.visible_accesses",
                    publishDelta(trace_.size(), tracePublished_));
-    if (!cfg_.statsLite) {
-        reg.counterAdd("llc.txnslab.acquires",
-                       publishDelta(txnPool_.acquires(),
-                                    slabAcquiresPublished_));
-        reg.sampleAdd("llc.txnslab.high_water",
-                      static_cast<double>(txnPool_.highWater()));
-        reg.sampleAdd("llc.txnslab.capacity",
-                      static_cast<double>(txnPool_.capacity()));
-    }
+    reg.counterAdd("llc.txnslab.acquires",
+                   publishDelta(txnPool_.acquires(),
+                                slabAcquiresPublished_));
+    reg.sampleAdd("llc.txnslab.high_water",
+                  static_cast<double>(txnPool_.highWater()));
+    reg.sampleAdd("llc.txnslab.capacity",
+                  static_cast<double>(txnPool_.capacity()));
     for (unsigned s = 0; s < cfg_.llcSlices; ++s) {
         // Occupancy is a point-in-time sample, not a cumulative
         // counter: record the valid-line count per slice as a

@@ -116,15 +116,6 @@ struct HierarchyConfig
     PrefetchParams prefetch;
 
     /**
-     * Stats-lite mode: skip recording the visible LLC access trace and
-     * the coherence-event trace. Timing, cache state and contention
-     * accounting are unchanged — only the attacker-facing observation
-     * logs are elided, so this must never be set when an attack
-     * harness is attached (the attack entry points fatal() if it is).
-     */
-    bool statsLite = false;
-
-    /**
      * Structural sanity check, mirroring CoreConfig::validate.
      * @return "" if the configuration is usable, otherwise a
      * description of the first problem (zero geometry, non-power-of-two

@@ -116,10 +116,7 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
 std::string
 ResultCache::entryPath(const CacheKey &key) const
 {
-    const std::string hex = key.hex();
-    return (fs::path(dir_) / "objects" / hex.substr(0, 2) /
-            (hex.substr(2) + ".json"))
-        .string();
+    return (fs::path(dir_) / "objects" / (key.hex() + ".json")).string();
 }
 
 bool
@@ -193,12 +190,6 @@ ResultCache::store(const CacheKey &key,
     entry.set("legacy", Json::str(legacy));
     entry.set("rows", std::move(jrows));
 
-    const std::string final_path = entryPath(key);
-    std::error_code ec;
-    fs::create_directories(fs::path(final_path).parent_path(), ec);
-    if (ec)
-        return;
-
     // Unique tmp name per writer: concurrent runs sharing one
     // --cache-dir never clobber each other's half-written files, and
     // rename() makes publication atomic.
@@ -214,7 +205,8 @@ ResultCache::store(const CacheKey &key,
         if (!out.good())
             return;
     }
-    fs::rename(tmp_path, final_path, ec);
+    std::error_code ec;
+    fs::rename(tmp_path, entryPath(key), ec);
     if (ec) {
         fs::remove(tmp_path, ec);
         return;

@@ -7,8 +7,9 @@
  * code version). The cache exploits that: the canonical key string
  * serializes exactly those inputs (plus the point's axis values, for
  * human debuggability), is hashed with 64-bit FNV-1a twice (two offset
- * bases -> 128 bits of address space), and the entry lands under
- * objects/<2 hex>/<30 hex>.json.
+ * bases -> 128 bits of address space), and the entry lands in
+ * objects/<32 hex>.json: one flat directory, so a store creates a file
+ * and no directory.
  *
  * Safety over speed on the read path: a hit is only served when the
  * entry parses, its embedded canonical key string matches the probe

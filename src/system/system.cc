@@ -1,8 +1,8 @@
 /**
  * @file
  * System implementation: configuration validation, construction of
- * the N engines over the shared hierarchy, and the deterministic
- * round-robin tick loop.
+ * the N engines over the shared hierarchy, the deterministic
+ * round-robin tick loop and the coordinated stall fast-forward.
  */
 
 #include "system/system.hh"
@@ -59,11 +59,6 @@ validatedHierConfig(const SystemConfig &cfg)
 System::System(SystemConfig cfg)
     : cfg_(std::move(cfg)), hier_(validatedHierConfig(cfg_))
 {
-    if (cfg_.hier.statsLite && cfg_.smt.recordContention) {
-        warn("System: statsLite requested with smt.recordContention — "
-             "per-cycle contention sampling defeats the raw-speed "
-             "intent (and disables stall fast-forward)");
-    }
     for (unsigned c = 0; c < cfg_.numCores; ++c) {
         cores_.push_back(std::make_unique<PipelineEngine>(
             cfg_.core, cfg_.smt, static_cast<CoreId>(c), hier_, mem_,
@@ -106,8 +101,6 @@ System::tick()
     bool stepped = false;
     for (auto &core : cores_)
         stepped |= core->step();
-    if (stepped)
-        maybeFastForward();
     return stepped;
 }
 
@@ -123,14 +116,14 @@ System::maybeFastForward()
     Tick bound = kTickMax;
     Tick shared_now = 0;
     bool any_live = false;
-    for (const auto &core : cores_) {
+    for (auto &core : cores_) {
         if (core->halted() || core->now() >= core->config().maxCycles)
             continue;
         if (!core->fastForwardEligible())
             return;
         any_live = true;
         shared_now = std::max(shared_now, core->now());
-        bound = std::min(bound, core->nextTransitionAt());
+        bound = std::min(bound, core->probeTransition());
     }
     if (!any_live || bound <= shared_now)
         return;
@@ -176,8 +169,8 @@ SystemRunResult
 System::run(const std::vector<std::vector<const Program *>> &progs)
 {
     beginRun(progs);
-    while (tick()) {
-    }
+    while (tick())
+        maybeFastForward();
     return finishRun();
 }
 

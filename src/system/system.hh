@@ -14,7 +14,9 @@
  * CoreId order: a fixed round-robin interleaving, so runs are fully
  * deterministic and repeatable. Cores run in lockstep (their local
  * clocks agree while both are live); a core that retires its Halts
- * simply stops consuming ticks while the others continue.
+ * simply stops consuming ticks while the others continue. System::run
+ * is that loop plus a coordinated skip over cycles in which no live
+ * core can change state.
  *
  * This is the attacker placement the paper's PoCs assume (§2.1
  * CrossCore): victim and attacker on different physical cores,
@@ -93,7 +95,7 @@ class System
     /**
      * Run every core to completion (or its maxCycles guard): one
      * program per thread per core — progs[c][t] runs on core c,
-     * thread t.
+     * thread t. Dead cycles are skipped (cpu/pipeline/engine.hh).
      */
     SystemRunResult
     run(const std::vector<std::vector<const Program *>> &progs);
@@ -113,7 +115,8 @@ class System
     /// @{
     /** Reset every core and start the given workloads from cycle 0. */
     void beginRun(const std::vector<std::vector<const Program *>> &progs);
-    /** Step every unfinished core one cycle, ascending CoreId order.
+    /** Step every unfinished core one cycle, ascending CoreId order
+     *  (never skips: the literal loop run() is tested against).
      *  @return false once no core could step (all done). */
     bool tick();
     /** Every core's threads retired their Halts. */

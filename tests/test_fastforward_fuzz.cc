@@ -4,14 +4,14 @@
  *
  * Each iteration derives an independent sub-seed (SplitMix64 over the
  * master seed), generates a random workload mix, and runs it twice —
- * once with the baseline per-cycle tick loop and once with
- * `CoreConfig::fastForward` — rotating through the topologies the
- * skip must compose with: a single Core, a two-thread SmtCore, and
- * 2-/4-core Systems with and without the shared-LLC contention knobs
- * (slice port busy time, finite shared MSHRs). Every cycle count,
- * per-thread stat and final architectural register must match
- * exactly; a mismatch prints the failing iteration's seed so it can
- * be replayed as a fixed-point regression.
+ * once through the literal per-cycle tick loop (tests/literal_loop.hh)
+ * and once through run(), which skips dead cycles — rotating through
+ * the topologies the skip must compose with: a single Core, a
+ * two-thread SmtCore, and 2-/4-core Systems with and without the
+ * shared-LLC contention knobs (slice port busy time, finite shared
+ * MSHRs). Every cycle count, per-thread stat and final architectural
+ * register must match exactly; a mismatch prints the failing
+ * iteration's seed so it can be replayed as a fixed-point regression.
  *
  * tests/test_golden_traces.cc pins the fixed-seed scenario points;
  * this file walks the configuration space around them.
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "cpu/core.hh"
+#include "literal_loop.hh"
 #include "memory/hierarchy.hh"
 #include "sim/rng.hh"
 #include "smt/smt_core.hh"
@@ -154,42 +155,37 @@ fuzzHierConfig(const FuzzPoint &pt)
     return hier;
 }
 
-RunDigest
-runCore(const FuzzPoint &pt, bool fast_forward)
+/** run() or, with @p literal, the reference tick loop on @p eng. */
+EngineRunResult
+runEngine(PipelineEngine &eng, const std::vector<const Program *> &progs,
+          bool literal)
 {
-    CoreConfig cfg;
-    cfg.fastForward = fast_forward;
+    return literal ? literalRun(eng, progs) : eng.run(progs);
+}
+
+RunDigest
+runCore(const FuzzPoint &pt, bool literal)
+{
     Hierarchy hier(fuzzHierConfig(pt));
     MainMemory mem;
     for (const auto &[a, v] : pt.workloads[0].memInit)
         mem.write(a, v);
-    Core core(cfg, 0, hier, mem);
+    Core core(CoreConfig{}, 0, hier, mem);
     core.setScheme(makeScheme(pt.scheme));
-    const CoreStats s = core.run(pt.workloads[0].prog);
+    const EngineRunResult run =
+        runEngine(core.engine(), {&pt.workloads[0].prog}, literal);
 
     RunDigest d;
-    d.cycles = s.cycles;
-    d.finished = s.finished;
-    ThreadStats st;
-    st.cycles = s.cycles;
-    st.retired = s.retired;
-    st.issued = s.issued;
-    st.squashes = s.squashes;
-    st.branches = s.branches;
-    st.mispredicts = s.mispredicts;
-    st.loads = s.loads;
-    st.loadL1Hits = s.loadL1Hits;
-    st.finished = s.finished;
-    d.threads.push_back(st);
+    d.cycles = run.cycles;
+    d.finished = run.finished;
+    d.threads = run.threads;
     d.regHashes.push_back(hashRegs(core.engine(), 0));
     return d;
 }
 
 RunDigest
-runSmt(const FuzzPoint &pt, bool fast_forward)
+runSmt(const FuzzPoint &pt, bool literal)
 {
-    CoreConfig cfg;
-    cfg.fastForward = fast_forward;
     Hierarchy hier(fuzzHierConfig(pt));
     MainMemory mem;
     for (const auto &wl : pt.workloads)
@@ -197,11 +193,12 @@ runSmt(const FuzzPoint &pt, bool fast_forward)
             mem.write(a, v);
     SmtConfig smt;
     smt.numThreads = 2;
-    SmtCore core(cfg, smt, 0, hier, mem);
+    SmtCore core(CoreConfig{}, smt, 0, hier, mem);
     for (unsigned t = 0; t < 2; ++t)
         core.setScheme(t, makeScheme(pt.scheme));
-    const SmtRunResult run =
-        core.run({&pt.workloads[0].prog, &pt.workloads[1].prog});
+    const SmtRunResult run = runEngine(
+        core.engine(), {&pt.workloads[0].prog, &pt.workloads[1].prog},
+        literal);
 
     RunDigest d;
     d.cycles = run.cycles;
@@ -213,11 +210,10 @@ runSmt(const FuzzPoint &pt, bool fast_forward)
 }
 
 RunDigest
-runSystem(const FuzzPoint &pt, unsigned num_cores, bool fast_forward)
+runSystem(const FuzzPoint &pt, unsigned num_cores, bool literal)
 {
     SystemConfig cfg;
     cfg.numCores = num_cores;
-    cfg.core.fastForward = fast_forward;
     cfg.hier = fuzzHierConfig(pt);
     System sys(cfg);
     std::vector<std::vector<const Program *>> progs;
@@ -226,7 +222,8 @@ runSystem(const FuzzPoint &pt, unsigned num_cores, bool fast_forward)
             sys.memory().write(a, v);
         progs.push_back({&pt.workloads[c].prog});
     }
-    const SystemRunResult run = sys.run(progs);
+    const SystemRunResult run =
+        literal ? literalRun(sys, progs) : sys.run(progs);
 
     RunDigest d;
     d.cycles = run.cycles;
@@ -239,13 +236,13 @@ runSystem(const FuzzPoint &pt, unsigned num_cores, bool fast_forward)
 }
 
 RunDigest
-runPoint(const FuzzPoint &pt, bool fast_forward)
+runPoint(const FuzzPoint &pt, bool literal)
 {
     switch (pt.topology) {
-      case 0: return runCore(pt, fast_forward);
-      case 1: return runSmt(pt, fast_forward);
-      case 2: return runSystem(pt, 2, fast_forward);
-      default: return runSystem(pt, 4, fast_forward);
+      case 0: return runCore(pt, literal);
+      case 1: return runSmt(pt, literal);
+      case 2: return runSystem(pt, 2, literal);
+      default: return runSystem(pt, 4, literal);
     }
 }
 
@@ -278,8 +275,8 @@ TEST(FastForwardFuzzTest, RandomProgramsMatchBaselineTickLoop)
             (pt.contended ? " contended" : "");
         SCOPED_TRACE(what);
 
-        const RunDigest base = runPoint(pt, false);
-        const RunDigest ff = runPoint(pt, true);
+        const RunDigest base = runPoint(pt, true);
+        const RunDigest ff = runPoint(pt, false);
         expectDigestsEqual(ff, base, what);
         if (::testing::Test::HasFailure()) {
             // One replayable counterexample is worth more than 500

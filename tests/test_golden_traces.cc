@@ -3,15 +3,15 @@
  * Differential golden-trace harness.
  *
  * The one place where the simulator's reported numbers are pinned:
- * every registered scenario point runs at fixed seeds under each
- * engine variant — {baseline tick loop, stall fast-forward on,
- * stats-lite on, both} — and every variant must reproduce the golden
- * cycle counts, final stats, architectural register file and channel
- * verdicts exactly. The golden rows were captured from the
- * pre-unification Core pipeline (commit affb3f5) and promoted here
- * from test_smt.cc; any divergence — from the arena-backed ROB, the
- * fast-forward skip logic, stats-lite elision or a future rewrite —
- * fails loudly with the variant name.
+ * every registered scenario point runs at fixed seeds through both
+ * engine paths — run(), which skips dead cycles, and the literal
+ * tick-every-cycle loop (tests/literal_loop.hh) — and both must
+ * reproduce the golden cycle counts, final stats, architectural
+ * register file and channel verdicts exactly. The golden rows were
+ * captured from the pre-unification Core pipeline (commit affb3f5)
+ * and promoted here from test_smt.cc; any divergence — from the
+ * arena-backed ROB, the fast-forward skip logic or a future rewrite —
+ * fails loudly with the path name.
  *
  * tests/test_fastforward_fuzz.cc complements this with randomized
  * differential coverage; this file is the fixed-seed anchor.
@@ -24,6 +24,7 @@
 #include "attack/channel.hh"
 #include "attack/smt_probe.hh"
 #include "cpu/core.hh"
+#include "literal_loop.hh"
 #include "memory/hierarchy.hh"
 #include "smt/smt_core.hh"
 #include "spec/scheme.hh"
@@ -53,36 +54,39 @@ fuzzSpec(std::uint64_t seed)
     return spec;
 }
 
-/** The engine variants every golden point must agree across. */
+/** The engine paths every golden point must agree across. */
 struct EngineVariant
 {
     const char *name;
-    bool fastForward;
-    bool statsLite;
+    /** Tick every cycle through the incremental API instead of run(). */
+    bool literal;
 };
 
 constexpr EngineVariant kVariants[] = {
-    {"baseline", false, false},
-    {"fastforward", true, false},
-    {"statslite", false, true},
-    {"fastforward+statslite", true, true},
+    {"run", false},
+    {"literal", true},
 };
 
-CoreConfig
-variantCoreConfig(const EngineVariant &v)
+/** Run @p prog on @p core through the façade's run() or, for the
+ *  literal variant, the tick loop on its engine. */
+EngineRunResult
+runCore(Core &core, const Program &prog, const EngineVariant &v)
 {
-    CoreConfig cfg;
-    cfg.fastForward = v.fastForward;
-    cfg.statsLite = v.statsLite;
-    return cfg;
-}
-
-HierarchyConfig
-variantHierConfig(const EngineVariant &v)
-{
-    HierarchyConfig cfg = HierarchyConfig::small();
-    cfg.statsLite = v.statsLite;
-    return cfg;
+    if (v.literal)
+        return literalRun(core.engine(), {&prog});
+    const CoreStats s = core.run(prog);
+    EngineRunResult res;
+    res.cycles = s.cycles;
+    res.finished = s.finished;
+    ThreadStats &st = res.threads.emplace_back();
+    st.retired = s.retired;
+    st.issued = s.issued;
+    st.squashes = s.squashes;
+    st.branches = s.branches;
+    st.mispredicts = s.mispredicts;
+    st.loads = s.loads;
+    st.loadL1Hits = s.loadL1Hits;
+    return res;
 }
 
 // ---------------------------------------------------------------------
@@ -175,25 +179,17 @@ TEST_P(GoldenTraceTest, CoreFacadeMatchesGoldenUnderEveryVariant)
     const GeneratedWorkload wl = generateWorkload(fuzzSpec(g.seed));
 
     for (const EngineVariant &v : kVariants) {
-        Hierarchy hier(variantHierConfig(v));
+        Hierarchy hier(HierarchyConfig::small());
         MainMemory mem;
         for (const auto &[a, v2] : wl.memInit)
             mem.write(a, v2);
-        Core core(variantCoreConfig(v), 0, hier, mem);
+        Core core(CoreConfig{}, 0, hier, mem);
         core.setScheme(makeScheme(g.kind));
-        const CoreStats s = core.run(wl.prog);
+        const EngineRunResult run = runCore(core, wl.prog, v);
 
-        ASSERT_TRUE(s.finished) << schemeName(g.kind) << " " << v.name;
-        ThreadStats st;
-        st.retired = s.retired;
-        st.issued = s.issued;
-        st.squashes = s.squashes;
-        st.branches = s.branches;
-        st.mispredicts = s.mispredicts;
-        st.loads = s.loads;
-        st.loadL1Hits = s.loadL1Hits;
+        ASSERT_TRUE(run.finished) << schemeName(g.kind) << " " << v.name;
         expectMatchesGolden(
-            g, st, s.cycles,
+            g, run.threads[0], run.cycles,
             fnv1aRegs([&](RegId r) { return core.archReg(r); }), v.name);
     }
 }
@@ -204,14 +200,15 @@ TEST_P(GoldenTraceTest, SingleThreadSmtCoreMatchesGoldenUnderEveryVariant)
     const GeneratedWorkload wl = generateWorkload(fuzzSpec(g.seed));
 
     for (const EngineVariant &v : kVariants) {
-        Hierarchy hier(variantHierConfig(v));
+        Hierarchy hier(HierarchyConfig::small());
         MainMemory mem;
         for (const auto &[a, v2] : wl.memInit)
             mem.write(a, v2);
-        SmtCore smt(variantCoreConfig(v), SmtConfig::singleThread(), 0,
-                    hier, mem);
+        SmtCore smt(CoreConfig{}, SmtConfig::singleThread(), 0, hier, mem);
         smt.setScheme(0, makeScheme(g.kind));
-        const SmtRunResult run = smt.run({&wl.prog});
+        const SmtRunResult run = v.literal
+                                     ? literalRun(smt.engine(), {&wl.prog})
+                                     : smt.run({&wl.prog});
 
         ASSERT_TRUE(run.finished) << schemeName(g.kind) << " " << v.name;
         expectMatchesGolden(
@@ -229,8 +226,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// Multi-core differential: fast-forward composes with the System's
-// lockstep round-robin and the shared-level contention timers
+// Multi-core differential: the coordinated skip composes with the
+// System's lockstep round-robin and the shared-level contention timers
 // ---------------------------------------------------------------------
 
 void
@@ -277,9 +274,9 @@ TEST(ReusedFixtureGoldenTest, ReusedCoreMatchesGoldenUnderEveryVariant)
         // One long-lived substrate per variant, reused across all 18
         // golden points in sequence — every row must still match the
         // numbers a fresh Core produces.
-        Hierarchy hier(variantHierConfig(v));
+        Hierarchy hier(HierarchyConfig::small());
         MainMemory mem;
-        Core core(variantCoreConfig(v), 0, hier, mem);
+        Core core(CoreConfig{}, 0, hier, mem);
         for (const GoldenTrace &g : kGoldenTraces) {
             core.resetForRun();
             hier.reset();
@@ -288,19 +285,11 @@ TEST(ReusedFixtureGoldenTest, ReusedCoreMatchesGoldenUnderEveryVariant)
             for (const auto &[a, val] : wl.memInit)
                 mem.write(a, val);
             core.setScheme(makeScheme(g.kind));
-            const CoreStats s = core.run(wl.prog);
-            ASSERT_TRUE(s.finished)
+            const EngineRunResult run = runCore(core, wl.prog, v);
+            ASSERT_TRUE(run.finished)
                 << schemeName(g.kind) << " reused " << v.name;
-            ThreadStats st;
-            st.retired = s.retired;
-            st.issued = s.issued;
-            st.squashes = s.squashes;
-            st.branches = s.branches;
-            st.mispredicts = s.mispredicts;
-            st.loads = s.loads;
-            st.loadL1Hits = s.loadL1Hits;
             expectMatchesGolden(
-                g, st, s.cycles,
+                g, run.threads[0], run.cycles,
                 fnv1aRegs([&](RegId r) { return core.archReg(r); }),
                 (std::string("reused ") + v.name).c_str());
         }
@@ -356,19 +345,17 @@ TEST(ReusedFixtureGoldenTest, SystemResetForRunErasesAllRunHistory)
     }
 }
 
-TEST(SystemGoldenTest, FastForwardMatchesBaselineWithContentionModel)
+TEST(SystemGoldenTest, RunMatchesLiteralLoopWithContentionModel)
 {
     const GeneratedWorkload wl0 =
         generateWorkload(systemSpec(5, 0x01000000, 0x400000));
     const GeneratedWorkload wl1 =
         generateWorkload(systemSpec(8, 0x02000000, 0x500000));
 
-    auto run_once = [&](const EngineVariant &v, unsigned llc_port_busy,
+    auto run_once = [&](bool literal, unsigned llc_port_busy,
                         unsigned llc_mshrs) {
         SystemConfig cfg;
         cfg.numCores = 2;
-        cfg.core = variantCoreConfig(v);
-        cfg.hier = variantHierConfig(v);
         cfg.hier.llcPortBusy = llc_port_busy;
         cfg.hier.llcMshrs = llc_mshrs;
         System sys(cfg);
@@ -376,146 +363,75 @@ TEST(SystemGoldenTest, FastForwardMatchesBaselineWithContentionModel)
             sys.memory().write(a, val);
         for (const auto &[a, val] : wl1.memInit)
             sys.memory().write(a, val);
-        return sys.run({{&wl0.prog}, {&wl1.prog}});
+        const std::vector<std::vector<const Program *>> progs = {
+            {&wl0.prog}, {&wl1.prog}};
+        return literal ? literalRun(sys, progs) : sys.run(progs);
     };
 
     // Uncontended and contended shared level: the skip must respect
     // the slice-port and shared-MSHR busy timers in both regimes.
     for (const auto &[port_busy, mshrs] :
          {std::pair<unsigned, unsigned>{0u, 0u}, {2u, 4u}}) {
-        const SystemRunResult base =
-            run_once(kVariants[0], port_busy, mshrs);
-        ASSERT_TRUE(base.finished);
-        for (const EngineVariant &v : kVariants) {
-            const SystemRunResult got = run_once(v, port_busy, mshrs);
-            const std::string what =
-                std::string(v.name) + " llcPortBusy=" +
-                std::to_string(port_busy);
-            ASSERT_TRUE(got.finished) << what;
-            EXPECT_EQ(got.cycles, base.cycles) << what;
-            for (unsigned c = 0; c < 2; ++c) {
-                expectThreadStatsEqual(
-                    got.cores[c].threads[0], base.cores[c].threads[0],
-                    what + " core " + std::to_string(c));
-                EXPECT_EQ(got.cores[c].cycles, base.cores[c].cycles)
-                    << what;
-            }
+        const SystemRunResult base = run_once(true, port_busy, mshrs);
+        const SystemRunResult got = run_once(false, port_busy, mshrs);
+        const std::string what =
+            "llcPortBusy=" + std::to_string(port_busy);
+        ASSERT_TRUE(base.finished && got.finished) << what;
+        EXPECT_EQ(got.cycles, base.cycles) << what;
+        for (unsigned c = 0; c < 2; ++c) {
+            expectThreadStatsEqual(got.cores[c].threads[0],
+                                   base.cores[c].threads[0],
+                                   what + " core " + std::to_string(c));
+            EXPECT_EQ(got.cores[c].cycles, base.cores[c].cycles) << what;
         }
     }
 }
 
-TEST(SystemGoldenTest, StatsLiteElidesTheLlcTraceOnly)
-{
-    const GeneratedWorkload wl =
-        generateWorkload(systemSpec(5, 0x01000000, 0x400000));
-
-    auto run_once = [&](bool stats_lite) {
-        SystemConfig cfg;
-        cfg.numCores = 1;
-        cfg.hier.statsLite = stats_lite;
-        System sys(cfg);
-        for (const auto &[a, val] : wl.memInit)
-            sys.memory().write(a, val);
-        const SystemRunResult res = sys.run({{&wl.prog}});
-        return std::make_pair(res,
-                              sys.hierarchy().llcTrace().size());
-    };
-
-    const auto [base, base_trace] = run_once(false);
-    const auto [lite, lite_trace] = run_once(true);
-    ASSERT_TRUE(base.finished && lite.finished);
-    EXPECT_EQ(lite.cycles, base.cycles);
-    expectThreadStatsEqual(lite.cores[0].threads[0],
-                           base.cores[0].threads[0], "statsLite hier");
-    EXPECT_GT(base_trace, 0u);
-    EXPECT_EQ(lite_trace, 0u);
-}
-
 // ---------------------------------------------------------------------
-// Channel verdicts: the attack results are identical with fast-forward
-// enabled (the engine falls back to ticking whenever a per-cycle agent
-// is attached, and skips only provably dead cycles otherwise)
+// Channel verdicts, pinned to constants from the literal tick loop:
+// run() ticks every cycle whenever a per-cycle agent is attached and
+// skips only provably dead cycles otherwise, so no verdict may move
 // ---------------------------------------------------------------------
 
 TEST(ChannelGoldenTest, DCacheChannelVerdictUnchangedByFastForward)
 {
-    const auto bits = randomBits(12, 7);
-    auto run_once = [&](bool ff) {
-        ChannelConfig cfg;
-        cfg.scheme = SchemeKind::DomNonTso;
-        cfg.trialsPerBit = 1;
-        cfg.noise = NoiseConfig::none();
-        cfg.core.fastForward = ff;
-        return runDCacheChannel(bits, cfg);
-    };
-    const ChannelResult base = run_once(false);
-    const ChannelResult ff = run_once(true);
-    EXPECT_EQ(ff.bitsSent, base.bitsSent);
-    EXPECT_EQ(ff.bitErrors, base.bitErrors);
-    EXPECT_EQ(ff.discardedTrials, base.discardedTrials);
-    EXPECT_EQ(ff.totalCycles, base.totalCycles);
+    ChannelConfig cfg;
+    cfg.scheme = SchemeKind::DomNonTso;
+    cfg.trialsPerBit = 1;
+    cfg.noise = NoiseConfig::none();
+    const ChannelResult res = runDCacheChannel(randomBits(12, 7), cfg);
+    EXPECT_EQ(res.bitsSent, 12u);
+    EXPECT_EQ(res.bitErrors, 0u);
+    EXPECT_EQ(res.discardedTrials, 0u);
+    EXPECT_EQ(res.totalCycles, 180004020u);
 }
 
 TEST(ChannelGoldenTest, ICacheChannelVerdictUnchangedByFastForward)
 {
-    const auto bits = randomBits(12, 9);
-    auto run_once = [&](bool ff) {
-        ChannelConfig cfg;
-        cfg.scheme = SchemeKind::InvisiSpecSpectre;
-        cfg.trialsPerBit = 1;
-        cfg.noise = NoiseConfig::none();
-        cfg.core.fastForward = ff;
-        return runICacheChannel(bits, cfg);
-    };
-    const ChannelResult base = run_once(false);
-    const ChannelResult ff = run_once(true);
-    EXPECT_EQ(ff.bitsSent, base.bitsSent);
-    EXPECT_EQ(ff.bitErrors, base.bitErrors);
-    EXPECT_EQ(ff.discardedTrials, base.discardedTrials);
-    EXPECT_EQ(ff.totalCycles, base.totalCycles);
+    ChannelConfig cfg;
+    cfg.scheme = SchemeKind::InvisiSpecSpectre;
+    cfg.trialsPerBit = 1;
+    cfg.noise = NoiseConfig::none();
+    const ChannelResult res = runICacheChannel(randomBits(12, 9), cfg);
+    EXPECT_EQ(res.bitsSent, 12u);
+    EXPECT_EQ(res.bitErrors, 0u);
+    EXPECT_EQ(res.discardedTrials, 0u);
+    EXPECT_EQ(res.totalCycles, 36003240u);
 }
 
 TEST(ChannelGoldenTest, SmtChannelVerdictUnchangedByFastForward)
 {
-    const auto bits = randomBits(8, 123);
-    auto run_once = [&](bool ff) {
-        SmtChannelConfig cfg;
-        cfg.scheme = SchemeKind::InvisiSpecSpectre;
-        cfg.attack.kind = SmtChannelKind::Port;
-        cfg.trialsPerBit = 1;
-        cfg.core.fastForward = ff;
-        return runSmtContentionChannel(bits, cfg);
-    };
-    const SmtChannelResult base = run_once(false);
-    const SmtChannelResult ff = run_once(true);
-    EXPECT_EQ(ff.calibration.usable, base.calibration.usable);
-    EXPECT_EQ(ff.channel.bitsSent, base.channel.bitsSent);
-    EXPECT_EQ(ff.channel.bitErrors, base.channel.bitErrors);
-    EXPECT_EQ(ff.channel.totalCycles, base.channel.totalCycles);
-}
-
-// ---------------------------------------------------------------------
-// Stats-lite is asserted off in every attack scenario
-// ---------------------------------------------------------------------
-
-TEST(StatsLiteDeathTest, AttackEntryPointsRejectStatsLite)
-{
-    const auto bits = randomBits(2, 1);
-
-    ChannelConfig core_lite;
-    core_lite.core.statsLite = true;
-    EXPECT_EXIT(runDCacheChannel(bits, core_lite),
-                ::testing::ExitedWithCode(1), "statsLite");
-
-    ChannelConfig hier_lite;
-    hier_lite.hier.statsLite = true;
-    EXPECT_EXIT(runICacheChannel(bits, hier_lite),
-                ::testing::ExitedWithCode(1), "statsLite");
-
-    SmtChannelConfig smt_lite;
-    smt_lite.core.statsLite = true;
-    EXPECT_EXIT(runSmtContentionChannel(bits, smt_lite),
-                ::testing::ExitedWithCode(1), "statsLite");
+    SmtChannelConfig cfg;
+    cfg.scheme = SchemeKind::InvisiSpecSpectre;
+    cfg.attack.kind = SmtChannelKind::Port;
+    cfg.trialsPerBit = 1;
+    const SmtChannelResult res =
+        runSmtContentionChannel(randomBits(8, 123), cfg);
+    EXPECT_TRUE(res.calibration.usable);
+    EXPECT_EQ(res.channel.bitsSent, 8u);
+    EXPECT_EQ(res.channel.bitErrors, 0u);
+    EXPECT_EQ(res.channel.discardedTrials, 0u);
+    EXPECT_EQ(res.channel.totalCycles, 21890u);
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include "sim/obs/metrics.hh"
 #include "sim/obs/profile.hh"
 #include "sim/obs/trace.hh"
+#include "smt/smt_core.hh"
 
 namespace specint
 {
@@ -314,24 +315,45 @@ TEST_F(ObservabilityTest, CoreRunEmitsTraceEventsWhenEnabled)
     EXPECT_NE(json.find("\"inst\""), std::string::npos);
 }
 
-TEST_F(ObservabilityTest, StatsLiteElidesTraceEvents)
+TEST_F(ObservabilityTest, FastForwardEfficacyPublished)
 {
-    HierarchyConfig hcfg = HierarchyConfig::small();
-    hcfg.statsLite = true;
-    Hierarchy hier(hcfg);
-    MainMemory mem;
-    CoreConfig ccfg = tinyCoreConfig();
-    ccfg.statsLite = true;
-    Core core(ccfg, 0, hier, mem);
+    auto counter = [](const char *path) {
+        const obs::MetricsSnapshot snap =
+            obs::MetricRegistry::global().snapshot();
+        const obs::MetricSample *m = snap.find(path);
+        EXPECT_NE(m, nullptr) << path;
+        return m ? m->count : ~std::uint64_t{0};
+    };
+    obs::MetricRegistry::global().clear();
+    obs::setMetricsEnabled(true);
 
-    obs::EventTracer::global().clear();
-    obs::EventTracer::global().setEnabled(true);
-    core.run(tinyProgram());
-    obs::EventTracer::global().setEnabled(false);
+    // The cold load misses to memory and stalls the whole window: the
+    // run skips those cycles.
+    {
+        Hierarchy hier(HierarchyConfig::small());
+        MainMemory mem;
+        Core core(tinyCoreConfig(), 0, hier, mem);
+        core.run(tinyProgram());
+    }
+    EXPECT_GT(counter("core0.ff.skipped_cycles"), 0u);
+    EXPECT_GT(counter("core0.ff.skips"), 0u);
+    EXPECT_LE(counter("core0.ff.skips"), counter("core0.ff.probes"));
 
-    // statsLite elides the tracer's event sources exactly as it elides
-    // the instruction/LLC traces; the run stays raw-speed.
-    EXPECT_EQ(obs::EventTracer::global().size(), 0u);
+    // Per-cycle contention sampling observes every cycle, so the run
+    // never even looks for a skip.
+    obs::MetricRegistry::global().clear();
+    {
+        Hierarchy hier(HierarchyConfig::small());
+        MainMemory mem;
+        SmtConfig smt;
+        smt.recordContention = true;
+        SmtCore core(tinyCoreConfig(), smt, 0, hier, mem);
+        const Program prog = tinyProgram();
+        core.run({&prog, &prog});
+    }
+    obs::setMetricsEnabled(false);
+    EXPECT_EQ(counter("core0.ff.probes"), 0u);
+    EXPECT_EQ(counter("core0.ff.skipped_cycles"), 0u);
 }
 
 TEST_F(ObservabilityTest, ObservabilityOffLeavesSinksEmpty)

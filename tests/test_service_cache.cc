@@ -88,9 +88,7 @@ basePoint()
 fs::path
 entryPathFor(const fs::path &root, const CacheKey &key)
 {
-    const std::string hex = key.hex();
-    return root / "objects" / hex.substr(0, 2) /
-           (hex.substr(2) + ".json");
+    return root / "objects" / (key.hex() + ".json");
 }
 
 std::vector<Row>
@@ -252,9 +250,7 @@ TEST(ResultCache, GarbageEntryIsRejectedAndRecomputable)
     ResultCache cache(tmp.path.string());
     const CacheKey key =
         makeCacheKey(baseSpec(), 0, 1, basePoint(), "fp0");
-    const fs::path path = entryPathFor(tmp.path, key);
-    fs::create_directories(path.parent_path());
-    std::ofstream(path) << "this is not json {";
+    std::ofstream(entryPathFor(tmp.path, key)) << "this is not json {";
 
     std::vector<Row> out;
     std::string legacy;

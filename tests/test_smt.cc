@@ -6,7 +6,7 @@
  * the sibling-thread port/MSHR contention channel. (The golden-trace
  * regression pinning the engine cycle-for-cycle against the
  * pre-unification pipeline lives in tests/test_golden_traces.cc,
- * where it also exercises the fast-forward/stats-lite variants.)
+ * where it also checks run() against the literal tick loop.)
  */
 
 #include <gtest/gtest.h>
