@@ -23,13 +23,6 @@ PortSet::reset()
     lastIssueTid_.fill(0);
 }
 
-void
-PortSet::beginCycle(Tick)
-{
-    // lastIssueCycle_ entries naturally age out; nothing to do. The
-    // hook exists so future contention counters can be added cheaply.
-}
-
 bool
 PortSet::canIssue(std::uint8_t port, Tick now) const
 {

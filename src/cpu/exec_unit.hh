@@ -30,9 +30,6 @@ class PortSet
   public:
     PortSet() { reset(); }
 
-    /** Begin a new cycle: clears the per-cycle issue slots. */
-    void beginCycle(Tick now);
-
     /**
      * Can an instruction of class @p op issue on port @p port now?
      * Checks the one-issue-per-cycle slot and non-pipelined occupancy.

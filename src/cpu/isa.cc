@@ -1,7 +1,8 @@
 /**
  * @file
- * Static instruction definitions: op metadata (latency, issue
- * port, pipelined-ness) and disassembly used by Program::dump().
+ * Static instruction helpers: op names, branch-condition evaluation
+ * and the disassembly used by Program::dump(). (Op resource traits are
+ * the constant table in isa.hh.)
  */
 
 #include "cpu/isa.hh"
@@ -12,40 +13,6 @@
 
 namespace specint
 {
-
-const OpTraits &
-opTraits(Op op)
-{
-    // Port bindings mirror the Kaby Lake assignments the paper relies
-    // on (§4.2.1): VSQRTPD/VDIVPD are single-uop, low-throughput ops on
-    // port 0; loads use ports 2/3; stores port 4; branches port 6.
-    // IntAlu prefers ports away from port 0 so that ALU traffic does
-    // not accidentally perturb the non-pipelined unit experiments.
-    static const OpTraits nop{1, true, {5, 6, 1, 0}};
-    static const OpTraits alu{1, true, {5, 6, 1, 0}};
-    static const OpTraits mul{4, true, {1}};
-    static const OpTraits sqrt{15, false, {0}};
-    static const OpTraits div{14, false, {0}};
-    static const OpTraits load{1, true, {2, 3}};
-    static const OpTraits store{1, true, {4}};
-    static const OpTraits branch{1, true, {6, 0}};
-    static const OpTraits fence{1, true, {5, 6, 1, 0}};
-    static const OpTraits halt{1, true, {5, 6, 1, 0}};
-
-    switch (op) {
-      case Op::Nop: return nop;
-      case Op::IntAlu: return alu;
-      case Op::IntMul: return mul;
-      case Op::FpSqrt: return sqrt;
-      case Op::FpDiv: return div;
-      case Op::Load: return load;
-      case Op::Store: return store;
-      case Op::Branch: return branch;
-      case Op::Fence: return fence;
-      case Op::Halt: return halt;
-    }
-    panic("opTraits: unknown op");
-}
 
 std::string
 opName(Op op)

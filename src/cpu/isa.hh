@@ -13,9 +13,10 @@
 #ifndef SPECINT_CPU_ISA_HH
 #define SPECINT_CPU_ISA_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
-#include <vector>
 
 #include "sim/types.hh"
 
@@ -77,20 +78,74 @@ struct StaticInst
     }
 };
 
-/** Execution-resource description of an op class. */
-struct OpTraits
-{
-    Tick latency = 1;
-    bool pipelined = true;
-    /** Issue ports this op may use, in preference order. */
-    std::vector<std::uint8_t> ports;
-};
+/** Number of op classes (Op values are dense from 0). */
+constexpr unsigned kNumOps = static_cast<unsigned>(Op::Halt) + 1;
 
 /** Number of issue ports (Kaby Lake has 8, numbered 0-7; §4.1). */
 constexpr unsigned kNumPorts = 8;
 
+/** Fixed-capacity list of issue port numbers, in preference order. */
+class PortList
+{
+  public:
+    static constexpr unsigned kCapacity = 4;
+
+    constexpr PortList(std::initializer_list<std::uint8_t> ports)
+    {
+        for (std::uint8_t p : ports)
+            ports_[size_++] = p;
+    }
+
+    constexpr std::size_t size() const { return size_; }
+    constexpr bool empty() const { return size_ == 0; }
+    constexpr std::uint8_t operator[](std::size_t i) const
+    {
+        return ports_[i];
+    }
+    constexpr const std::uint8_t *begin() const { return ports_; }
+    constexpr const std::uint8_t *end() const { return ports_ + size_; }
+
+  private:
+    std::uint8_t ports_[kCapacity] = {};
+    std::uint8_t size_ = 0;
+};
+
+/** Execution-resource description of an op class. */
+struct OpTraits
+{
+    Tick latency;
+    bool pipelined;
+    /** Issue ports this op may use, in preference order. */
+    PortList ports;
+};
+
+/**
+ * Resource traits of every op class, indexed by Op. Port bindings
+ * mirror the Kaby Lake assignments the paper relies on (§4.2.1):
+ * VSQRTPD/VDIVPD are single-uop, low-throughput ops on port 0; loads
+ * use ports 2/3; stores port 4; branches port 6. IntAlu prefers ports
+ * away from port 0 so that ALU traffic does not accidentally perturb
+ * the non-pipelined unit experiments.
+ */
+inline constexpr OpTraits kOpTraits[kNumOps] = {
+    {1, true, {5, 6, 1, 0}},  // Nop
+    {1, true, {5, 6, 1, 0}},  // IntAlu
+    {4, true, {1}},           // IntMul
+    {15, false, {0}},         // FpSqrt
+    {14, false, {0}},         // FpDiv
+    {1, true, {2, 3}},        // Load
+    {1, true, {4}},           // Store
+    {1, true, {6, 0}},        // Branch
+    {1, true, {5, 6, 1, 0}},  // Fence
+    {1, true, {5, 6, 1, 0}},  // Halt
+};
+
 /** Resource traits for an op class. */
-const OpTraits &opTraits(Op op);
+inline const OpTraits &
+opTraits(Op op)
+{
+    return kOpTraits[static_cast<unsigned>(op)];
+}
 
 /** Printable op name. */
 std::string opName(Op op);

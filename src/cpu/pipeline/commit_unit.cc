@@ -140,7 +140,7 @@ CommitUnit::wakeIfConsumer(ThreadContext &th, DynInst &inst,
         // the gap the G^D_NPEU cascade exploits (Fig. 3).
         inst.readyAt = std::max(inst.readyAt, now + 1);
         if (inst.src1Ready && inst.src2Ready)
-            th.readyQ.push_back(inst.seq);
+            th.readySet.insert(th.rob.slotOf(inst));
     }
 }
 
@@ -192,7 +192,7 @@ CommitUnit::writeback(std::vector<std::unique_ptr<ThreadContext>> &threads,
                       Tick now)
 {
     // One pass over each thread's inflight queue (maintained at issue,
-    // self-compacting like the ready queue) replaces the two
+    // revalidated and compacted here) replaces the two
     // full-window walks this stage used to make: the few Issued
     // entries are the only ones that can complete. Within a thread,
     // completions act in age order — branches resolve (and a
@@ -291,10 +291,11 @@ CommitUnit::squashAfter(ThreadContext &th, const DynInst &br, Tick now)
 
     // Release structural resources held by this thread's squashed
     // instructions; a sibling's holdings are untouched.
-    for (const auto &inst : th.rob) {
+    for (auto &inst : th.rob) {
         if (inst.seq <= bound)
             continue;
-        rs_.release(const_cast<DynInst &>(inst));
+        th.readySet.erase(th.rob.slotOf(inst));
+        rs_.release(inst);
         lsq_.release(inst);
         if (inst.exposurePending)
             --th.pendingVisibility;

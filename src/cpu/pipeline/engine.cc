@@ -131,6 +131,7 @@ PipelineEngine::beginRun(const std::vector<const Program *> &progs)
         assert(p && !p->empty());
     now_ = 0;
     ffProbes_ = ffSkips_ = ffSkippedCycles_ = 0;
+    ffBlocked_.fill(0);
     rs_.clear();
     lsq_.clear();
     ports_.reset();
@@ -217,6 +218,10 @@ PipelineEngine::publishMetrics()
     reg.counterAdd(core + "ff.probes", ffProbes_);
     reg.counterAdd(core + "ff.skips", ffSkips_);
     reg.counterAdd(core + "ff.skipped_cycles", ffSkippedCycles_);
+    static constexpr const char *kGateNames[kNumFfGates] = {
+        "retire", "writeback", "safety", "issue", "dispatch", "fetch"};
+    for (unsigned g = 0; g < kNumFfGates; ++g)
+        reg.counterAdd(core + "ff.blocked." + kGateNames[g], ffBlocked_[g]);
     // The Hierarchy is shared by every engine of a System; publishing
     // from core 0 only keeps the shared counters single-sourced.
     if (id_ == 0)
@@ -267,6 +272,13 @@ PipelineEngine::fastForwardEligible() const
 Tick
 PipelineEngine::nextTransitionAt() const
 {
+    FfGate gate = FfGate::Retire;
+    return nextTransitionAt(gate);
+}
+
+Tick
+PipelineEngine::nextTransitionAt(FfGate &gate) const
+{
     Tick next = kTickMax;
     for (const auto &tp : threads_) {
         const ThreadContext &th = *tp;
@@ -274,13 +286,14 @@ PipelineEngine::nextTransitionAt() const
         // Retire: the head retires the cycle it is found written back.
         if (!th.rob.empty() &&
             th.rob.head().state == InstState::WrittenBack) {
+            gate = FfGate::Retire;
             return now_;
         }
 
         const SafePoint sp = th.scheme->safePoint();
         // The running shadow state is folded into this single walk
-        // (same recurrence as ThreadContext::computeShadows): each
-        // instruction sees the shadows of strictly older entries.
+        // (the shadowStep recurrence): each instruction sees the
+        // shadows of strictly older entries.
         ShadowInfo running;
         for (const auto &inst : th.rob) {
             const ShadowInfo sh = running;
@@ -290,8 +303,10 @@ PipelineEngine::nextTransitionAt() const
                 // Writeback (and branch resolution / squash) fires the
                 // cycle completeAt is reached; a completed instruction
                 // that lost CDB arbitration re-arbitrates every cycle.
-                if (inst.completeAt <= now_)
+                if (inst.completeAt <= now_) {
+                    gate = FfGate::Writeback;
                     return now_;
+                }
                 next = std::min(next, inst.completeAt);
                 continue;
             }
@@ -303,6 +318,7 @@ PipelineEngine::nextTransitionAt() const
             if (inst.isLoad() && inst.executed() &&
                 (inst.exposurePending || inst.deferredTouchPending) &&
                 th.isSafe(inst, sh, sp)) {
+                gate = FfGate::Safety;
                 return now_;
             }
 
@@ -334,8 +350,10 @@ PipelineEngine::nextTransitionAt() const
             // it can preempt an EU, set contention flags, or update a
             // blocked load's retry time.
             const Tick t = std::max(inst.readyAt, inst.retryAt);
-            if (t <= now_)
+            if (t <= now_) {
+                gate = FfGate::Issue;
                 return now_;
+            }
             next = std::min(next, t);
         }
 
@@ -346,16 +364,20 @@ PipelineEngine::nextTransitionAt() const
             !front_.robFull(th, threads_) && !rs_.full(th.tid)) {
             const FetchedInst &fi = th.frontend.front();
             const StaticInst &si = th.prog->at(fi.pc);
-            if (!si.isMem() || lsq_.canAllocate(si, th.tid))
+            if (!si.isMem() || lsq_.canAllocate(si, th.tid)) {
+                gate = FfGate::Dispatch;
                 return now_;
+            }
         }
 
         // Fetch: a grantable thread mutates the arbiter, the queue and
         // the I-cache. A frontend waiting out its busy timer becomes
         // fetchable at busyUntil (unless the queue is full, in which
         // case the unblocking dispatch is its own transition).
-        if (th.frontend.canFetch(now_))
+        if (th.frontend.canFetch(now_)) {
+            gate = FfGate::Fetch;
             return now_;
+        }
         if (!th.frontend.halted() && !th.frontend.queueFull())
             next = std::min(next, th.frontend.busyUntil());
     }
@@ -398,7 +420,11 @@ Tick
 PipelineEngine::probeTransition()
 {
     ++ffProbes_;
-    return nextTransitionAt();
+    FfGate gate = FfGate::Retire;
+    const Tick next = nextTransitionAt(gate);
+    if (next <= now_ && obs::metricsEnabled())
+        ++ffBlocked_[static_cast<unsigned>(gate)];
+    return next;
 }
 
 Tick
@@ -421,7 +447,6 @@ PipelineEngine::tick()
 {
     if (cycleHook_)
         cycleHook_(now_);
-    ports_.beginCycle(now_);
     for (auto &tp : threads_)
         tp->portContended = tp->mshrContended = false;
     commit_.retire(threads_, now_);
@@ -432,6 +457,66 @@ PipelineEngine::tick()
     front_.fetch(threads_, now_);
     sampleContention();
     ++now_;
+}
+
+std::string
+PipelineEngine::checkInvariants() const
+{
+    for (const auto &tp : threads_) {
+        const ThreadContext &th = *tp;
+        auto who = [&th] {
+            return "thread " + std::to_string(th.tid) + ": ";
+        };
+
+        // One pass over the live entries: each slot's ready bit must
+        // match the candidate condition, and the counters a recount.
+        std::size_t candidates = 0;
+        unsigned branches = 0, loads = 0, stores = 0, visibility = 0;
+        for (const DynInst &inst : th.rob) {
+            const bool cand = inst.state == InstState::Dispatched &&
+                              inst.src1Ready && inst.src2Ready;
+            if (th.readySet.contains(th.rob.slotOf(inst)) != cand) {
+                return who() + "ready bit of seq " +
+                       std::to_string(inst.seq) +
+                       (cand ? " clear for a candidate"
+                             : " set for a non-candidate");
+            }
+            candidates += cand;
+            if (inst.isBranch() && !inst.resolved)
+                ++branches;
+            if (inst.isLoad() && !inst.executed())
+                ++loads;
+            if (inst.isStore() && !inst.executed())
+                ++stores;
+            visibility += inst.exposurePending;
+            visibility += inst.deferredTouchPending;
+        }
+        // Every live slot matched, so any surplus member is a slot no
+        // entry holds.
+        if (th.readySet.count() != candidates) {
+            return who() + "ready set has " +
+                   std::to_string(th.readySet.count() - candidates) +
+                   " member(s) in dead slots";
+        }
+        auto mismatch = [&](const char *what, unsigned kept,
+                            unsigned counted) {
+            return who() + what + " is " + std::to_string(kept) +
+                   ", ROB recount " + std::to_string(counted);
+        };
+        if (th.numUnresolvedBranches != branches)
+            return mismatch("numUnresolvedBranches",
+                            th.numUnresolvedBranches, branches);
+        if (th.numIncompleteLoads != loads)
+            return mismatch("numIncompleteLoads", th.numIncompleteLoads,
+                            loads);
+        if (th.numIncompleteStores != stores)
+            return mismatch("numIncompleteStores", th.numIncompleteStores,
+                            stores);
+        if (th.pendingVisibility != visibility)
+            return mismatch("pendingVisibility", th.pendingVisibility,
+                            visibility);
+    }
+    return {};
 }
 
 void

@@ -30,6 +30,8 @@
 #ifndef SPECINT_CPU_PIPELINE_ENGINE_HH
 #define SPECINT_CPU_PIPELINE_ENGINE_HH
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -168,7 +170,9 @@ class PipelineEngine
      */
     bool allThreadsStalled() const { return nextTransitionAt() > now_; }
     /** nextTransitionAt() on behalf of a skip attempt, counted as one
-     *  fast-forward probe (core<N>.ff.probes). */
+     *  fast-forward probe (core<N>.ff.probes). While metrics are
+     *  armed, a probe that finds a transition due now is also counted
+     *  under the stage gate that found it (core<N>.ff.blocked.*). */
     Tick probeTransition();
     /** Skip dead cycles up to @p bound. @return cycles skipped. */
     Tick fastForward(Tick bound);
@@ -190,6 +194,18 @@ class PipelineEngine
     const std::vector<ContentionSample> &contention(ThreadId tid) const;
     /// @}
 
+    /**
+     * Check the incremental scheduling state against the ROB: each
+     * thread's ready set holds exactly the live, Dispatched entries
+     * with both sources ready, and the unresolved-branch /
+     * incomplete-load / incomplete-store counters and the
+     * pending-visibility count equal a recount. @return a description
+     * of the first violation, empty when all hold. A full-window scan
+     * for tests (tests/literal_loop.hh runs it after every cycle);
+     * run() never calls it.
+     */
+    std::string checkInvariants() const;
+
     /** Fetch-stage grants per thread over the last run (fairness). */
     const std::vector<std::uint64_t> &fetchGrants() const
     {
@@ -197,6 +213,23 @@ class PipelineEngine
     }
 
   private:
+    /** The nextTransitionAt() stage gates, in the order it checks
+     *  them (core<N>.ff.blocked.<gate> names them). */
+    enum class FfGate : std::uint8_t
+    {
+        Retire,
+        Writeback,
+        Safety,
+        Issue,
+        Dispatch,
+        Fetch,
+    };
+    static constexpr unsigned kNumFfGates = 6;
+
+    /** nextTransitionAt(), also reporting in @p gate which stage gate
+     *  returned now() (left untouched when the result is in the
+     *  future). */
+    Tick nextTransitionAt(FfGate &gate) const;
     bool allHalted() const;
     void tick();
     void sampleContention();
@@ -236,6 +269,9 @@ class PipelineEngine
     std::uint64_t ffProbes_ = 0;
     std::uint64_t ffSkips_ = 0;
     Tick ffSkippedCycles_ = 0;
+    /** Probes that found a transition due now, per FfGate (recorded
+     *  only while metrics are armed). */
+    std::array<std::uint64_t, kNumFfGates> ffBlocked_{};
 };
 
 } // namespace specint

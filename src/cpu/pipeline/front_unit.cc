@@ -94,7 +94,7 @@ FrontUnit::dispatch(std::vector<std::unique_ptr<ThreadContext>> &threads,
 
         rs_.allocate(stored);
         if (stored.src1Ready && stored.src2Ready)
-            th->readyQ.push_back(stored.seq);
+            th->readySet.insert(th->rob.slotOf(stored));
         if (stored.isBranch()) {
             ++th->numUnresolvedBranches;
         } else if (stored.isLoad()) {

@@ -2,7 +2,7 @@
  * @file
  * Scheduler stages of the unified engine. The safety stage applies
  * scheme-deferred visibility transitions; the issue stage merges all
- * threads' ready instructions in global dispatch-stamp order and
+ * threads' exact ready sets in global dispatch-stamp order and
  * consults the active scheme at every decision point (load policies,
  * fence gates, strict age priority with squashable-EU preemption).
  */
@@ -27,8 +27,8 @@ Scheduler::safety(std::vector<std::unique_ptr<ThreadContext>> &threads,
             continue; // no deferred visibility op anywhere in the ROB
         const SafePoint sp = th.scheme->safePoint();
         // Running shadow computed inline during the walk (the
-        // recurrence of ThreadContext::computeShadows): each
-        // instruction sees the shadows of strictly older entries.
+        // shadowStep recurrence): each instruction sees the shadows of
+        // strictly older entries.
         ShadowInfo running;
         for (auto &inst : th.rob) {
             const ShadowInfo sh = running;
@@ -63,7 +63,7 @@ Scheduler::safety(std::vector<std::unique_ptr<ThreadContext>> &threads,
 std::uint64_t
 Scheduler::execute(const DynInst &inst)
 {
-    switch (inst.si().op) {
+    switch (inst.op) {
       case Op::IntAlu:
         return inst.src1Val() + inst.src2Val() +
                static_cast<std::uint64_t>(inst.si().imm);
@@ -84,43 +84,30 @@ void
 Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
                  Tick now, NoiseModel *noise)
 {
-    // Candidates — Dispatched with both sources ready — come from the
-    // per-thread ready queues maintained at dispatch, wakeup and EU
-    // preemption, not from a full window walk. Each entry is
-    // revalidated here (a queue entry can be stale: issued, squashed,
-    // or its seq reused), so the queue doubles as its own compaction.
-    // Nothing during issue() wakes a source (wakeups happen at
-    // writeback, earlier in the tick), and a preempted EU holder
-    // re-enters Dispatched with retryAt = now + 1, so instructions
-    // absent from the queue could not have acted in a full scan
-    // either. A reused seq can leave a duplicate entry; the issue loop
-    // below skips the second occurrence via the state recheck.
-    order_.clear();
+    // Candidates — Dispatched with both sources ready — are exactly the
+    // members of each thread's ready set. Walked from the ROB head slot
+    // they come out oldest first, so global dispatch-stamp order (which
+    // is also each thread's seq order) is a plain merge of the threads'
+    // runs. Nothing during issue() readies a source (wakeups happen at
+    // writeback, earlier in the tick); an EU preemption returns its
+    // victim to the set with retryAt = now + 1, so whether or not the
+    // walk still reaches the victim, it cannot act this cycle.
+    runs_.clear();
     for (auto &tp : threads) {
         ThreadContext &th = *tp;
-        if (th.readyQ.empty())
+        const std::size_t age = th.readySet.nextByAge(th.rob.headSlot(), 0);
+        if (age == SlotSet::kNone)
             continue;
-        const std::size_t begin_idx = order_.size();
-        std::size_t keep = 0;
-        for (const SeqNum seq : th.readyQ) {
-            DynInst *inst = th.rob.find(seq);
-            if (!inst || inst->state != InstState::Dispatched ||
-                !inst->src1Ready || !inst->src2Ready) {
-                continue;
-            }
-            th.readyQ[keep++] = seq;
-            order_.push_back({&th, inst, {}});
-        }
-        th.readyQ.resize(keep);
-        if (order_.size() == begin_idx)
-            continue;
+        Run &run = runs_.emplace_back();
+        run.th = &th;
+        run.age = age;
+        run.inst = th.rob.at(age);
 
         // Shadow info for the candidates: each property holds for a
         // candidate iff the oldest ROB entry having it is older than
         // the candidate. The counters bound an early-exit scan for
         // those oldest instances (kSeqNumInvalid = none, compares
         // older than nothing).
-        SeqNum min_br = kSeqNumInvalid;
         SeqNum min_ld = kSeqNumInvalid;
         SeqNum min_st = kSeqNumInvalid;
         bool want_br = th.numUnresolvedBranches > 0;
@@ -132,7 +119,7 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
             const DynInst &inst = *th.rob.at(i);
             if (inst.isBranch()) {
                 if (want_br && !inst.resolved) {
-                    min_br = inst.seq;
+                    run.minBranch = inst.seq;
                     want_br = false;
                 }
             } else if (inst.isLoad()) {
@@ -147,36 +134,57 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
                 }
             }
         }
-        const SeqNum min_mem = std::min(min_ld, min_st);
-        for (std::size_t i = begin_idx; i < order_.size(); ++i) {
-            Cand &c = order_[i];
-            c.sh.olderUnresolvedBranch = min_br < c.inst->seq;
-            c.sh.olderIncompleteLoad = min_ld < c.inst->seq;
-            c.sh.olderIncompleteMem = min_mem < c.inst->seq;
-        }
+        run.minLoad = min_ld;
+        run.minMem = std::min(min_ld, min_st);
     }
-    if (order_.empty())
+    if (runs_.empty())
         return;
-    // Queue order is arrival order (dispatch/wake/preempt), not age
-    // order: always sort by the global dispatch stamp, which is also
-    // each thread's seq order.
-    std::sort(order_.begin(), order_.end(),
-              [](const Cand &a, const Cand &b) {
-                  return a.inst->stamp < b.inst->stamp;
-              });
+
+    // Per-cycle port memo. Port state changes during issue only when
+    // an instruction issues onto a free port (an EU preemption hands
+    // its port straight to the preempting instruction, so the port
+    // stays unavailable to everyone else), so availability only ever
+    // shrinks within the cycle: an op class found with every port
+    // unavailable stays blocked, and since none of its ports can then
+    // change hands, opContendedByOther() for it is fixed too. A
+    // thread's op class is "settled" once one of its candidates has
+    // been denied a port: any later candidate of that (thread, op)
+    // would repeat the same denial and set the same contention flag,
+    // so it is skipped before its (pure) issue gates. Candidates that
+    // may preempt (strictAgePriority on a non-pipelined op) never
+    // settle: whether a preemption succeeds also depends on the
+    // candidate's own seq, which this port-state argument does not
+    // cover.
+    blockedOps_ = 0;
+    std::fill(settledOps_.begin(), settledOps_.end(), 0);
 
     unsigned issued = 0;
-    for (const Cand &c : order_) {
-        ThreadContext &th = *c.th;
-        DynInst &inst = *c.inst;
-        const ShadowInfo &sh = c.sh;
-        if (issued >= cfg_.issueWidth)
-            break;
-        if (inst.state != InstState::Dispatched)
-            continue;
-        if (!inst.src1Ready || !inst.src2Ready)
-            continue;
+    while (issued < cfg_.issueWidth && !runs_.empty()) {
+        // Oldest head across the threads' runs.
+        std::size_t k = 0;
+        for (std::size_t i = 1; i < runs_.size(); ++i)
+            if (runs_[i].inst->stamp < runs_[k].inst->stamp)
+                k = i;
+        Run &run = runs_[k];
+        ThreadContext &th = *run.th;
+        DynInst &inst = *run.inst;
+        ShadowInfo sh;
+        sh.olderUnresolvedBranch = run.minBranch < inst.seq;
+        sh.olderIncompleteLoad = run.minLoad < inst.seq;
+        sh.olderIncompleteMem = run.minMem < inst.seq;
+
+        // Advance this run past the candidate before acting on it.
+        run.age = th.readySet.nextByAge(th.rob.headSlot(), run.age + 1);
+        if (run.age == SlotSet::kNone) {
+            runs_[k] = runs_.back();
+            runs_.pop_back();
+        } else {
+            run.inst = th.rob.at(run.age);
+        }
+
         if (inst.readyAt > now || inst.retryAt > now)
+            continue;
+        if (settledOps_[th.tid] & opBit(inst.op))
             continue;
 
         // Loads the scheme parked until their safe point.
@@ -207,12 +215,14 @@ bool
 Scheduler::tryIssue(ThreadContext &th, DynInst &inst,
                     const ShadowInfo &sh, Tick now, NoiseModel *noise)
 {
-    const OpTraits &traits = opTraits(inst.si().op);
+    const Op op = inst.op;
+    const OpTraits &traits = opTraits(op);
     const SchedFlags flags = th.scheme->schedFlags();
     const bool speculative = sh.olderUnresolvedBranch;
+    const bool may_preempt = flags.strictAgePriority && !traits.pipelined;
 
-    int port = ports_.selectPort(inst.si().op, now);
-    if (port < 0 && flags.strictAgePriority && !traits.pipelined) {
+    int port = (blockedOps_ & opBit(op)) ? -1 : ports_.selectPort(op, now);
+    if (port < 0 && may_preempt) {
         // Advanced defense rule 2, thread-local: a younger speculative
         // instruction must never delay an older one — preempt the
         // squashable EU held by a younger speculative instruction of
@@ -231,7 +241,7 @@ Scheduler::tryIssue(ThreadContext &th, DynInst &inst,
             v->retryAt = now + 1;
             // Back to Dispatched with both sources still ready: a
             // candidate again from the next cycle on.
-            th.readyQ.push_back(v->seq);
+            th.readySet.insert(th.rob.slotOf(*v));
             if (!v->inRs())
                 rs_.allocate(*v);
             port = p;
@@ -239,10 +249,13 @@ Scheduler::tryIssue(ThreadContext &th, DynInst &inst,
         }
     }
     if (port < 0) {
+        blockedOps_ |= opBit(op);
+        if (!may_preempt)
+            settledOps_[th.tid] |= opBit(op);
         // The per-cycle observable of the SMT port-contention channel:
         // a ready instruction denied a port a sibling occupies.
         if (smt_.numThreads > 1 &&
-            ports_.opContendedByOther(inst.si().op, th.tid, now)) {
+            ports_.opContendedByOther(op, th.tid, now)) {
             th.portContended = true;
         }
         return false;
@@ -279,15 +292,16 @@ Scheduler::tryIssue(ThreadContext &th, DynInst &inst,
         inst.completeAt = now + traits.latency;
     }
 
-    ports_.issue(static_cast<std::uint8_t>(port), inst.si().op, now,
+    ports_.issue(static_cast<std::uint8_t>(port), op, now,
                  inst.completeAt, inst.seq, speculative, th.tid);
     inst.port() = port;
     inst.state = InstState::Issued;
+    th.readySet.erase(th.rob.slotOf(inst));
     th.inflightQ.push_back(inst.seq);
     th.minWbAt = std::min(th.minWbAt, inst.completeAt);
     inst.issuedAt() = now;
     ++th.stats.issued;
-    if (!th.scheme->schedFlags().holdRsUntilRetire)
+    if (!flags.holdRsUntilRetire)
         rs_.release(inst);
     return true;
 }

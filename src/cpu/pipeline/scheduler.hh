@@ -8,7 +8,10 @@
  *
  * Issue candidates from all threads are merged in global dispatch-
  * stamp order, so with one thread the schedule reduces exactly to
- * single-core ROB order. The scheduler is deliberately performance-
+ * single-core ROB order. Each thread's candidates come from its exact
+ * ready set (ThreadContext::readySet), already in age order, and a
+ * per-cycle port memo skips candidates whose port denial is already
+ * known. The scheduler is deliberately performance-
  * greedy and speculation-oblivious beyond the scheme hooks — the root
  * cause the paper identifies (§3.2): readiness-based resource
  * allocation lets mis-speculated instructions delay older,
@@ -18,6 +21,8 @@
 #ifndef SPECINT_CPU_PIPELINE_SCHEDULER_HH
 #define SPECINT_CPU_PIPELINE_SCHEDULER_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -40,7 +45,8 @@ class Scheduler
               ReservationStation &rs, Lsq &lsq, PortSet &ports,
               MshrFile &mshr, Hierarchy &hier, MainMemory &mem)
         : cfg_(cfg), smt_(smt), id_(id), rs_(rs), lsq_(lsq),
-          ports_(ports), mshr_(mshr), hier_(hier), mem_(mem)
+          ports_(ports), mshr_(mshr), hier_(hier), mem_(mem),
+          settledOps_(smt.numThreads, 0)
     {}
 
     /** Safety transitions: perform pending exposure accesses and
@@ -54,14 +60,27 @@ class Scheduler
                Tick now, NoiseModel *noise);
 
   private:
-    struct Cand
+    /** One thread's age-ordered walk over its ready set this cycle. */
+    struct Run
     {
-        ThreadContext *th;
-        DynInst *inst;
-        /** By value: the running shadow is computed during the build
-         *  walk, and candidates are a small filtered subset. */
-        ShadowInfo sh;
+        ThreadContext *th = nullptr;
+        /** Age (ROB index) of the next candidate, and its record. */
+        std::size_t age = 0;
+        DynInst *inst = nullptr;
+        /** Seqs of the oldest unresolved branch, incomplete load and
+         *  incomplete memory op (kSeqNumInvalid: none) — a candidate
+         *  is in a shadow iff the matching seq is older. */
+        SeqNum minBranch = kSeqNumInvalid;
+        SeqNum minLoad = kSeqNumInvalid;
+        SeqNum minMem = kSeqNumInvalid;
     };
+
+    static_assert(kNumOps <= 16, "per-op memo masks are 16 bits wide");
+    static std::uint16_t
+    opBit(Op op)
+    {
+        return static_cast<std::uint16_t>(1u << static_cast<unsigned>(op));
+    }
 
     /** Attempt to issue @p inst. @return true if it left the RS. */
     bool tryIssue(ThreadContext &th, DynInst &inst, const ShadowInfo &sh,
@@ -83,7 +102,16 @@ class Scheduler
     MainMemory &mem_;
 
     /** Reused per-cycle buffer (hot path: no per-cycle alloc). */
-    std::vector<Cand> order_;
+    std::vector<Run> runs_;
+    /** @name Per-cycle port memo (see issue())
+     *  Bit opBit(op) of blockedOps_: every port of the op class is
+     *  unavailable this cycle. Bit opBit(op) of settledOps_[tid]: a
+     *  candidate of thread tid and this op class was denied a port
+     *  this cycle and could not preempt. */
+    /// @{
+    std::uint16_t blockedOps_ = 0;
+    std::vector<std::uint16_t> settledOps_;
+    /// @}
 };
 
 } // namespace specint

@@ -1,8 +1,8 @@
 /**
  * @file
  * ThreadContext implementation: per-thread run reset and the helper
- * computations (shadows, safe points, rename) shared by every stage
- * component of the unified pipeline engine.
+ * computations (safe points, rename) shared by every stage component
+ * of the unified pipeline engine.
  */
 
 #include "cpu/pipeline/thread_context.hh"
@@ -15,7 +15,7 @@ namespace specint
 
 ThreadContext::ThreadContext(const CoreConfig &cfg, ThreadId t)
     : tid(t), frontend({cfg.fetchWidth, cfg.decodeQueue, t}),
-      rob(cfg.robSize)
+      rob(cfg.robSize), readySet(cfg.robSize)
 {
     scheme = std::make_unique<UnsafeScheme>();
     renameMap.fill(kSeqNumInvalid);
@@ -39,25 +39,13 @@ ThreadContext::resetRun(const Program *p)
     samples.clear();
     minWbAt = 0;
     pendingVisibility = 0;
-    readyQ.clear();
+    readySet.clear();
     inflightQ.clear();
     storeSeqs.clear();
     numUnresolvedBranches = 0;
     numIncompleteLoads = 0;
     numIncompleteStores = 0;
     scheme->reset();
-}
-
-void
-ThreadContext::computeShadows(std::vector<ShadowInfo> &out) const
-{
-    out.clear();
-    out.reserve(rob.size());
-    ShadowInfo running;
-    for (const auto &inst : rob) {
-        out.push_back(running);
-        shadowStep(running, inst);
-    }
 }
 
 bool

@@ -5,11 +5,10 @@
  * ThreadContext owns everything an architectural thread carries
  * through the pipeline — frontend, branch predictor, ROB, rename
  * state, architectural registers, speculation-safety scheme, stats and
- * traces — plus the per-thread helper computations (speculative-shadow
- * info, safe-point checks, operand rename) every stage consults. The
- * stage components in this directory operate on one or more
- * ThreadContexts and the shared structures (RS/LSQ/ports/MSHRs) owned
- * by the PipelineEngine.
+ * traces — plus the per-thread helper computations (safe-point checks,
+ * operand rename) every stage consults. The stage components in this
+ * directory operate on one or more ThreadContexts and the shared
+ * structures (RS/LSQ/ports/MSHRs) owned by the PipelineEngine.
  *
  * With one ThreadContext the engine is the plain out-of-order core;
  * with N it is the SMT core. tests/test_smt.cc pins the single-thread
@@ -80,8 +79,8 @@ struct ContentionSample
     bool mshrContended = false;
 };
 
-/** Per-instruction speculative-shadow context, recomputed each cycle
- *  in one age-ordered ROB pass. */
+/** Per-instruction speculative-shadow context: does an older entry of
+ *  the same thread still have each shadow-casting property? */
 struct ShadowInfo
 {
     bool olderUnresolvedBranch = false;
@@ -93,8 +92,7 @@ struct ShadowInfo
  * Fold one instruction into a running ShadowInfo. Walking the ROB in
  * age order and reading @p running *before* each step yields the
  * shadows of strictly older entries — the single definition shared by
- * the scheduler stages, the fast-forward predicate and
- * ThreadContext::computeShadows.
+ * the safety stage and the fast-forward predicate.
  */
 inline void
 shadowStep(ShadowInfo &running, const DynInst &inst)
@@ -155,45 +153,47 @@ struct ThreadContext
     unsigned pendingVisibility = 0;
 
     /** @name Issue-stage candidate tracking
-     *  readyQ holds the seqs of instructions that became Dispatched
-     *  with both sources ready (at dispatch, on a wakeup, or when an
-     *  EU preemption returned them to Dispatched). It is a superset:
-     *  the issue stage revalidates and compacts it each cycle, so
-     *  entries stranded by a squash (or pointing at a reused seq) are
-     *  dropped or deduplicated there. The three counters track how
-     *  many ROB entries currently have each shadow-relevant property,
-     *  letting the issue stage find the oldest instance of each with
-     *  an early-exit scan instead of walking the whole window. */
+     *  @ref readySet is the exact set of issue candidates, one bit per
+     *  ROB ring slot: bit s is set iff slot s holds a live entry that
+     *  is Dispatched with both sources ready. Every transition into or
+     *  out of that condition updates it — set at dispatch, on the
+     *  wakeup that readies the last source and when an EU preemption
+     *  returns an instruction to Dispatched; cleared at issue and for
+     *  every squashed slot (retirement needs nothing: a retiring entry
+     *  left the set when it issued). An entry keeps its slot for life
+     *  and live slots run from the ROB head slot in age order, so
+     *  walking the members from the head yields the candidates oldest
+     *  first: no lookup, revalidation or sort.
+     *  PipelineEngine::checkInvariants() verifies the set against the
+     *  ROB. The three counters track how many ROB entries currently
+     *  have each shadow-relevant property, letting the issue stage
+     *  find the oldest instance of each with an early-exit scan
+     *  instead of walking the whole window. */
     /// @{
-    std::vector<SeqNum> readyQ;
+    SlotSet readySet;
     unsigned numUnresolvedBranches = 0;
     unsigned numIncompleteLoads = 0;
     unsigned numIncompleteStores = 0;
     /// @}
 
     /** Seqs of instructions currently Issued (in flight toward
-     *  writeback), pushed at issue. A superset under the same rules as
-     *  readyQ: the writeback stage revalidates and compacts it each
-     *  pass, so entries stranded by a squash, an EU preemption or a
-     *  reused seq are dropped there. Bounds the writeback scan to the
-     *  few in-flight instructions instead of the whole window. */
+     *  writeback), pushed at issue. A superset: the writeback stage
+     *  revalidates and compacts it each pass, so entries stranded by
+     *  a squash, an EU preemption or a reused seq are dropped there.
+     *  Bounds the writeback scan to the few in-flight instructions
+     *  instead of the whole window. */
     std::vector<SeqNum> inflightQ;
 
     /** Seqs of this thread's in-flight stores, sorted by age. Unlike
-     *  readyQ/inflightQ this list is exact, not self-compacting: a
-     *  store is appended at dispatch, dropped from the front when it
-     *  retires (retirement is age-ordered) and from the back when a
-     *  squash discards it — so disambiguating a load walks only the
-     *  older stores instead of the whole window prefix. */
+     *  inflightQ this list is exact, not self-compacting: a store is
+     *  appended at dispatch, dropped from the front when it retires
+     *  (retirement is age-ordered) and from the back when a squash
+     *  discards it — so disambiguating a load walks only the older
+     *  stores instead of the whole window prefix. */
     std::vector<SeqNum> storeSeqs;
 
     /** Reset all run state and start executing @p p from its entry. */
     void resetRun(const Program *p);
-
-    /** Compute shadow info for every ROB entry (age order) into
-     *  @p out, which is cleared first — a caller-owned buffer so the
-     *  per-cycle stages never reallocate on the hot path. */
-    void computeShadows(std::vector<ShadowInfo> &out) const;
 
     /** Is @p inst past safe point @p sp given its shadow info? */
     bool isSafe(const DynInst &inst, const ShadowInfo &sh,

@@ -4,7 +4,7 @@
  *
  * DynInst is split into a hot/cold pair banked by the ROB. The hot
  * record is exactly one cache line and carries only the fields the
- * per-cycle scans read — issue revalidation, oldest-instance search,
+ * per-cycle scans read — issue selection, oldest-instance search,
  * CDB collection, shadow (safety) walks and the retire head check all
  * touch `state`, the readiness bits, the tick fields and the cached
  * kind flags. Everything an instruction accumulates at discrete
@@ -17,14 +17,16 @@
  * a dense ring slot id, with contiguous sequence numbers, so lookup by
  * SeqNum is O(1) and pushing/popping entries is pure index arithmetic
  * — no allocation anywhere on the per-instruction path. Records never
- * move while in the ROB: stages may hold DynInst pointers across the
- * cycle (the scheduler's issue order list does).
+ * move while in the ROB, and a record's ring slot doubles as its key in
+ * per-slot sets (the issue stage's ready bitmap).
  */
 
 #ifndef SPECINT_CPU_ROB_HH
 #define SPECINT_CPU_ROB_HH
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <vector>
@@ -153,6 +155,9 @@ struct alignas(64) DynInst
     /** Instruction-kind bits cached from the StaticInst at dispatch so
      *  the hot scans never chase @ref cold_. */
     std::uint8_t kind_ = 0;
+    /** Op class, cached likewise: the issue stage's port selection
+     *  and per-op memo key. */
+    Op op = Op::Nop;
 
     bool src1Ready = true;
     bool src2Ready = true;
@@ -181,11 +186,12 @@ struct alignas(64) DynInst
 
     const StaticInst &si() const { return *cold_->si; }
 
-    /** Install the decoded instruction and cache its kind bits. */
+    /** Install the decoded instruction and cache its op and kind bits. */
     void
     setStaticInst(const StaticInst *s)
     {
         cold_->si = s;
+        op = s->op;
         kind_ = (s->isLoad() ? kKindLoad : 0) |
                 (s->isStore() ? kKindStore : 0) |
                 (s->isBranch() ? kKindBranch : 0) |
@@ -300,6 +306,93 @@ struct OwnedDynInst
 };
 
 /**
+ * A set of ROB ring slots, one bit per slot. Because a ROB entry keeps
+ * its slot for life and live slots run from the head slot with
+ * wrap-around in age order, walking the members by age from the head
+ * (nextByAge) visits them oldest first — no sort needed.
+ */
+class SlotSet
+{
+  public:
+    /** nextByAge() result when no member remains. */
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
+    explicit SlotSet(std::size_t slots)
+        : slots_(slots), words_((slots + 63) / 64, 0)
+    {}
+
+    void clear() { std::fill(words_.begin(), words_.end(), 0); }
+    void insert(std::size_t slot) { words_[slot >> 6] |= bit(slot); }
+    void erase(std::size_t slot) { words_[slot >> 6] &= ~bit(slot); }
+    bool
+    contains(std::size_t slot) const
+    {
+        return (words_[slot >> 6] & bit(slot)) != 0;
+    }
+    /** Number of members. */
+    std::size_t
+    count() const
+    {
+        std::size_t n = 0;
+        for (const std::uint64_t w : words_)
+            n += static_cast<std::size_t>(__builtin_popcountll(w));
+        return n;
+    }
+
+    /**
+     * The smallest age >= @p age whose slot, counted from @p head with
+     * wrap-around, is a member; kNone if there is none.
+     */
+    std::size_t
+    nextByAge(std::size_t head, std::size_t age) const
+    {
+        if (age >= slots_)
+            return kNone;
+        const std::size_t slot = head + age;
+        if (slot < slots_) {
+            // Still in the [head, end) segment: search it, then wrap.
+            const std::size_t s = findIn(slot, slots_);
+            if (s < slots_)
+                return s - head;
+            const std::size_t w = findIn(0, head);
+            return w < head ? w + slots_ - head : kNone;
+        }
+        const std::size_t w = findIn(slot - slots_, head);
+        return w < head ? w + slots_ - head : kNone;
+    }
+
+  private:
+    static std::uint64_t bit(std::size_t slot)
+    {
+        return std::uint64_t{1} << (slot & 63);
+    }
+
+    /** First member in [from, limit), or @p limit. */
+    std::size_t
+    findIn(std::size_t from, std::size_t limit) const
+    {
+        if (from >= limit)
+            return limit;
+        std::size_t w = from >> 6;
+        const std::size_t last = (limit - 1) >> 6;
+        std::uint64_t bits = words_[w] & (~std::uint64_t{0} << (from & 63));
+        for (;;) {
+            if (bits != 0) {
+                const std::size_t s =
+                    (w << 6) + static_cast<std::size_t>(__builtin_ctzll(bits));
+                return s < limit ? s : limit;
+            }
+            if (w == last)
+                return limit;
+            bits = words_[++w];
+        }
+    }
+
+    std::size_t slots_;
+    std::vector<std::uint64_t> words_;
+};
+
+/**
  * Reorder buffer: bounded, ordered by SeqNum, contiguous.
  *
  * Storage is two capacity-sized parallel arrays — hot records and
@@ -358,6 +451,21 @@ class Rob
     {
         return &hot_[wrap(head_ + i)];
     }
+
+    /** @name Ring slots
+     *  An entry keeps its slot for its whole ROB lifetime, and walking
+     *  the slots from headSlot() with wrap-around visits live entries
+     *  in age order — so a per-slot bitmap is an age-ordered set. */
+    /// @{
+    /** Slot of the oldest entry (meaningful only when non-empty). */
+    std::size_t headSlot() const { return head_; }
+    /** Slot holding @p inst, which must be one of this ROB's records. */
+    std::size_t
+    slotOf(const DynInst &inst) const
+    {
+        return static_cast<std::size_t>(&inst - hot_.data());
+    }
+    /// @}
 
     /** Random-access iterator over entries in age order, dereferencing
      *  to DynInst& (entries themselves never move). */

@@ -3,10 +3,13 @@
  * Out-of-order core tests: functional correctness (dataflow, memory,
  * branches, squash recovery) and the microarchitectural timing
  * properties the attacks build on (non-pipelined EU occupancy, CDB
- * bandwidth, MSHR limits, age-ordered issue).
+ * bandwidth, MSHR limits, age-ordered issue), plus the ring-slot
+ * ready set the issue stage walks.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "cpu/core.hh"
 #include "memory/hierarchy.hh"
@@ -359,6 +362,68 @@ TEST_F(CoreTest, RerunResetsPipelineState)
     q.halt();
     core.run(q);
     EXPECT_EQ(core.archReg(1), 1u);
+}
+
+// ---------------------------------------------------------------------
+// The issue stage's ready set: ring slots walked from the head slot
+// come out in age order, across the wrap and across bitmap words
+// ---------------------------------------------------------------------
+
+/** Seqs of @p set's members, walked oldest first from @p rob's head. */
+std::vector<SeqNum>
+walkByAge(const Rob &rob, const SlotSet &set)
+{
+    std::vector<SeqNum> seqs;
+    for (std::size_t age = set.nextByAge(rob.headSlot(), 0);
+         age != SlotSet::kNone; age = set.nextByAge(rob.headSlot(), age + 1))
+        seqs.push_back(rob.at(age)->seq);
+    return seqs;
+}
+
+/** A ROB of @p capacity whose head sits at slot @p head_slot, holding
+ *  @p live entries with seqs 1000, 1001, ... */
+void
+fillWrapped(Rob &rob, std::size_t head_slot, std::size_t live)
+{
+    for (std::size_t i = 0; i < head_slot; ++i) {
+        rob.allocTail(i);
+        rob.popHead();
+    }
+    for (std::size_t i = 0; i < live; ++i)
+        rob.allocTail(1000 + i);
+}
+
+TEST(SlotSetTest, WalksMembersOldestFirstAcrossTheRingWrap)
+{
+    // Six slots, head at slot 4: seqs 1000-1004 live in slots 4, 5,
+    // 0, 1, 2.
+    Rob rob(6);
+    fillWrapped(rob, 4, 5);
+    ASSERT_EQ(rob.headSlot(), 4u);
+    SlotSet set(rob.capacity());
+    for (SeqNum s : {1004u, 1001u, 1002u})
+        set.insert(rob.slotOf(*rob.find(s)));
+    EXPECT_EQ(set.count(), 3u);
+    EXPECT_EQ(walkByAge(rob, set), (std::vector<SeqNum>{1001, 1002, 1004}));
+
+    set.erase(rob.slotOf(*rob.find(1002)));
+    EXPECT_FALSE(set.contains(rob.slotOf(*rob.find(1002))));
+    EXPECT_EQ(walkByAge(rob, set), (std::vector<SeqNum>{1001, 1004}));
+    set.clear();
+    EXPECT_EQ(set.nextByAge(rob.headSlot(), 0), SlotSet::kNone);
+}
+
+TEST(SlotSetTest, WalksMembersOldestFirstAcrossBitmapWords)
+{
+    // 130 slots (three words), head at slot 100: ages 0-29 sit in
+    // slots 100-129, ages 30-59 in slots 0-29.
+    Rob rob(130);
+    fillWrapped(rob, 100, 60);
+    SlotSet set(rob.capacity());
+    for (SeqNum s : {1059u, 1030u, 1029u, 1000u, 1027u, 1033u})
+        set.insert(rob.slotOf(*rob.find(s)));
+    EXPECT_EQ(walkByAge(rob, set),
+              (std::vector<SeqNum>{1000, 1027, 1029, 1030, 1033, 1059}));
 }
 
 } // namespace

@@ -19,7 +19,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "attack/channel.hh"
 #include "attack/smt_probe.hh"
@@ -223,6 +227,164 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto &info) {
         return "seed" + std::to_string(info.param.seed) + "_" +
                std::to_string(static_cast<int>(info.param.kind));
+    });
+
+// ---------------------------------------------------------------------
+// Two-thread issue behaviour, pinned to constants. run() and the
+// literal loop tick the same issue stage, so only constants catch a
+// change to cross-thread issue arbitration; the per-cycle contention
+// samples make every cycle's port and MSHR outcome part of the pin.
+// ---------------------------------------------------------------------
+
+/** Per-thread pin of one two-thread run. */
+struct SmtThreadGolden
+{
+    Tick cycles;
+    std::uint64_t issued, retired;
+    std::uint64_t portContended, mshrContended, rsBlocked;
+    /** FNV-1a over every contention sample's fields. */
+    std::uint64_t samplesHash;
+};
+
+/** One SMT golden row: thread 0 (the victim) runs @ref victim, thread
+ *  1 runs Unsafe, with the RS under the @ref rs sharing policy. The
+ *  rows were captured from the engine whose issue stage re-collected
+ *  and sorted its candidates every cycle. */
+struct SmtGolden
+{
+    SchemeKind victim;
+    SharingPolicy rs;
+    SmtThreadGolden t[2];
+};
+
+void
+PrintTo(const SmtGolden &g, std::ostream *os)
+{
+    *os << schemeName(g.victim) << " victim, "
+        << (g.rs == SharingPolicy::Shared ? "shared" : "partitioned")
+        << " RS";
+}
+
+constexpr SmtGolden kSmtGoldens[] = {
+    {SchemeKind::Unsafe, SharingPolicy::Shared,
+     {{13698, 1396, 882, 13, 81, 0, 0xd1767c8cff88fcb6ULL},
+      {15422, 1527, 888, 30, 109, 0, 0x7cc4c5214438e3f2ULL}}},
+    {SchemeKind::Unsafe, SharingPolicy::Partitioned,
+     {{13698, 1396, 882, 13, 81, 0, 0xd1767c8cff88fcb6ULL},
+      {15422, 1527, 888, 30, 109, 0, 0x7cc4c5214438e3f2ULL}}},
+    {SchemeKind::DomNonTso, SharingPolicy::Shared,
+     {{22377, 2924, 882, 78, 21, 7692, 0x5d2aefe081a58052ULL},
+      {15329, 1461, 888, 49, 25, 4191, 0xbe6ced456e203032ULL}}},
+    {SchemeKind::DomNonTso, SharingPolicy::Partitioned,
+     {{22785, 2590, 882, 83, 18, 9003, 0x8420e0d48a57e73dULL},
+      {15319, 1471, 888, 37, 42, 0, 0xae7d158cde1913d7ULL}}},
+    {SchemeKind::InvisiSpecSpectre, SharingPolicy::Shared,
+     {{16799, 2307, 882, 71, 473, 0, 0x9ac75750af0d53d9ULL},
+      {16241, 1666, 888, 115, 278, 0, 0x0d8323adf7565b6eULL}}},
+    {SchemeKind::InvisiSpecSpectre, SharingPolicy::Partitioned,
+     {{16799, 2305, 882, 68, 477, 1650, 0xf744fd5ccb8e3b95ULL},
+      {16241, 1679, 888, 107, 281, 0, 0x9eed094245a496efULL}}},
+    {SchemeKind::AdvancedDefense, SharingPolicy::Shared,
+     {{22373, 2480, 882, 118, 14, 14942, 0xf9369396a620a9eaULL},
+      {16889, 1418, 888, 89, 31, 9399, 0xb93546545fa90cdcULL}}},
+    {SchemeKind::AdvancedDefense, SharingPolicy::Partitioned,
+     {{23205, 1808, 882, 48, 21, 14732, 0x48a012ccd90027cbULL},
+      {15224, 1434, 888, 29, 30, 0, 0x1ddaab11852ae2e3ULL}}},
+};
+
+/** The fuzz workload of @p seed, placed in disjoint per-thread code
+ *  and data regions. */
+WorkloadSpec
+smtSpec(std::uint64_t seed, unsigned slot)
+{
+    WorkloadSpec spec = fuzzSpec(seed);
+    spec.dataBase = 0x01000000ULL * (slot + 1);
+    spec.codeBase = 0x400000ULL + 0x100000ULL * slot;
+    return spec;
+}
+
+std::uint64_t
+fnv1aSamples(const std::vector<ContentionSample> &samples)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    auto mix = [&h](std::uint64_t v, int bytes) {
+        for (int b = 0; b < bytes; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+    };
+    for (const ContentionSample &s : samples) {
+        mix(s.cycle, 8);
+        mix(s.portsHeldByOther, 1);
+        mix(s.port0HeldByOther, 1);
+        mix(s.mshrHeldByOther, 1);
+        mix(s.portContended, 1);
+        mix(s.mshrContended, 1);
+    }
+    return h;
+}
+
+class SmtGoldenTest : public ::testing::TestWithParam<SmtGolden>
+{};
+
+TEST_P(SmtGoldenTest, TwoThreadRunMatchesGoldenUnderEveryVariant)
+{
+    const SmtGolden &g = GetParam();
+    const GeneratedWorkload wl0 = generateWorkload(smtSpec(11, 0));
+    const GeneratedWorkload wl1 = generateWorkload(smtSpec(37, 1));
+
+    for (const EngineVariant &v : kVariants) {
+        Hierarchy hier(HierarchyConfig::small());
+        MainMemory mem;
+        for (const auto &[a, val] : wl0.memInit)
+            mem.write(a, val);
+        for (const auto &[a, val] : wl1.memInit)
+            mem.write(a, val);
+        SmtConfig smt;
+        smt.rsPolicy = g.rs;
+        smt.recordContention = true;
+        SmtCore core(CoreConfig{}, smt, 0, hier, mem);
+        core.setScheme(0, makeScheme(g.victim));
+        const std::vector<const Program *> progs = {&wl0.prog, &wl1.prog};
+        const SmtRunResult run = v.literal ? literalRun(core.engine(), progs)
+                                           : core.run(progs);
+        ASSERT_TRUE(run.finished) << v.name;
+        for (unsigned t = 0; t < 2; ++t) {
+            const ThreadStats &s = run.threads[t];
+            const SmtThreadGolden &want = g.t[t];
+            const std::uint64_t hash = fnv1aSamples(core.contention(t));
+            char got[160];
+            std::snprintf(got, sizeof(got),
+                          "{%llu, %llu, %llu, %llu, %llu, %llu, 0x%016llxULL}",
+                          static_cast<unsigned long long>(s.cycles),
+                          static_cast<unsigned long long>(s.issued),
+                          static_cast<unsigned long long>(s.retired),
+                          static_cast<unsigned long long>(
+                              s.portContendedCycles),
+                          static_cast<unsigned long long>(
+                              s.mshrContendedCycles),
+                          static_cast<unsigned long long>(s.rsBlockedCycles),
+                          static_cast<unsigned long long>(hash));
+            const std::string what = std::string(v.name) + " thread " +
+                                     std::to_string(t) + " got " + got;
+            EXPECT_EQ(s.cycles, want.cycles) << what;
+            EXPECT_EQ(s.issued, want.issued) << what;
+            EXPECT_EQ(s.retired, want.retired) << what;
+            EXPECT_EQ(s.portContendedCycles, want.portContended) << what;
+            EXPECT_EQ(s.mshrContendedCycles, want.mshrContended) << what;
+            EXPECT_EQ(s.rsBlockedCycles, want.rsBlocked) << what;
+            EXPECT_EQ(hash, want.samplesHash) << what;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    VictimSchemesAndRsPolicies, SmtGoldenTest,
+    ::testing::ValuesIn(kSmtGoldens), [](const auto &info) {
+        return "scheme" +
+               std::to_string(static_cast<int>(info.param.victim)) + "_" +
+               (info.param.rs == SharingPolicy::Shared ? "shared"
+                                                       : "partitioned");
     });
 
 // ---------------------------------------------------------------------

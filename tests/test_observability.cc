@@ -338,6 +338,15 @@ TEST_F(ObservabilityTest, FastForwardEfficacyPublished)
     EXPECT_GT(counter("core0.ff.skipped_cycles"), 0u);
     EXPECT_GT(counter("core0.ff.skips"), 0u);
     EXPECT_LE(counter("core0.ff.skips"), counter("core0.ff.probes"));
+    // Every probe either skipped or was blocked by exactly one stage
+    // gate of nextTransitionAt().
+    std::uint64_t blocked = 0;
+    for (const char *gate :
+         {"retire", "writeback", "safety", "issue", "dispatch", "fetch"})
+        blocked += counter((std::string("core0.ff.blocked.") + gate).c_str());
+    EXPECT_GT(blocked, 0u);
+    EXPECT_EQ(blocked,
+              counter("core0.ff.probes") - counter("core0.ff.skips"));
 
     // Per-cycle contention sampling observes every cycle, so the run
     // never even looks for a skip.

@@ -183,7 +183,6 @@ TEST(SmtCoreTest, SiblingMispredictDoesNotFlushOtherThread)
 TEST(SmtUnitTest, PortSquashIsThreadLocal)
 {
     PortSet ports;
-    ports.beginCycle(10);
     // Non-pipelined units on port 0 (thread 0) and port 4... port 0
     // only has one unit; use issue() on two different ports.
     ports.issue(0, Op::FpSqrt, 10, 40, /*holder=*/7, true, /*tid=*/0);
