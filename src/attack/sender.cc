@@ -90,17 +90,12 @@ TrialHarness::run(const SenderProgram &sp, Tick ref_time)
         const Addr ref = sp.refAddr;
         AttackerAgent *atk = attacker_;
         Hierarchy *hier = hier_;
-        victim_->setCycleHook(
-            [=, fired = false](Tick now) mutable {
-                if (!fired && now >= ref_time) {
-                    hier->accessDirect(atk->id(), ref, now);
-                    fired = true;
-                }
-            });
+        victim_->scheduleAction(ref_time, [=] {
+            hier->accessDirect(atk->id(), ref, ref_time);
+        });
     }
 
     const CoreStats stats = victim_->run(sp.prog);
-    victim_->clearCycleHook();
 
     TrialResult res;
     res.finished = stats.finished;

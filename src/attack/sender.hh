@@ -9,8 +9,8 @@
  *   1. prepare(): initialise memory, flush/warm the agreed lines,
  *      (mis)train the victim's branch predictor.
  *   2. run(): execute the victim; optionally inject the attacker's
- *      fixed-time reference access (VD-AD/VI-AD) through the core's
- *      cycle hook.
+ *      fixed-time reference access (VD-AD/VI-AD) as a timed action
+ *      on the core.
  *   3. read the verdict: order of the two monitored lines in the LLC
  *      access trace, or presence of the monitored I-line.
  */

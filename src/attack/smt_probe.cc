@@ -179,7 +179,6 @@ SmtConfig
 probeSmtConfig(SmtConfig smt)
 {
     smt.numThreads = 2;
-    smt.recordContention = true;
     return smt;
 }
 
@@ -236,14 +235,12 @@ SmtProbeHarness::runTrial()
     SmtTrialOutcome out;
     out.cycles = run.cycles;
     out.finished = run.finished;
-    // Integrate the probe thread's per-cycle contention samples: held
-    // sibling port-0 cycles (Port) or sibling MSHR occupancy (Mshr).
-    for (const SmtContentionSample &s : smt_.contention(1)) {
-        if (atk_.params.kind == SmtChannelKind::Port)
-            out.score += s.port0HeldByOther ? 1 : 0;
-        else
-            out.score += s.mshrHeldByOther;
-    }
+    // The probe thread's view of its sibling: cycles the victim held
+    // port 0 (Port) or the victim's MSHR entry-cycles (Mshr).
+    const SmtThreadStats &probe = run.threads[1];
+    out.score = atk_.params.kind == SmtChannelKind::Port
+                    ? probe.siblingPort0Cycles
+                    : probe.siblingMshrCycles;
     return out;
 }
 

@@ -11,8 +11,8 @@
  *   Port channel: a mis-speculated victim gadget (transmitter load
  *     whose latency is secret-dependent, feeding a VSQRTPD chain)
  *     occupies the non-pipelined port-0 unit iff the transmitter hit.
- *     The probe thread issues its own stream of VSQRTPD ops and
- *     observes, cycle by cycle, whether port 0 is held by its sibling.
+ *     The probe thread issues its own stream of VSQRTPD ops, which
+ *     wait every cycle the sibling holds port 0.
  *
  *   MSHR channel: the victim gadget issues M loads to lines that are
  *     distinct iff secret=1 (G^D_MSHR's address pattern, Fig. 4),
@@ -20,11 +20,14 @@
  *     its own lines and observes the sibling's MSHR occupancy through
  *     its allocation stalls.
  *
- * The probe's per-cycle observable is SmtCore's contention sample
- * stream (recordContention); the decoded score is the integral of
- * sibling-held port-0 cycles (Port) or sibling-held MSHR entries
- * (Mshr) over the run — the simulator-level proxy for the latency
- * self-measurements a real sibling attacker performs.
+ * The decoded score is one of the probe thread's sibling-occupancy
+ * integrals over the run: ThreadStats::siblingPort0Cycles, the cycles
+ * port 0 was busy with a sibling's op (Port), or
+ * ThreadStats::siblingMshrCycles, the MSHR entry-cycles siblings held
+ * (Mshr) — the simulator-level proxy for the latency
+ * self-measurements a real sibling attacker performs. The engine keeps
+ * both exact over fast-forwarded spans, so trials skip dead cycles
+ * like any other run.
  *
  * Because invisible-speculation schemes hide *cache* state, not
  * execution-resource usage, this channel pierces every scheme that
@@ -101,7 +104,7 @@ SmtAttack buildSmtAttack(const SmtAttackParams &params);
 /** Outcome of one two-thread trial. */
 struct SmtTrialOutcome
 {
-    /** Contention integral observed by the probe thread. */
+    /** Sibling-occupancy integral observed by the probe thread. */
     std::uint64_t score = 0;
     /** Total cycles of the run. */
     Tick cycles = 0;
@@ -137,8 +140,8 @@ struct SmtCalibration
 class SmtProbeHarness
 {
   public:
-    /** @param smt thread count is forced to 2 and contention
-     *  recording is enabled; sharing policies are honoured. */
+    /** @param smt thread count is forced to 2; sharing policies are
+     *  honoured. */
     SmtProbeHarness(SmtAttack attack, SchemeKind victim_scheme,
                     CoreConfig core = CoreConfig{},
                     SmtConfig smt = SmtConfig{},

@@ -11,7 +11,7 @@
  * history-independent initial state (see
  * sim/experiment/fixture_pool.hh for the reuse contract).
  *
- * Per-trial state — the victim's scheme, noise model, cycle hooks,
+ * Per-trial state — the victim's scheme, noise model, timed actions,
  * sender programs — is NOT part of the fixture: callers install it
  * after acquiring, exactly as they previously did after constructing.
  */

@@ -39,13 +39,12 @@ class Core
     /** Attach a noise model (nullptr = noiseless). */
     void setNoise(NoiseModel *noise) { engine_.setNoise(noise); }
 
-    /** Per-cycle hook (see PipelineEngine::setCycleHook). */
-    using CycleHook = PipelineEngine::CycleHook;
-    void setCycleHook(CycleHook hook)
+    /** Run @p fn once at the start of cycle @p at of the next run
+     *  (see PipelineEngine::scheduleAction). */
+    void scheduleAction(Tick at, PipelineEngine::TimedAction fn)
     {
-        engine_.setCycleHook(std::move(hook));
+        engine_.scheduleAction(at, std::move(fn));
     }
-    void clearCycleHook() { engine_.clearCycleHook(); }
 
     BranchPredictor &predictor() { return engine_.predictor(0); }
     /** The engine's shared stall predicate (no stage can transition
@@ -61,9 +60,9 @@ class Core
     /** Execute @p prog to completion (or maxCycles). */
     CoreStats run(const Program &prog);
 
-    /** Restore the just-constructed state (scheme, predictor, hooks)
-     *  so a pooled core can host a history-independent trial; see
-     *  PipelineEngine::resetForRun. */
+    /** Restore the just-constructed state (scheme, predictor, noise,
+     *  timed action) so a pooled core can host a history-independent
+     *  trial; see PipelineEngine::resetForRun. */
     void resetForRun() { engine_.resetForRun(); }
 
     /** Timing trace of labeled retired instructions (last run). */

@@ -86,11 +86,9 @@ PortSet::squashThread(ThreadId tid, SeqNum bound)
 SeqNum
 PortSet::preempt(std::uint8_t port, SeqNum requester, ThreadId tid)
 {
-    const SeqNum h = holder_[port];
-    if (h == kSeqNumInvalid || !holderSpec_[port] ||
-        holderTid_[port] != tid || h <= requester) {
+    if (!preemptible(port, requester, tid))
         return kSeqNumInvalid;
-    }
+    const SeqNum h = holder_[port];
     busyUntil_[port] = 0;
     holder_[port] = kSeqNumInvalid;
     holderSpec_[port] = false;
@@ -117,19 +115,6 @@ PortSet::opContendedByOther(Op op, ThreadId tid, Tick now) const
         if (contendedByOther(p, tid, now))
             return true;
     return false;
-}
-
-unsigned
-PortSet::countHeldByOther(ThreadId tid, Tick now) const
-{
-    unsigned n = 0;
-    for (unsigned p = 0; p < kNumPorts; ++p) {
-        if (busyUntil_[p] > now && holder_[p] != kSeqNumInvalid &&
-            holderTid_[p] != tid) {
-            ++n;
-        }
-    }
-    return n;
 }
 
 } // namespace specint

@@ -70,6 +70,14 @@ class PortSet
      */
     SeqNum preempt(std::uint8_t port, SeqNum requester, ThreadId tid = 0);
 
+    /** Would preempt(@p port, @p requester, @p tid) succeed? */
+    bool preemptible(std::uint8_t port, SeqNum requester,
+                     ThreadId tid) const
+    {
+        return holder_[port] != kSeqNumInvalid && holderSpec_[port] &&
+               holderTid_[port] == tid && holder_[port] > requester;
+    }
+
     /** Who currently occupies the (non-pipelined) unit on @p port. */
     SeqNum holder(std::uint8_t port) const { return holder_[port]; }
 
@@ -85,15 +93,14 @@ class PortSet
     /** Any of @p op's candidate ports contended by another thread? */
     bool opContendedByOther(Op op, ThreadId tid, Tick now) const;
 
-    /** Number of ports whose non-pipelined unit a sibling of @p tid
-     *  holds at @p now (per-cycle contention sample). */
-    unsigned countHeldByOther(ThreadId tid, Tick now) const;
-
     /** Is the non-pipelined unit on @p port busy at @p now? */
     bool busy(std::uint8_t port, Tick now) const
     {
         return busyUntil_[port] > now;
     }
+
+    /** First cycle the non-pipelined unit on @p port is free again. */
+    Tick busyUntil(std::uint8_t port) const { return busyUntil_[port]; }
 
     void reset();
 

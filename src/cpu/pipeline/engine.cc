@@ -4,8 +4,9 @@
  * loop and per-cycle orchestration. Stages run in reverse pipeline
  * order inside tick() — retire, writeback, safety (scheme exposures /
  * deferred updates), issue, dispatch, fetch — so producers wake
- * consumers with a one-cycle boundary; the per-cycle cross-thread
- * contention sample closes the cycle.
+ * consumers with a one-cycle boundary; the cross-thread contention
+ * counters close the cycle. Fast-forward (nextTransitionAt /
+ * fastForwardTo) skips the cycles in which none of that can happen.
  */
 
 #include "cpu/pipeline/engine.hh"
@@ -96,21 +97,22 @@ PipelineEngine::archReg(ThreadId tid, RegId reg) const
     return threads_[tid]->archRegs[reg];
 }
 
-const std::vector<ContentionSample> &
-PipelineEngine::contention(ThreadId tid) const
-{
-    return threads_[tid]->samples;
-}
-
 // ---------------------------------------------------------------------
 // Run loop
 // ---------------------------------------------------------------------
 
 void
+PipelineEngine::scheduleAction(Tick at, TimedAction fn)
+{
+    actionAt_ = at;
+    action_ = std::move(fn);
+}
+
+void
 PipelineEngine::resetForRun()
 {
     noise_ = nullptr;
-    cycleHook_ = nullptr;
+    scheduleAction(kTickMax, nullptr);
     // The cached trace track is only valid for one tracer arming; a
     // reused engine re-interns on first use.
     stallTraceTrack_ = 0;
@@ -132,6 +134,7 @@ PipelineEngine::beginRun(const std::vector<const Program *> &progs)
     now_ = 0;
     ffProbes_ = ffSkips_ = ffSkippedCycles_ = 0;
     ffBlocked_.fill(0);
+    ffProbeAt_ = kTickMax;
     rs_.clear();
     lsq_.clear();
     ports_.reset();
@@ -163,6 +166,7 @@ PipelineEngine::step()
 EngineRunResult
 PipelineEngine::finishRun()
 {
+    scheduleAction(kTickMax, nullptr);
     EngineRunResult res;
     res.cycles = now_;
     res.finished = allHalted();
@@ -232,10 +236,6 @@ EngineRunResult
 PipelineEngine::run(const std::vector<const Program *> &progs)
 {
     beginRun(progs);
-    // Eligibility is checked once: the hook and the sampling flag are
-    // fixed for the duration of a run. Ineligible runs tick every
-    // cycle.
-    const bool skip = fastForwardEligible();
     // Skipping is optional — any dead cycle not skipped simply ticks
     // normally with identical results — so after a failed attempt
     // (nothing skippable: the pipeline is busy) the predicate backs
@@ -244,8 +244,6 @@ PipelineEngine::run(const std::vector<const Program *> &progs)
     // most the first few cycles of a dead region are ticked.
     unsigned backoff = 0;
     while (step()) {
-        if (!skip)
-            continue;
         if (backoff > 0) {
             --backoff;
             continue;
@@ -260,26 +258,47 @@ PipelineEngine::run(const std::vector<const Program *> &progs)
 // Stall fast-forward
 // ---------------------------------------------------------------------
 
-bool
-PipelineEngine::fastForwardEligible() const
-{
-    // A per-cycle hook models a concurrent agent acting every cycle,
-    // and contention sampling records one sample per cycle: both make
-    // empty cycles observable, so the skip is only legal without them.
-    return !cycleHook_ && !smt_.recordContention;
-}
-
 Tick
 PipelineEngine::nextTransitionAt() const
 {
-    FfGate gate = FfGate::Retire;
-    return nextTransitionAt(gate);
+    FfProbe probe;
+    return nextTransitionAt(probe);
 }
 
 Tick
-PipelineEngine::nextTransitionAt(FfGate &gate) const
+PipelineEngine::portsFreeAt(const ThreadContext &th,
+                            const DynInst &inst) const
 {
-    Tick next = kTickMax;
+    // Mirrors Scheduler::tryIssue. No port was issued to yet this
+    // cycle, so a port is unavailable iff its non-pipelined unit is
+    // busy; a denied candidate then only tries to preempt (advanced
+    // defense), and otherwise sets the per-cycle memo and its thread's
+    // portContended flag.
+    const OpTraits &traits = opTraits(inst.op);
+    const bool may_preempt =
+        th.scheme->schedFlags().strictAgePriority && !traits.pipelined;
+    Tick free_at = kTickMax;
+    for (std::uint8_t p : traits.ports) {
+        if (!ports_.busy(p, now_) ||
+            (may_preempt && ports_.preemptible(p, inst.seq, th.tid))) {
+            return now_;
+        }
+        free_at = std::min(free_at, ports_.busyUntil(p));
+    }
+    return free_at;
+}
+
+Tick
+PipelineEngine::nextTransitionAt(FfProbe &probe) const
+{
+    FfGate &gate = probe.gate;
+    // A timed action runs at the start of its cycle, ahead of every
+    // stage; a probe it blocks counts under the first gate.
+    if (actionAt_ <= now_) {
+        gate = FfGate::Retire;
+        return now_;
+    }
+    Tick next = actionAt_;
     for (const auto &tp : threads_) {
         const ThreadContext &th = *tp;
 
@@ -347,14 +366,25 @@ PipelineEngine::nextTransitionAt(FfGate &gate) const
                 continue;
 
             // An issue *attempt* is a transition even when it fails:
-            // it can preempt an EU, set contention flags, or update a
-            // blocked load's retry time.
+            // it can preempt an EU or update a blocked load's retry
+            // time. The exception is a port denial that cannot
+            // preempt: it repeats unchanged, setting only the thread's
+            // portContended flag, until one of the busy ports frees.
+            // The port holders cannot change without a transition, so
+            // the flag is constant over the span.
             const Tick t = std::max(inst.readyAt, inst.retryAt);
-            if (t <= now_) {
+            if (t > now_) {
+                next = std::min(next, t);
+                continue;
+            }
+            const Tick free_at = portsFreeAt(th, inst);
+            if (free_at <= now_) {
                 gate = FfGate::Issue;
                 return now_;
             }
-            next = std::min(next, t);
+            next = std::min(next, free_at);
+            if (ports_.opContendedByOther(inst.op, th.tid, now_))
+                probe.portContended |= 1u << th.tid;
         }
 
         // Dispatch: possible iff the front of the decode queue can
@@ -390,17 +420,21 @@ PipelineEngine::fastForwardTo(Tick target)
     target = std::min(target, cfg_.maxCycles);
     if (target <= now_)
         return;
+    assert(ffProbeAt_ == now_ && "fastForwardTo without a probe");
     const Tick skipped = target - now_;
     ++ffSkips_;
     ffSkippedCycles_ += skipped;
-    // The only per-cycle stat that accrues during dead cycles; its
-    // condition cannot change while no stage transitions. Contention
-    // flags stay false (no issue attempts), so the contended-cycle
-    // counters are untouched, exactly as in the naive loop.
+    // The per-cycle stats that accrue during dead cycles; their
+    // conditions cannot change while no stage transitions. The only
+    // issue attempts are port denials that cannot preempt, whose
+    // portContended flag the probe recorded; no load requests an MSHR.
     for (const auto &tp : threads_) {
         if (!tp->frontend.queueEmpty() && rs_.full(tp->tid))
             tp->stats.rsBlockedCycles += skipped;
+        if (ffPortContended_ & (1u << tp->tid))
+            tp->stats.portContendedCycles += skipped;
     }
+    accrueSiblingHoldings(target);
     // The skipped region is by construction transition-free, so the
     // trace records it as one arithmetic stall span instead of the
     // per-cycle events the naive loop would (not) have produced.
@@ -420,10 +454,12 @@ Tick
 PipelineEngine::probeTransition()
 {
     ++ffProbes_;
-    FfGate gate = FfGate::Retire;
-    const Tick next = nextTransitionAt(gate);
+    FfProbe probe;
+    const Tick next = nextTransitionAt(probe);
     if (next <= now_ && obs::metricsEnabled())
-        ++ffBlocked_[static_cast<unsigned>(gate)];
+        ++ffBlocked_[static_cast<unsigned>(probe.gate)];
+    ffProbeAt_ = now_;
+    ffPortContended_ = probe.portContended;
     return next;
 }
 
@@ -445,8 +481,13 @@ PipelineEngine::fastForward(Tick bound)
 void
 PipelineEngine::tick()
 {
-    if (cycleHook_)
-        cycleHook_(now_);
+    if (actionAt_ <= now_) {
+        // One-shot: clear it first, so the action may schedule the
+        // next one.
+        const TimedAction fn = std::move(action_);
+        scheduleAction(kTickMax, nullptr);
+        fn();
+    }
     for (auto &tp : threads_)
         tp->portContended = tp->mshrContended = false;
     commit_.retire(threads_, now_);
@@ -455,8 +496,32 @@ PipelineEngine::tick()
     sched_.issue(threads_, now_, noise_);
     front_.dispatch(threads_, now_);
     front_.fetch(threads_, now_);
-    sampleContention();
+    for (auto &tp : threads_) {
+        tp->stats.portContendedCycles += tp->portContended;
+        tp->stats.mshrContendedCycles += tp->mshrContended;
+    }
+    accrueSiblingHoldings(now_ + 1);
     ++now_;
+}
+
+void
+PipelineEngine::accrueSiblingHoldings(Tick to)
+{
+    if (threads_.size() == 1)
+        return;
+    std::array<Tick, kMaxSmtThreads> mshr_held{};
+    const Tick mshr_total = mshr_.heldCycles(now_, to, mshr_held);
+    const Tick busy_until = ports_.busyUntil(0);
+    const Tick port0_held =
+        ports_.holder(0) != kSeqNumInvalid && busy_until > now_
+            ? std::min(busy_until, to) - now_
+            : 0;
+    for (auto &tp : threads_) {
+        ThreadStats &s = tp->stats;
+        if (ports_.holderTid(0) != tp->tid)
+            s.siblingPort0Cycles += port0_held;
+        s.siblingMshrCycles += mshr_total - mshr_held[tp->tid];
+    }
 }
 
 std::string
@@ -517,32 +582,6 @@ PipelineEngine::checkInvariants() const
                             visibility);
     }
     return {};
-}
-
-void
-PipelineEngine::sampleContention()
-{
-    for (auto &tp : threads_) {
-        ThreadContext &th = *tp;
-        if (th.portContended)
-            ++th.stats.portContendedCycles;
-        if (th.mshrContended)
-            ++th.stats.mshrContendedCycles;
-        if (!smt_.recordContention)
-            continue;
-        ContentionSample s;
-        s.cycle = now_;
-        s.portsHeldByOther = static_cast<std::uint8_t>(
-            ports_.countHeldByOther(th.tid, now_));
-        s.port0HeldByOther = ports_.holder(0) != kSeqNumInvalid &&
-                             ports_.holderTid(0) != th.tid &&
-                             ports_.busy(0, now_);
-        s.mshrHeldByOther = static_cast<std::uint8_t>(
-            mshr_.inUseByOther(th.tid, now_));
-        s.portContended = th.portContended;
-        s.mshrContended = th.mshrContended;
-        th.samples.push_back(s);
-    }
 }
 
 } // namespace specint

@@ -92,13 +92,19 @@ class PipelineEngine
     void setNoise(NoiseModel *noise) { noise_ = noise; }
     NoiseModel *noiseModel() const { return noise_; }
 
-    /** Per-cycle hook, invoked at the start of every simulated cycle.
-     *  Experiments use it to model concurrent agents — e.g. the
-     *  attacker's fixed-time LLC reference access in the VD-AD/VI-AD
-     *  attacks (§3.3.1) runs from this hook. */
-    using CycleHook = std::function<void(Tick)>;
-    void setCycleHook(CycleHook hook) { cycleHook_ = std::move(hook); }
-    void clearCycleHook() { cycleHook_ = nullptr; }
+    /** A one-shot action of an agent outside the pipeline. */
+    using TimedAction = std::function<void()>;
+    /**
+     * Run @p fn once, at the start of cycle @p at of the current or
+     * next run, before any stage. Experiments use it to interleave a
+     * concurrent agent with the pipeline — e.g. the attacker's
+     * fixed-time LLC reference access in the VD-AD/VI-AD attacks
+     * (§3.3.1). One action at a time: scheduling replaces a pending
+     * one. nextTransitionAt() is bounded by @p at, so fast-forward
+     * never skips over it; finishRun() drops an action the run ended
+     * before, so it never carries into the next run.
+     */
+    void scheduleAction(Tick at, TimedAction fn);
 
     BranchPredictor &predictor(ThreadId tid);
 
@@ -109,10 +115,11 @@ class PipelineEngine
     /**
      * Restore the engine to its just-constructed state so it can host
      * a fresh, history-independent trial without reallocation: drops
-     * the noise model, cycle hook and any installed schemes (back to
-     * UnsafeScheme), and clears predictor state. beginRun() covers
-     * everything else (ROB/RS/LSQ/ports/MSHRs/clock). The ROB's SoA
-     * banks and the shared structures keep their storage.
+     * the noise model, a pending timed action and any installed
+     * schemes (back to UnsafeScheme), and clears predictor state.
+     * beginRun() covers everything else (ROB/RS/LSQ/ports/MSHRs/
+     * clock). The ROB's SoA banks and the shared structures keep
+     * their storage.
      */
     void resetForRun();
 
@@ -132,7 +139,8 @@ class PipelineEngine
     bool halted() const { return allHalted(); }
     /** Current cycle of this engine's local clock. */
     Tick now() const { return now_; }
-    /** Collect the run result (also emits the maxCycles warning). */
+    /** Collect the run result (also emits the maxCycles warning) and
+     *  drop a timed action that has not fired. */
     EngineRunResult finishRun();
     /// @}
 
@@ -149,12 +157,12 @@ class PipelineEngine
      * transitions in between — see docs/architecture.md for the
      * invariant and tests/test_golden_traces.cc /
      * tests/test_fastforward_fuzz.cc for the differential proof
-     * against the literal step() loop.
+     * against the literal step() loop. Every run is eligible: the
+     * per-cycle counters that accrue in a dead span (RS-blocked
+     * dispatch, port denials, sibling occupancy) are added
+     * arithmetically for the whole span.
      */
     /// @{
-    /** Nothing observes individual empty cycles (per-cycle hook, SMT
-     *  contention sampling), so run() may skip them. */
-    bool fastForwardEligible() const;
     /**
      * Earliest cycle at which any pipeline structure can change state:
      * now() if a stage would transition this cycle, the minimum
@@ -172,14 +180,17 @@ class PipelineEngine
     /** nextTransitionAt() on behalf of a skip attempt, counted as one
      *  fast-forward probe (core<N>.ff.probes). While metrics are
      *  armed, a probe that finds a transition due now is also counted
-     *  under the stage gate that found it (core<N>.ff.blocked.*). */
+     *  under the stage gate that found it (core<N>.ff.blocked.*). The
+     *  probe also records which threads' port denials repeat over the
+     *  span, for fastForwardTo(). */
     Tick probeTransition();
     /** Skip dead cycles up to @p bound. @return cycles skipped. */
     Tick fastForward(Tick bound);
     /** Advance the clock to @p target (clamped to maxCycles),
      *  accounting the per-cycle stats that accrue while stalled; a
      *  move counts as one skip (core<N>.ff.skips). The caller asserts
-     *  the skipped range is dead (nextTransitionAt()). */
+     *  the skipped range is dead: @p target is at most what
+     *  probeTransition() returned at this now(). */
     void fastForwardTo(Tick target);
     /// @}
 
@@ -190,8 +201,6 @@ class PipelineEngine
                                      const std::string &label) const;
     Tick completeTime(ThreadId tid, const std::string &label) const;
     std::uint64_t archReg(ThreadId tid, RegId reg) const;
-    /** Per-cycle contention samples (empty unless recordContention). */
-    const std::vector<ContentionSample> &contention(ThreadId tid) const;
     /// @}
 
     /**
@@ -226,13 +235,29 @@ class PipelineEngine
     };
     static constexpr unsigned kNumFfGates = 6;
 
-    /** nextTransitionAt(), also reporting in @p gate which stage gate
-     *  returned now() (left untouched when the result is in the
-     *  future). */
-    Tick nextTransitionAt(FfGate &gate) const;
+    /** What a nextTransitionAt() walk finds besides the time. */
+    struct FfProbe
+    {
+        /** The stage gate that returned now() (left untouched when
+         *  the result is in the future). */
+        FfGate gate = FfGate::Retire;
+        /** Bit t: thread t has an issue candidate denied a port a
+         *  sibling holds, so its portContended flag is set on every
+         *  cycle of the span. */
+        std::uint32_t portContended = 0;
+    };
+
+    Tick nextTransitionAt(FfProbe &probe) const;
+    /** For a ready issue candidate of @p th: if the issue stage would
+     *  deny @p inst a port and change nothing else — every port of its
+     *  op class busy, none preemptible by it — the first cycle one of
+     *  those ports frees; now() otherwise. */
+    Tick portsFreeAt(const ThreadContext &th, const DynInst &inst) const;
     bool allHalted() const;
     void tick();
-    void sampleContention();
+    /** Add what siblings hold over [now(), @p to) to each thread's
+     *  sibling-occupancy integrals (multi-thread engines only). */
+    void accrueSiblingHoldings(Tick to);
     /** Push this run's counters into the global MetricRegistry under
      *  "core<id>.". Called from finishRun() when metrics are armed;
      *  ThreadStats reset every run, so plain counterAdd cannot
@@ -262,7 +287,9 @@ class PipelineEngine
     FrontUnit front_;
 
     Tick now_ = 0;
-    CycleHook cycleHook_;
+    /** The pending timed action (kTickMax / empty: none). */
+    Tick actionAt_ = kTickMax;
+    TimedAction action_;
     /** Lazily interned trace track for fast-forward stall spans. */
     std::uint32_t stallTraceTrack_ = 0;
     /** Fast-forward efficacy this run (reset by beginRun()). */
@@ -272,6 +299,9 @@ class PipelineEngine
     /** Probes that found a transition due now, per FfGate (recorded
      *  only while metrics are armed). */
     std::array<std::uint64_t, kNumFfGates> ffBlocked_{};
+    /** The last probeTransition(): its cycle and port-denial mask. */
+    Tick ffProbeAt_ = kTickMax;
+    std::uint32_t ffPortContended_ = 0;
 };
 
 } // namespace specint

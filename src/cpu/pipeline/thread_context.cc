@@ -36,7 +36,6 @@ ThreadContext::resetRun(const Program *p)
         archRegs[r] = init[r];
     stats = ThreadStats{};
     trace.clear();
-    samples.clear();
     minWbAt = 0;
     pendingVisibility = 0;
     readySet.clear();

@@ -48,7 +48,10 @@ struct ThreadStats
     std::uint64_t loadL1Hits = 0;
     bool finished = false;
 
-    /** @name Cross-thread contention counters (the SMT channel). */
+    /** @name Cross-thread contention counters (the SMT channel)
+     *  Per-cycle conditions counted over every cycle of the run: a
+     *  fast-forwarded span adds its length for each condition that
+     *  holds across it (a port denial that repeats, a full RS). */
     /// @{
     /** Cycles the fetch arbiter granted this thread the fetch stage. */
     std::uint64_t fetchGrants = 0;
@@ -61,22 +64,21 @@ struct ThreadStats
     /** Cycles dispatch stalled on a full RS share. */
     std::uint64_t rsBlockedCycles = 0;
     /// @}
-};
 
-/** One per-cycle cross-thread contention sample (recordContention). */
-struct ContentionSample
-{
-    Tick cycle = 0;
-    /** Ports whose non-pipelined unit a sibling holds this cycle. */
-    std::uint8_t portsHeldByOther = 0;
-    /** Port 0 (the NPEU port) held by a sibling this cycle. */
-    bool port0HeldByOther = false;
-    /** MSHR entries held by siblings this cycle. */
-    std::uint8_t mshrHeldByOther = 0;
-    /** This thread experienced a port denial this cycle. */
-    bool portContended = false;
-    /** This thread experienced an MSHR denial this cycle. */
-    bool mshrContended = false;
+    /** @name Sibling-occupancy integrals (the SMT probe's score)
+     *  What a sibling thread holds, whether or not this thread asks
+     *  for it; always zero on a 1-thread engine. Both are integrals
+     *  over every cycle of the run, ticked or skipped: a skipped span
+     *  adds them arithmetically, since nothing can allocate, free or
+     *  re-hold either resource inside it. */
+    /// @{
+    /** Cycles port 0's non-pipelined unit was busy with a sibling's
+     *  op. */
+    std::uint64_t siblingPort0Cycles = 0;
+    /** L1-D MSHR entry-cycles held by siblings (each entry counts
+     *  every cycle it is live). */
+    std::uint64_t siblingMshrCycles = 0;
+    /// @}
 };
 
 /** Per-instruction speculative-shadow context: does an older entry of
@@ -130,7 +132,6 @@ struct ThreadContext
 
     ThreadStats stats;
     std::vector<InstTraceEntry> trace;
-    std::vector<ContentionSample> samples;
 
     /** @name Per-cycle flags */
     /// @{

@@ -42,7 +42,7 @@ class ReservationStation
     unsigned capacity() const { return capacity_; }
     unsigned occupancy() const;
     unsigned occupancy(ThreadId tid) const { return used_[tid]; }
-    /** Entries held by threads other than @p tid (contention sample). */
+    /** Entries held by threads other than @p tid. */
     unsigned occupancyOther(ThreadId tid) const
     {
         return occupancy() - used_[tid];

@@ -40,6 +40,11 @@ HierarchyConfig::validate() const
             return g->name +
                    " geometry must have nonzero sets and ways";
         }
+        if (g->ways > kMaxCacheWays) {
+            return g->name + " geometry has " + std::to_string(g->ways) +
+                   " ways; at most " + std::to_string(kMaxCacheWays) +
+                   " are supported";
+        }
     }
     if (llcSlices == 0 || (llcSlices & (llcSlices - 1)) != 0)
         return "llcSlices must be a nonzero power of two";
@@ -115,6 +120,11 @@ Hierarchy::Hierarchy(HierarchyConfig cfg)
                                         cfg_.coherence);
           }())
 {
+    l1i_.reserve(cfg_.cores);
+    l1d_.reserve(cfg_.cores);
+    l2_.reserve(cfg_.cores);
+    prefetchers_.reserve(cfg_.cores);
+    llc_.reserve(cfg_.llcSlices);
     for (unsigned c = 0; c < cfg_.cores; ++c) {
         l1i_.emplace_back(cfg_.l1i);
         l1d_.emplace_back(cfg_.l1d);

@@ -12,6 +12,8 @@
 #ifndef SPECINT_MEMORY_MSHR_HH
 #define SPECINT_MEMORY_MSHR_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -53,11 +55,33 @@ class MshrFile
     /** Entries currently held by thread @p tid (SMT accounting). */
     unsigned inUseBy(ThreadId tid, Tick now);
 
-    /** Entries held by threads other than @p tid — the per-cycle
-     *  occupancy observable of the SMT MSHR-contention channel. */
+    /** Entries held by threads other than @p tid at @p now. */
     unsigned inUseByOther(ThreadId tid, Tick now)
     {
         return inUse(now) - inUseBy(tid, now);
+    }
+
+    /**
+     * Entry-cycles each thread holds over [@p from, @p to) if no entry
+     * is allocated or dropped in that span: an entry counts every
+     * cycle before its readyAt. Adds thread t's share to
+     * @p by_thread[t] and @return the total. The occupancy integral
+     * of the SMT MSHR-contention channel; over [now, now + 1) it is
+     * inUse(now) split by thread.
+     */
+    Tick
+    heldCycles(Tick from, Tick to,
+               std::array<Tick, kMaxSmtThreads> &by_thread) const
+    {
+        Tick total = 0;
+        for (const MshrEntry &e : live_) {
+            if (e.readyAt > from) {
+                const Tick n = std::min(e.readyAt, to) - from;
+                by_thread[e.tid] += n;
+                total += n;
+            }
+        }
+        return total;
     }
 
     bool full(Tick now) { return inUse(now) >= entries_; }

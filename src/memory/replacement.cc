@@ -17,6 +17,11 @@ namespace specint
 void
 SetReplState::resize(unsigned ways)
 {
+    if (ways > kMaxCacheWays) {
+        panic("SetReplState: " + std::to_string(ways) +
+              " ways exceed kMaxCacheWays (" +
+              std::to_string(kMaxCacheWays) + ")");
+    }
     age.assign(ways, 0);
     stamp.assign(ways, 0);
     treeBits.assign(ways > 1 ? ways - 1 : 0, 0);

@@ -27,30 +27,74 @@
 #ifndef SPECINT_MEMORY_REPLACEMENT_HH
 #define SPECINT_MEMORY_REPLACEMENT_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/rng.hh"
 
 namespace specint
 {
 
+/** Largest associativity a cache array supports: the 16-way LLC
+ *  slices of HierarchyConfig::small() and kabyLake().
+ *  HierarchyConfig::validate() rejects anything wider. */
+constexpr unsigned kMaxCacheWays = 16;
+
+/**
+ * A per-way field of one set, stored inline: a fixed-capacity array of
+ * kMaxCacheWays slots of which the first size() are in use. Building a
+ * cache array then costs one allocation for all its sets instead of
+ * several per set.
+ */
+template <typename T>
+class WayArray
+{
+  public:
+    /** Set the size to @p n and every element to @p value. */
+    void
+    assign(unsigned n, T value)
+    {
+        size_ = static_cast<std::uint8_t>(n);
+        std::fill_n(v_.begin(), n, value);
+    }
+
+    /** Replace the contents (tests set up states this way). */
+    WayArray &
+    operator=(std::initializer_list<T> init)
+    {
+        size_ = static_cast<std::uint8_t>(
+            std::min<std::size_t>(init.size(), kMaxCacheWays));
+        std::copy_n(init.begin(), size_, v_.begin());
+        return *this;
+    }
+
+    unsigned size() const { return size_; }
+    T &operator[](unsigned i) { return v_[i]; }
+    const T &operator[](unsigned i) const { return v_[i]; }
+
+  private:
+    std::array<T, kMaxCacheWays> v_{};
+    std::uint8_t size_ = 0;
+};
+
 /** Per-set replacement metadata shared by all policies. */
 struct SetReplState
 {
     /** Small per-way age/RRPV/use-bit field (meaning is per-policy). */
-    std::vector<std::uint8_t> age;
+    WayArray<std::uint8_t> age;
     /** Per-way last-access stamp (true LRU). */
-    std::vector<std::uint64_t> stamp;
+    WayArray<std::uint64_t> stamp;
     /** Tree-PLRU direction bits (ways-1 internal nodes). */
-    std::vector<std::uint8_t> treeBits;
+    WayArray<std::uint8_t> treeBits;
     /** Monotonic per-set access counter backing the LRU stamps. */
     std::uint64_t tick = 0;
 
     explicit SetReplState(unsigned ways = 0) { resize(ways); }
+    /** Reset to @p ways empty ways (at most kMaxCacheWays). */
     void resize(unsigned ways);
 };
 

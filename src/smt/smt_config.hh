@@ -40,11 +40,6 @@ struct SmtConfig
     /** Which thread fetches each cycle. */
     FetchPolicy fetchPolicy = FetchPolicy::ICount;
 
-    /** Record per-cycle cross-thread contention samples (the
-     *  sibling-thread probe's raw observable). Off by default: long
-     *  runs would otherwise accumulate one sample per cycle/thread. */
-    bool recordContention = false;
-
     /** A 1-thread configuration, cycle-identical to the plain Core. */
     static SmtConfig singleThread()
     {

@@ -47,9 +47,6 @@ namespace specint
 /** Per-thread statistics of one SMT run (engine ThreadStats). */
 using SmtThreadStats = ThreadStats;
 
-/** One per-cycle cross-thread contention sample (recordContention). */
-using SmtContentionSample = ContentionSample;
-
 /** Aggregate result of one SMT run (engine run result). */
 using SmtRunResult = EngineRunResult;
 
@@ -77,14 +74,6 @@ class SmtCore
     /** Attach a noise model shared by all threads (nullptr = none). */
     void setNoise(NoiseModel *noise) { engine_.setNoise(noise); }
     NoiseModel *noiseModel() const { return engine_.noiseModel(); }
-
-    /** Per-cycle hook (same contract as Core::setCycleHook). */
-    using CycleHook = PipelineEngine::CycleHook;
-    void setCycleHook(CycleHook hook)
-    {
-        engine_.setCycleHook(std::move(hook));
-    }
-    void clearCycleHook() { engine_.clearCycleHook(); }
 
     BranchPredictor &predictor(ThreadId tid)
     {
@@ -122,11 +111,6 @@ class SmtCore
     std::uint64_t archReg(ThreadId tid, RegId reg) const
     {
         return engine_.archReg(tid, reg);
-    }
-    /** Per-cycle contention samples (empty unless recordContention). */
-    const std::vector<SmtContentionSample> &contention(ThreadId tid) const
-    {
-        return engine_.contention(tid);
     }
     /// @}
 

@@ -119,8 +119,6 @@ System::maybeFastForward()
     for (auto &core : cores_) {
         if (core->halted() || core->now() >= core->config().maxCycles)
             continue;
-        if (!core->fastForwardEligible())
-            return;
         any_live = true;
         shared_now = std::max(shared_now, core->now());
         bound = std::min(bound, core->probeTransition());

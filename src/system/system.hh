@@ -102,10 +102,11 @@ class System
 
     /**
      * Restore the system to its just-constructed state — engines back
-     * to default schemes/predictors with hooks and noise detached, the
-     * hierarchy's caches/directory/prefetchers/contention state and
-     * transaction slab cleared, main memory emptied — while keeping
-     * every allocation (cache arrays, ROB SoA banks, slabs) alive.
+     * to default schemes/predictors with timed actions and noise
+     * detached, the hierarchy's caches/directory/prefetchers/
+     * contention state and transaction slab cleared, main memory
+     * emptied — while keeping every allocation (cache arrays, ROB SoA
+     * banks, slabs) alive.
      * After resetForRun() a run is bit-identical to the same run on a
      * freshly constructed System of the same config.
      */
@@ -129,8 +130,8 @@ class System
 
   private:
     /** Coordinated stall fast-forward after a lockstep tick: when
-     *  every live core is eligible and stalled, jump all of them to
-     *  the earliest transition of any core (cpu/pipeline/engine.hh). */
+     *  every live core is stalled, jump all of them to the earliest
+     *  transition of any core (cpu/pipeline/engine.hh). */
     void maybeFastForward();
 
     SystemConfig cfg_;

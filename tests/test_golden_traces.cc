@@ -232,8 +232,10 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------
 // Two-thread issue behaviour, pinned to constants. run() and the
 // literal loop tick the same issue stage, so only constants catch a
-// change to cross-thread issue arbitration; the per-cycle contention
-// samples make every cycle's port and MSHR outcome part of the pin.
+// change to cross-thread issue arbitration; the sibling-occupancy
+// integrals pin how long each thread saw its sibling hold port 0 and
+// the MSHRs, so run() must also account them exactly over every
+// skipped span.
 // ---------------------------------------------------------------------
 
 /** Per-thread pin of one two-thread run. */
@@ -242,14 +244,14 @@ struct SmtThreadGolden
     Tick cycles;
     std::uint64_t issued, retired;
     std::uint64_t portContended, mshrContended, rsBlocked;
-    /** FNV-1a over every contention sample's fields. */
-    std::uint64_t samplesHash;
+    std::uint64_t siblingPort0, siblingMshr;
 };
 
 /** One SMT golden row: thread 0 (the victim) runs @ref victim, thread
  *  1 runs Unsafe, with the RS under the @ref rs sharing policy. The
  *  rows were captured from the engine whose issue stage re-collected
- *  and sorted its candidates every cycle. */
+ *  and sorted its candidates every cycle; the sibling integrals are
+ *  sums over the per-cycle contention samples that engine recorded. */
 struct SmtGolden
 {
     SchemeKind victim;
@@ -267,29 +269,29 @@ PrintTo(const SmtGolden &g, std::ostream *os)
 
 constexpr SmtGolden kSmtGoldens[] = {
     {SchemeKind::Unsafe, SharingPolicy::Shared,
-     {{13698, 1396, 882, 13, 81, 0, 0xd1767c8cff88fcb6ULL},
-      {15422, 1527, 888, 30, 109, 0, 0x7cc4c5214438e3f2ULL}}},
+     {{13698, 1396, 882, 13, 81, 0, 608, 49456},
+      {15422, 1527, 888, 30, 109, 0, 410, 50197}}},
     {SchemeKind::Unsafe, SharingPolicy::Partitioned,
-     {{13698, 1396, 882, 13, 81, 0, 0xd1767c8cff88fcb6ULL},
-      {15422, 1527, 888, 30, 109, 0, 0x7cc4c5214438e3f2ULL}}},
+     {{13698, 1396, 882, 13, 81, 0, 608, 49456},
+      {15422, 1527, 888, 30, 109, 0, 410, 50197}}},
     {SchemeKind::DomNonTso, SharingPolicy::Shared,
-     {{22377, 2924, 882, 78, 21, 7692, 0x5d2aefe081a58052ULL},
-      {15329, 1461, 888, 49, 25, 4191, 0xbe6ced456e203032ULL}}},
+     {{22377, 2924, 882, 78, 21, 7692, 517, 46811},
+      {15329, 1461, 888, 49, 25, 4191, 1157, 60504}}},
     {SchemeKind::DomNonTso, SharingPolicy::Partitioned,
-     {{22785, 2590, 882, 83, 18, 9003, 0x8420e0d48a57e73dULL},
-      {15319, 1471, 888, 37, 42, 0, 0xae7d158cde1913d7ULL}}},
+     {{22785, 2590, 882, 83, 18, 9003, 511, 45234},
+      {15319, 1471, 888, 37, 42, 0, 1006, 60544}}},
     {SchemeKind::InvisiSpecSpectre, SharingPolicy::Shared,
-     {{16799, 2307, 882, 71, 473, 0, 0x9ac75750af0d53d9ULL},
-      {16241, 1666, 888, 115, 278, 0, 0x0d8323adf7565b6eULL}}},
+     {{16799, 2307, 882, 71, 473, 0, 690, 52904},
+      {16241, 1666, 888, 115, 278, 0, 787, 92972}}},
     {SchemeKind::InvisiSpecSpectre, SharingPolicy::Partitioned,
-     {{16799, 2305, 882, 68, 477, 1650, 0xf744fd5ccb8e3b95ULL},
-      {16241, 1679, 888, 107, 281, 0, 0x9eed094245a496efULL}}},
+     {{16799, 2305, 882, 68, 477, 1650, 704, 52905},
+      {16241, 1679, 888, 107, 281, 0, 787, 92970}}},
     {SchemeKind::AdvancedDefense, SharingPolicy::Shared,
-     {{22373, 2480, 882, 118, 14, 14942, 0xf9369396a620a9eaULL},
-      {16889, 1418, 888, 89, 31, 9399, 0xb93546545fa90cdcULL}}},
+     {{22373, 2480, 882, 118, 14, 14942, 506, 46832},
+      {16889, 1418, 888, 89, 31, 9399, 1022, 60560}}},
     {SchemeKind::AdvancedDefense, SharingPolicy::Partitioned,
-     {{23205, 1808, 882, 48, 21, 14732, 0x48a012ccd90027cbULL},
-      {15224, 1434, 888, 29, 30, 0, 0x1ddaab11852ae2e3ULL}}},
+     {{23205, 1808, 882, 48, 21, 14732, 529, 44546},
+      {15224, 1434, 888, 29, 30, 0, 695, 60440}}},
 };
 
 /** The fuzz workload of @p seed, placed in disjoint per-thread code
@@ -301,27 +303,6 @@ smtSpec(std::uint64_t seed, unsigned slot)
     spec.dataBase = 0x01000000ULL * (slot + 1);
     spec.codeBase = 0x400000ULL + 0x100000ULL * slot;
     return spec;
-}
-
-std::uint64_t
-fnv1aSamples(const std::vector<ContentionSample> &samples)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    auto mix = [&h](std::uint64_t v, int bytes) {
-        for (int b = 0; b < bytes; ++b) {
-            h ^= (v >> (8 * b)) & 0xff;
-            h *= 1099511628211ULL;
-        }
-    };
-    for (const ContentionSample &s : samples) {
-        mix(s.cycle, 8);
-        mix(s.portsHeldByOther, 1);
-        mix(s.port0HeldByOther, 1);
-        mix(s.mshrHeldByOther, 1);
-        mix(s.portContended, 1);
-        mix(s.mshrContended, 1);
-    }
-    return h;
 }
 
 class SmtGoldenTest : public ::testing::TestWithParam<SmtGolden>
@@ -342,7 +323,6 @@ TEST_P(SmtGoldenTest, TwoThreadRunMatchesGoldenUnderEveryVariant)
             mem.write(a, val);
         SmtConfig smt;
         smt.rsPolicy = g.rs;
-        smt.recordContention = true;
         SmtCore core(CoreConfig{}, smt, 0, hier, mem);
         core.setScheme(0, makeScheme(g.victim));
         const std::vector<const Program *> progs = {&wl0.prog, &wl1.prog};
@@ -352,10 +332,9 @@ TEST_P(SmtGoldenTest, TwoThreadRunMatchesGoldenUnderEveryVariant)
         for (unsigned t = 0; t < 2; ++t) {
             const ThreadStats &s = run.threads[t];
             const SmtThreadGolden &want = g.t[t];
-            const std::uint64_t hash = fnv1aSamples(core.contention(t));
             char got[160];
             std::snprintf(got, sizeof(got),
-                          "{%llu, %llu, %llu, %llu, %llu, %llu, 0x%016llxULL}",
+                          "{%llu, %llu, %llu, %llu, %llu, %llu, %llu, %llu}",
                           static_cast<unsigned long long>(s.cycles),
                           static_cast<unsigned long long>(s.issued),
                           static_cast<unsigned long long>(s.retired),
@@ -364,7 +343,10 @@ TEST_P(SmtGoldenTest, TwoThreadRunMatchesGoldenUnderEveryVariant)
                           static_cast<unsigned long long>(
                               s.mshrContendedCycles),
                           static_cast<unsigned long long>(s.rsBlockedCycles),
-                          static_cast<unsigned long long>(hash));
+                          static_cast<unsigned long long>(
+                              s.siblingPort0Cycles),
+                          static_cast<unsigned long long>(
+                              s.siblingMshrCycles));
             const std::string what = std::string(v.name) + " thread " +
                                      std::to_string(t) + " got " + got;
             EXPECT_EQ(s.cycles, want.cycles) << what;
@@ -373,7 +355,8 @@ TEST_P(SmtGoldenTest, TwoThreadRunMatchesGoldenUnderEveryVariant)
             EXPECT_EQ(s.portContendedCycles, want.portContended) << what;
             EXPECT_EQ(s.mshrContendedCycles, want.mshrContended) << what;
             EXPECT_EQ(s.rsBlockedCycles, want.rsBlocked) << what;
-            EXPECT_EQ(hash, want.samplesHash) << what;
+            EXPECT_EQ(s.siblingPort0Cycles, want.siblingPort0) << what;
+            EXPECT_EQ(s.siblingMshrCycles, want.siblingMshr) << what;
         }
     }
 }
@@ -409,6 +392,8 @@ expectThreadStatsEqual(const ThreadStats &a, const ThreadStats &b,
     EXPECT_EQ(a.portContendedCycles, b.portContendedCycles) << what;
     EXPECT_EQ(a.mshrContendedCycles, b.mshrContendedCycles) << what;
     EXPECT_EQ(a.rsBlockedCycles, b.rsBlockedCycles) << what;
+    EXPECT_EQ(a.siblingPort0Cycles, b.siblingPort0Cycles) << what;
+    EXPECT_EQ(a.siblingMshrCycles, b.siblingMshrCycles) << what;
 }
 
 WorkloadSpec
@@ -551,8 +536,8 @@ TEST(SystemGoldenTest, RunMatchesLiteralLoopWithContentionModel)
 
 // ---------------------------------------------------------------------
 // Channel verdicts, pinned to constants from the literal tick loop:
-// run() ticks every cycle whenever a per-cycle agent is attached and
-// skips only provably dead cycles otherwise, so no verdict may move
+// run() skips only provably dead cycles — in SMT trials and around an
+// attacker's timed reference access too — so no verdict may move
 // ---------------------------------------------------------------------
 
 TEST(ChannelGoldenTest, DCacheChannelVerdictUnchangedByFastForward)

@@ -195,6 +195,26 @@ TEST(HierarchyConfigValidate, RejectsZeroGeometries)
     EXPECT_NE(cfg.validate().find("llc"), std::string::npos);
 }
 
+TEST(HierarchyConfigValidate, RejectsWaysAboveTheInlineCapacity)
+{
+    // Replacement state is stored inline with room for kMaxCacheWays
+    // ways per set; a wider geometry is a configuration error, not a
+    // buffer overrun.
+    HierarchyConfig cfg = HierarchyConfig::small();
+    cfg.llcSlice.ways = kMaxCacheWays;
+    EXPECT_EQ(cfg.validate(), "");
+    cfg.llcSlice.ways = kMaxCacheWays + 1;
+    EXPECT_NE(cfg.validate().find("llc geometry has " +
+                                  std::to_string(kMaxCacheWays + 1) +
+                                  " ways"),
+              std::string::npos)
+        << cfg.validate();
+
+    cfg = HierarchyConfig::small();
+    cfg.l1d.ways = 32;
+    EXPECT_NE(cfg.validate().find("l1d"), std::string::npos);
+}
+
 TEST(HierarchyConfigValidate, RejectsNonPowerOfTwoSliceCount)
 {
     HierarchyConfig cfg;

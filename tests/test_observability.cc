@@ -324,45 +324,47 @@ TEST_F(ObservabilityTest, FastForwardEfficacyPublished)
         EXPECT_NE(m, nullptr) << path;
         return m ? m->count : ~std::uint64_t{0};
     };
-    obs::MetricRegistry::global().clear();
+    auto expect_skipped = [&counter](const char *what) {
+        SCOPED_TRACE(what);
+        EXPECT_GT(counter("core0.ff.skipped_cycles"), 0u);
+        EXPECT_GT(counter("core0.ff.skips"), 0u);
+        EXPECT_LE(counter("core0.ff.skips"), counter("core0.ff.probes"));
+        // Every probe either skipped or was blocked by exactly one
+        // stage gate of nextTransitionAt().
+        std::uint64_t blocked = 0;
+        for (const char *gate :
+             {"retire", "writeback", "safety", "issue", "dispatch", "fetch"})
+            blocked +=
+                counter((std::string("core0.ff.blocked.") + gate).c_str());
+        EXPECT_GT(blocked, 0u);
+        EXPECT_EQ(blocked,
+                  counter("core0.ff.probes") - counter("core0.ff.skips"));
+    };
     obs::setMetricsEnabled(true);
 
     // The cold load misses to memory and stalls the whole window: the
     // run skips those cycles.
+    obs::MetricRegistry::global().clear();
     {
         Hierarchy hier(HierarchyConfig::small());
         MainMemory mem;
         Core core(tinyCoreConfig(), 0, hier, mem);
         core.run(tinyProgram());
     }
-    EXPECT_GT(counter("core0.ff.skipped_cycles"), 0u);
-    EXPECT_GT(counter("core0.ff.skips"), 0u);
-    EXPECT_LE(counter("core0.ff.skips"), counter("core0.ff.probes"));
-    // Every probe either skipped or was blocked by exactly one stage
-    // gate of nextTransitionAt().
-    std::uint64_t blocked = 0;
-    for (const char *gate :
-         {"retire", "writeback", "safety", "issue", "dispatch", "fetch"})
-        blocked += counter((std::string("core0.ff.blocked.") + gate).c_str());
-    EXPECT_GT(blocked, 0u);
-    EXPECT_EQ(blocked,
-              counter("core0.ff.probes") - counter("core0.ff.skips"));
+    expect_skipped("Core");
 
-    // Per-cycle contention sampling observes every cycle, so the run
-    // never even looks for a skip.
+    // A two-thread run skips as well: the sibling-occupancy integrals
+    // are accounted arithmetically over each skipped span.
     obs::MetricRegistry::global().clear();
     {
         Hierarchy hier(HierarchyConfig::small());
         MainMemory mem;
-        SmtConfig smt;
-        smt.recordContention = true;
-        SmtCore core(tinyCoreConfig(), smt, 0, hier, mem);
+        SmtCore core(tinyCoreConfig(), SmtConfig{}, 0, hier, mem);
         const Program prog = tinyProgram();
         core.run({&prog, &prog});
     }
+    expect_skipped("two-thread SmtCore");
     obs::setMetricsEnabled(false);
-    EXPECT_EQ(counter("core0.ff.probes"), 0u);
-    EXPECT_EQ(counter("core0.ff.skipped_cycles"), 0u);
 }
 
 TEST_F(ObservabilityTest, ObservabilityOffLeavesSinksEmpty)
