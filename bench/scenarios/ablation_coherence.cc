@@ -14,7 +14,6 @@
 #include <cstdio>
 
 #include "attack/coherence_probe.hh"
-#include "attack/cross_core_probe.hh"
 #include "sim/experiment/report.hh"
 
 namespace specint::scenarios
@@ -25,20 +24,12 @@ namespace
 
 using namespace experiment;
 
-struct ChannelOutcome
+/** Transmit @p bits over @p channel against @p scheme; @p clock_ghz
+ *  receives the channel's nominal clock. */
+ProbeChannelResult
+runOne(SchemeKind scheme, const std::string &channel, unsigned trials,
+       const std::vector<std::uint8_t> &bits, double &clock_ghz)
 {
-    std::uint64_t score0 = 0;
-    std::uint64_t score1 = 0;
-    bool usable = false;
-    ChannelResult channel;
-    double clockGhz = 3.6;
-};
-
-ChannelOutcome
-runOne(SchemeKind scheme, const std::string &channel,
-       unsigned trials, const std::vector<std::uint8_t> &bits)
-{
-    ChannelOutcome out;
     if (channel == "eviction" || channel == "occupancy") {
         CrossCoreChannelConfig cfg;
         cfg.scheme = scheme;
@@ -46,29 +37,17 @@ runOne(SchemeKind scheme, const std::string &channel,
                               ? CrossCoreChannelKind::Occupancy
                               : CrossCoreChannelKind::Eviction;
         cfg.trialsPerBit = trials;
-        const CrossCoreChannelResult res =
-            runCrossCoreChannel(bits, cfg);
-        out.score0 = res.calibration.score0;
-        out.score1 = res.calibration.score1;
-        out.usable = res.calibration.usable;
-        out.channel = res.channel;
-        out.clockGhz = cfg.clockGhz;
-    } else {
-        CoherenceChannelConfig cfg;
-        cfg.scheme = scheme;
-        cfg.attack.kind = channel == "coherence"
-                              ? CoherenceChannelKind::Invalidation
-                              : CoherenceChannelKind::PrefetchTraining;
-        cfg.trialsPerBit = trials;
-        const CoherenceChannelResult res =
-            runCoherenceChannel(bits, cfg);
-        out.score0 = res.calibration.score0;
-        out.score1 = res.calibration.score1;
-        out.usable = res.calibration.usable;
-        out.channel = res.channel;
-        out.clockGhz = cfg.clockGhz;
+        clock_ghz = cfg.clockGhz;
+        return runCrossCoreChannel(bits, cfg);
     }
-    return out;
+    CoherenceChannelConfig cfg;
+    cfg.scheme = scheme;
+    cfg.attack.kind = channel == "coherence"
+                          ? CoherenceChannelKind::Invalidation
+                          : CoherenceChannelKind::PrefetchTraining;
+    cfg.trialsPerBit = trials;
+    clock_ghz = cfg.clockGhz;
+    return runCoherenceChannel(bits, cfg);
 }
 
 PointResult
@@ -81,26 +60,28 @@ runPoint(const PointContext &ctx, const RunOptions &options)
         static_cast<unsigned>(options.extraOr("bits", 12)),
         ctx.baseSeed);
 
-    const ChannelOutcome res =
-        runOne(scheme, channel, ctx.trials, bits);
+    double clock_ghz = 0.0;
+    const ProbeChannelResult res =
+        runOne(scheme, channel, ctx.trials, bits, clock_ghz);
+    const ProbeCalibration &cal = res.calibration;
     const double err = res.channel.errorRate();
     const double bps =
-        res.usable ? res.channel.bitsPerSecond(res.clockGhz) : 0.0;
-    const char *verdict = res.usable ? "LEAKS" : "closed";
+        cal.usable ? res.channel.bitsPerSecond(clock_ghz) : 0.0;
+    const char *verdict = cal.usable ? "LEAKS" : "closed";
 
     PointResult out;
     out.rows.push_back(
         {Value::str(schemeName(scheme)), Value::str(channel),
-         Value::uinteger(res.score0), Value::uinteger(res.score1),
-         Value::boolean(res.usable),
+         Value::uinteger(cal.score0), Value::uinteger(cal.score1),
+         Value::boolean(cal.usable),
          Value::uinteger(res.channel.bitsSent),
          Value::uinteger(res.channel.bitErrors), Value::real(err, 4),
          Value::real(bps, 0), Value::str(verdict)});
     out.legacy = strf(
         "%-24s %-10s %8llu %8llu %-7s %8.1f%% %10.0f\n",
         schemeName(scheme).c_str(), channel.c_str(),
-        static_cast<unsigned long long>(res.score0),
-        static_cast<unsigned long long>(res.score1), verdict,
+        static_cast<unsigned long long>(cal.score0),
+        static_cast<unsigned long long>(cal.score1), verdict,
         err * 100.0, bps);
     return out;
 }

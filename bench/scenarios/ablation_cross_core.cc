@@ -38,7 +38,7 @@ runPoint(const PointContext &ctx, const RunOptions &options)
         static_cast<unsigned>(options.extraOr("bits", 16)),
         ctx.baseSeed);
 
-    const CrossCoreChannelResult res = runCrossCoreChannel(bits, cfg);
+    const ProbeChannelResult res = runCrossCoreChannel(bits, cfg);
     const double err = res.channel.errorRate();
     const double bps =
         res.calibration.usable

@@ -62,7 +62,7 @@ runPoint(const PointContext &ctx, const RunOptions &options)
         static_cast<unsigned>(options.extraOr("bits", 24)),
         ctx.baseSeed);
 
-    const SmtChannelResult res = runSmtContentionChannel(bits, cfg);
+    const ProbeChannelResult res = runSmtContentionChannel(bits, cfg);
     const double err = res.channel.errorRate();
     const double bps =
         res.calibration.usable

@@ -24,10 +24,10 @@
 #include "attack/sender.hh"
 #include "attack/trial_fixture.hh"
 #include "cpu/core.hh"
+#include "cpu/pipeline/engine.hh"
 #include "sim/experiment/fixture_pool.hh"
 #include "sim/experiment/report.hh"
 #include "sim/stats.hh"
-#include "smt/smt_core.hh"
 #include "system/system.hh"
 #include "workload/generator.hh"
 
@@ -202,7 +202,7 @@ benchSmtCoreSimulation(unsigned trials, unsigned instructions,
                     mem.write(a, v);
                 for (const auto &[a, v] : wl1.memInit)
                     mem.write(a, v);
-                SmtCore core(CoreConfig{}, SmtConfig{}, 0, hier, mem);
+                PipelineEngine core(CoreConfig{}, SmtConfig{}, 0, hier, mem);
                 cycles += core.run({&wl0.prog, &wl1.prog}).cycles;
             }
             return cycles;

@@ -2,8 +2,8 @@
  * @file
  * Registered experiment scenarios: every bench/figure/ablation driver,
  * declaratively described for the experiment subsystem
- * (src/sim/experiment/). The thin per-scenario wrappers in bench/ and
- * the unified `specsim_bench` driver all dispatch through all().
+ * (src/sim/experiment/). The unified `specsim_bench` driver
+ * dispatches through all().
  */
 
 #ifndef SPECINT_BENCH_SCENARIOS_SCENARIOS_HH

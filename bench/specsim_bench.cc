@@ -2,8 +2,7 @@
  * @file
  * Unified experiment driver: `specsim_bench <scenario> [flags...]`
  * runs any registered scenario (every figure/table reproduction and
- * ablation); `specsim_bench --list` enumerates them. The per-scenario
- * executables are thin wrappers over the same registry.
+ * ablation); `specsim_bench --list` enumerates them.
  */
 
 #include "scenarios/scenarios.hh"

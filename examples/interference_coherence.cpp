@@ -51,7 +51,7 @@ leak(const std::string &message, SchemeKind scheme,
     cfg.attack.kind = kind;
     cfg.trialsPerBit = 1;
 
-    const CoherenceChannelResult res = runCoherenceChannel(bits, cfg);
+    const ProbeChannelResult res = runCoherenceChannel(bits, cfg);
 
     std::string recovered;
     if (res.channel.bitErrors == 0 && res.calibration.usable) {

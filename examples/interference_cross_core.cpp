@@ -46,7 +46,7 @@ leak(const std::string &message, SchemeKind scheme,
     cfg.attack.kind = kind;
     cfg.trialsPerBit = 1;
 
-    const CrossCoreChannelResult res = runCrossCoreChannel(bits, cfg);
+    const ProbeChannelResult res = runCrossCoreChannel(bits, cfg);
 
     std::string recovered;
     if (res.channel.bitErrors == 0 && res.calibration.usable) {

@@ -42,7 +42,7 @@ leak(const std::string &message, SchemeKind scheme, SmtChannelKind kind)
     cfg.attack.kind = kind;
     cfg.trialsPerBit = 1;
 
-    const SmtChannelResult res = runSmtContentionChannel(bits, cfg);
+    const ProbeChannelResult res = runSmtContentionChannel(bits, cfg);
 
     std::string recovered;
     // Re-decode the message from the per-bit verdicts implied by the

@@ -32,7 +32,8 @@
  *     speculative misses never issue.
  *
  * Both are the paper's thesis one layer up: invisible speculation
- * hides cache state, not the request's side effects.
+ * hides cache state, not the request's side effects. Both run on the
+ * two-core harness of cross_core_probe.hh.
  */
 
 #ifndef SPECINT_ATTACK_COHERENCE_PROBE_HH
@@ -40,13 +41,9 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "attack/channel.hh"
 #include "attack/cross_core_probe.hh"
-#include "cpu/program.hh"
-#include "system/system.hh"
 
 namespace specint
 {
@@ -76,41 +73,11 @@ struct CoherenceAttackParams
     unsigned probeOps = 16;
 };
 
-/**
- * A fully described coherence/prefetch attack: the victim (core 0)
- * and probe (core 1) programs plus every address the harness must
- * initialise, warm, flush or prime before each trial.
- */
-struct CoherenceAttack
+/** A coherence/prefetch attack: the victim runs on core 0, the probe
+ *  on core 1. */
+struct CoherenceAttack : ProbeAttack
 {
     CoherenceAttackParams params;
-    Program victim;
-    Program probe;
-
-    /** Word holding the secret bit (written per trial). */
-    Addr secretSlot = kAddrInvalid;
-    /** PC of the mis-trained victim branch. */
-    std::uint32_t branchPc = 0;
-
-    /** The line the probe holds in S (Invalidation kind). */
-    Addr sharedLine = kAddrInvalid;
-
-    /** Memory words to initialise before every trial. */
-    std::vector<std::pair<Addr, std::uint64_t>> memInit;
-    /** Lines warmed into the victim core's private caches. */
-    std::vector<Addr> warmLines;
-    /** Lines warmed into the probe core's private caches. */
-    std::vector<Addr> probeWarmLines;
-    /** Lines flushed from the whole hierarchy before a run. */
-    std::vector<Addr> flushLines;
-    /** Lines made LLC-resident only (flushed, then LLC-filled). */
-    std::vector<Addr> llcWarmLines;
-    /** Eviction-set lines direct-filled into the monitored LLC set
-     *  during prime (PrefetchTraining kind; also flushed first). */
-    std::vector<Addr> primeLines;
-    /** Labeled probe loads ("p0".."pN-1") whose latency the decoder
-     *  sums. */
-    unsigned probeLoadCount = 0;
 };
 
 /**
@@ -121,88 +88,30 @@ struct CoherenceAttack
 CoherenceAttack buildCoherenceAttack(const CoherenceAttackParams &params,
                                      const Hierarchy &hier);
 
-/** Outcome of one two-core trial. */
-struct CoherenceTrialOutcome
-{
-    /** Summed latency of the labeled probe loads. */
-    std::uint64_t score = 0;
-    /** Total cycles of the run (slowest core). */
-    Tick cycles = 0;
-    /** Both cores ran to Halt. */
-    bool finished = false;
-};
-
 /**
- * Trial harness for the coherence/prefetch channels: owns a two-core
- * System (victim scheme on core 0, an undefended probe on core 1) and
- * runs prepare/run/score trials. The Invalidation kind enables the
- * coherence model and the PrefetchTraining kind the next-line
- * prefetcher, unless the caller already configured them in @p hier.
- * Calibration reuses CrossCoreCalibration: known-secret scores and a
- * threshold decode rule.
+ * The two-core harness running a coherence/prefetch attack. The
+ * Invalidation kind enables the coherence model and the
+ * PrefetchTraining kind the next-line prefetcher, unless the caller
+ * already configured them in @p hier.
  */
-class CoherenceHarness
+class CoherenceHarness : public CrossCoreHarness
 {
   public:
     CoherenceHarness(CoherenceAttackParams params,
                      SchemeKind victim_scheme,
                      CoreConfig core = CoreConfig{},
                      HierarchyConfig hier = HierarchyConfig::small());
-
-    /** Set up memory/cache/directory/predictor state for one trial. */
-    void prepare(unsigned secret, NoiseModel *noise = nullptr);
-
-    /** Run victim + probe and extract the probe's score. */
-    CoherenceTrialOutcome runTrial();
-
-    /** Noiseless known-secret runs -> decode rule. */
-    CrossCoreCalibration calibrate(std::uint64_t min_gap = 16);
-
-    System &system() { return sys_; }
-    const CoherenceAttack &attack() const { return atk_; }
-
-  private:
-    System sys_;
-    CoherenceAttack atk_;
 };
 
 /** Coherence/prefetch channel configuration. */
-struct CoherenceChannelConfig
+struct CoherenceChannelConfig : ProbeChannelConfig
 {
-    /** Victim scheme under attack (core 0). */
-    SchemeKind scheme = SchemeKind::InvisiSpecSpectre;
     CoherenceAttackParams attack;
-    unsigned trialsPerBit = 3;
-    NoiseConfig noise = NoiseConfig::none();
-    std::uint64_t seed = 42;
-    /** Nominal clock for bits/s conversion (§4.1: 3.6 GHz). */
-    double clockGhz = 3.6;
-    /** Unmodelled per-trial overhead (victim synchronisation and,
-     *  for PrefetchTraining, eviction-set upkeep). */
-    std::uint64_t perTrialOverheadCycles = 5000;
-    /** Minimum calibration gap for the channel to count as open. */
-    std::uint64_t minCalibrationGap = 16;
-    /** Per-core structural configuration (both cores). */
-    CoreConfig core;
-    /** Cache-hierarchy configuration (the harness fills in the
-     *  coherence/prefetcher defaults its kind needs if unset). */
-    HierarchyConfig hier = HierarchyConfig::small();
 };
 
-/** Channel measurement plus the calibration it decoded with. */
-struct CoherenceChannelResult
-{
-    ChannelResult channel;
-    CrossCoreCalibration calibration;
-};
-
-/**
- * Transmit @p bits over the coherence/prefetch channel against
- * cfg.scheme. If calibration finds no exploitable timing gap (the
- * defense closes the channel), every bit decodes as 0 and the
- * result's calibration.usable is false.
- */
-CoherenceChannelResult
+/** Transmit @p bits over the coherence/prefetch channel against
+ *  cfg.scheme (ProbeHarness::transmit()). */
+ProbeChannelResult
 runCoherenceChannel(const std::vector<std::uint8_t> &bits,
                     const CoherenceChannelConfig &cfg);
 

@@ -29,18 +29,21 @@
  * Fence-style defenses close both (the gadget never issues);
  * Delay-on-Miss closes both too (speculative misses never leave the
  * core) — mirroring the SMT MSHR-channel result one level up.
+ *
+ * CrossCoreHarness is the one two-core harness: the coherence/prefetch
+ * channels (coherence_probe.hh) run on it too, with their own attack
+ * builder and hierarchy defaults.
  */
 
 #ifndef SPECINT_ATTACK_CROSS_CORE_PROBE_HH
 #define SPECINT_ATTACK_CROSS_CORE_PROBE_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "attack/channel.hh"
-#include "cpu/program.hh"
+#include "attack/probe_channel.hh"
 #include "system/system.hh"
 
 namespace specint
@@ -70,36 +73,11 @@ struct CrossCoreAttackParams
     unsigned probeDelayOps = 0;
 };
 
-/**
- * A fully described cross-core attack: the victim (core 0) and probe
- * (core 1) programs plus every address the harness must initialise,
- * warm, flush or prime before each trial.
- */
-struct CrossCoreAttack
+/** A cross-core attack: the victim runs on core 0, the probe on
+ *  core 1. */
+struct CrossCoreAttack : ProbeAttack
 {
     CrossCoreAttackParams params;
-    Program victim;
-    Program probe;
-
-    /** Word holding the secret bit (written per trial). */
-    Addr secretSlot = kAddrInvalid;
-    /** PC of the mis-trained victim branch. */
-    std::uint32_t branchPc = 0;
-
-    /** Memory words to initialise before every trial. */
-    std::vector<std::pair<Addr, std::uint64_t>> memInit;
-    /** Lines warmed into the victim core's private caches. */
-    std::vector<Addr> warmLines;
-    /** Lines flushed from the whole hierarchy before a run. */
-    std::vector<Addr> flushLines;
-    /** Lines made LLC-resident only (flushed, then LLC-filled). */
-    std::vector<Addr> llcWarmLines;
-    /** Eviction-set lines direct-filled into the monitored LLC set
-     *  during prime (Eviction kind; also flushed first). */
-    std::vector<Addr> primeLines;
-    /** Labeled probe loads ("p0".."pN-1") whose latency the Eviction
-     *  decoder sums. */
-    unsigned probeLoadCount = 0;
 };
 
 /**
@@ -110,46 +88,21 @@ struct CrossCoreAttack
 CrossCoreAttack buildCrossCoreAttack(const CrossCoreAttackParams &params,
                                      const Hierarchy &hier);
 
-/** Outcome of one two-core trial. */
-struct CrossCoreTrialOutcome
-{
-    /** Probe-side timing score (finish time or summed probe-load
-     *  latency, depending on the channel kind). */
-    std::uint64_t score = 0;
-    /** Total cycles of the run (slowest core). */
-    Tick cycles = 0;
-    /** Both cores ran to Halt. */
-    bool finished = false;
-};
-
-/** Decoder calibration: known-secret scores and the derived rule. */
-struct CrossCoreCalibration
-{
-    std::uint64_t score0 = 0;
-    std::uint64_t score1 = 0;
-    double threshold = 0.0;
-    /** secret=1 produces the higher score. */
-    bool oneIsHigh = false;
-    /** The two scores are separated enough to decode at all — false
-     *  means the scheme closes this channel. */
-    bool usable = false;
-
-    /** Decode one trial score under this calibration. */
-    unsigned decode(std::uint64_t score) const
-    {
-        const bool high = static_cast<double>(score) > threshold;
-        return high == oneIsHigh ? 1u : 0u;
-    }
-};
+/** @name The shared types under the names perfbench/ compiles against. */
+/// @{
+using CrossCoreTrialOutcome = ProbeTrialOutcome;
+using CrossCoreCalibration = ProbeCalibration;
+/// @}
 
 /**
- * Trial harness for the cross-core channels: owns a two-core System
+ * Trial harness for the two-core channels: owns a two-core System
  * (victim scheme on core 0, an undefended probe on core 1) and runs
- * prepare/run/score trials. The Occupancy kind enables the shared-LLC
+ * prepare/run/score trials. The probe's score is the summed latency of
+ * its labeled loads. The Occupancy kind enables the shared-LLC
  * contention model (defaults below) unless the caller already set the
  * knobs in @p hier.
  */
-class CrossCoreHarness
+class CrossCoreHarness : public ProbeHarness
 {
   public:
     /** Shared-level contention defaults for the Occupancy kind. */
@@ -161,60 +114,41 @@ class CrossCoreHarness
                      CoreConfig core = CoreConfig{},
                      HierarchyConfig hier = HierarchyConfig::small());
 
-    /** Set up memory/cache/predictor state for one trial. */
-    void prepare(unsigned secret, NoiseModel *noise = nullptr);
+    void prepare(unsigned secret, NoiseModel *noise = nullptr) override;
+    ProbeTrialOutcome runTrial() override;
 
-    /** Run victim + probe and extract the probe's score. */
-    CrossCoreTrialOutcome runTrial();
-
-    /** Noiseless known-secret runs -> decode rule. */
-    CrossCoreCalibration calibrate(std::uint64_t min_gap = 16);
+    ProbeCalibration calibrate(std::uint64_t min_gap = 16)
+    {
+        return ProbeHarness::calibrate(min_gap);
+    }
 
     System &system() { return sys_; }
-    const CrossCoreAttack &attack() const { return atk_; }
+
+  protected:
+    /** Builds a channel's attack against the system's hierarchy. */
+    using AttackBuilder = std::function<ProbeAttack(const Hierarchy &)>;
+
+    /** @p hier already holds the defaults the channel kind needs. */
+    CrossCoreHarness(SchemeKind victim_scheme, const CoreConfig &core,
+                     const HierarchyConfig &hier,
+                     const AttackBuilder &build);
 
   private:
+    PipelineEngine &victimEngine() override { return sys_.core(0); }
+
     System sys_;
-    CrossCoreAttack atk_;
+    ProbeAttack atk_;
 };
 
 /** Cross-core channel configuration. */
-struct CrossCoreChannelConfig
+struct CrossCoreChannelConfig : ProbeChannelConfig
 {
-    /** Victim scheme under attack (core 0). */
-    SchemeKind scheme = SchemeKind::InvisiSpecSpectre;
     CrossCoreAttackParams attack;
-    unsigned trialsPerBit = 3;
-    NoiseConfig noise = NoiseConfig::none();
-    std::uint64_t seed = 42;
-    /** Nominal clock for bits/s conversion (§4.1: 3.6 GHz). */
-    double clockGhz = 3.6;
-    /** Unmodelled per-trial overhead (cross-core attacks need victim
-     *  synchronisation and, for Eviction, eviction-set upkeep). */
-    std::uint64_t perTrialOverheadCycles = 5000;
-    /** Minimum calibration gap for the channel to count as open. */
-    std::uint64_t minCalibrationGap = 16;
-    /** Per-core structural configuration (both cores). */
-    CoreConfig core;
-    /** Cache-hierarchy configuration (the Occupancy kind fills in the
-     *  shared-LLC contention defaults if the knobs are unset). */
-    HierarchyConfig hier = HierarchyConfig::small();
 };
 
-/** Channel measurement plus the calibration it decoded with. */
-struct CrossCoreChannelResult
-{
-    ChannelResult channel;
-    CrossCoreCalibration calibration;
-};
-
-/**
- * Transmit @p bits over the cross-core channel against cfg.scheme. If
- * calibration finds no exploitable timing gap (the defense closes the
- * channel), every bit decodes as 0 and the result's calibration.usable
- * is false.
- */
-CrossCoreChannelResult
+/** Transmit @p bits over the cross-core channel against cfg.scheme
+ *  (ProbeHarness::transmit()). */
+ProbeChannelResult
 runCrossCoreChannel(const std::vector<std::uint8_t> &bits,
                     const CrossCoreChannelConfig &cfg);
 

@@ -42,12 +42,10 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "attack/channel.hh"
-#include "cpu/program.hh"
-#include "smt/smt_core.hh"
+#include "attack/probe_channel.hh"
+#include "cpu/pipeline/engine.hh"
 
 namespace specint
 {
@@ -72,72 +70,28 @@ struct SmtAttackParams
     unsigned probeOps = 48;
 };
 
-/**
- * A fully described SMT attack: the victim (thread 0) and probe
- * (thread 1) programs plus every address the harness must initialise,
- * warm or flush before each trial.
- */
-struct SmtAttack
+/** An SMT attack: the victim runs on thread 0, the probe on thread 1,
+ *  and both share the core's private caches. */
+struct SmtAttack : ProbeAttack
 {
     SmtAttackParams params;
-    Program victim;
-    Program probe;
-
-    /** Word holding the secret bit (written per trial). */
-    Addr secretSlot = kAddrInvalid;
-    /** PC of the mis-trained victim branch. */
-    std::uint32_t branchPc = 0;
-
-    /** Memory words to initialise before every trial. */
-    std::vector<std::pair<Addr, std::uint64_t>> memInit;
-    /** Lines warmed into the core's private caches (shared L1). */
-    std::vector<Addr> warmLines;
-    /** Lines flushed from the whole hierarchy before a run. */
-    std::vector<Addr> flushLines;
-    /** Lines made LLC-resident only (flushed, then LLC-filled). */
-    std::vector<Addr> llcWarmLines;
 };
 
 /** Build the victim/probe program pair for @p params. */
 SmtAttack buildSmtAttack(const SmtAttackParams &params);
 
-/** Outcome of one two-thread trial. */
-struct SmtTrialOutcome
-{
-    /** Sibling-occupancy integral observed by the probe thread. */
-    std::uint64_t score = 0;
-    /** Total cycles of the run. */
-    Tick cycles = 0;
-    /** Both threads ran to Halt. */
-    bool finished = false;
-};
-
-/** Decoder calibration: known-secret scores and the derived rule. */
-struct SmtCalibration
-{
-    std::uint64_t score0 = 0;
-    std::uint64_t score1 = 0;
-    double threshold = 0.0;
-    /** secret=1 produces the higher score. */
-    bool oneIsHigh = false;
-    /** The two scores are separated enough to decode at all — false
-     *  means the scheme closes this channel. */
-    bool usable = false;
-
-    /** Decode one trial score under this calibration. */
-    unsigned decode(std::uint64_t score) const
-    {
-        const bool high = static_cast<double>(score) > threshold;
-        return high == oneIsHigh ? 1u : 0u;
-    }
-};
+/** @name The shared types under the names perfbench/ compiles against. */
+/// @{
+using SmtTrialOutcome = ProbeTrialOutcome;
+using SmtCalibration = ProbeCalibration;
+/// @}
 
 /**
  * Trial harness for the SMT contention channel: owns the hierarchy,
- * memory and the two-thread SmtCore (victim scheme on thread 0, an
+ * memory and a two-thread PipelineEngine (victim scheme on thread 0, an
  * undefended probe on thread 1), and runs prepare/run/score trials.
  */
-class SmtProbeHarness
+class SmtProbeHarness final : public ProbeHarness
 {
   public:
     /** @param smt thread count is forced to 2; sharing policies are
@@ -147,63 +101,45 @@ class SmtProbeHarness
                     SmtConfig smt = SmtConfig{},
                     HierarchyConfig hier = HierarchyConfig::small());
 
-    /** Set up memory/cache/predictor state for one trial. */
-    void prepare(unsigned secret, NoiseModel *noise = nullptr);
+    void prepare(unsigned secret, NoiseModel *noise = nullptr) override;
+    ProbeTrialOutcome runTrial() override;
 
-    /** Run victim + probe and extract the probe's score. */
-    SmtTrialOutcome runTrial();
+    ProbeCalibration calibrate(std::uint64_t min_gap = 8)
+    {
+        return ProbeHarness::calibrate(min_gap);
+    }
 
-    /** Noiseless known-secret runs -> decode rule. */
-    SmtCalibration calibrate(std::uint64_t min_gap = 8);
-
-    SmtCore &core() { return smt_; }
-    const SmtAttack &attack() const { return atk_; }
+    PipelineEngine &core() { return smt_; }
 
   private:
+    PipelineEngine &victimEngine() override { return smt_; }
+
     SmtAttack atk_;
     Hierarchy hier_;
     MainMemory mem_;
-    SmtCore smt_;
+    PipelineEngine smt_;
 };
 
 /** SMT contention channel configuration. */
-struct SmtChannelConfig
+struct SmtChannelConfig : ProbeChannelConfig
 {
-    /** Victim scheme under attack (thread 0). */
-    SchemeKind scheme = SchemeKind::InvisiSpecSpectre;
+    /** Sibling-thread attacks need no prime/probe or eviction sets, so
+     *  the per-trial overhead is small; the port channel's gap is
+     *  narrower than the two-core channels'. */
+    SmtChannelConfig()
+    {
+        perTrialOverheadCycles = 2000;
+        minCalibrationGap = 8;
+    }
+
     SmtAttackParams attack;
     /** Sharing policies for the run (numThreads forced to 2). */
     SmtConfig smt;
-    unsigned trialsPerBit = 3;
-    NoiseConfig noise = NoiseConfig::none();
-    std::uint64_t seed = 42;
-    /** Nominal clock for bits/s conversion (§4.1: 3.6 GHz). */
-    double clockGhz = 3.6;
-    /** Unmodelled per-trial overhead (sibling-thread attacks need no
-     *  prime/probe or eviction sets, so this is small). */
-    std::uint64_t perTrialOverheadCycles = 2000;
-    /** Minimum calibration gap for the channel to count as open. */
-    std::uint64_t minCalibrationGap = 8;
-    /** Core structural configuration (both SMT threads). */
-    CoreConfig core;
-    /** Cache-hierarchy configuration. */
-    HierarchyConfig hier = HierarchyConfig::small();
 };
 
-/** Channel measurement plus the calibration it decoded with. */
-struct SmtChannelResult
-{
-    ChannelResult channel;
-    SmtCalibration calibration;
-};
-
-/**
- * Transmit @p bits over the SMT contention channel against
- * cfg.scheme. If calibration finds no exploitable contention gap (the
- * defense closes the channel), every bit decodes as 0 and the result's
- * calibration.usable is false.
- */
-SmtChannelResult
+/** Transmit @p bits over the SMT contention channel against
+ *  cfg.scheme (ProbeHarness::transmit()). */
+ProbeChannelResult
 runSmtContentionChannel(const std::vector<std::uint8_t> &bits,
                         const SmtChannelConfig &cfg);
 

@@ -6,9 +6,9 @@
  * Core is PipelineEngine with exactly one thread behind the original
  * single-thread API the attack harnesses, benches and examples
  * consume. It adds no pipeline behaviour of its own: every stage runs
- * in the shared engine, and tests/test_smt.cc pins both this façade
- * and SmtCore(1 thread) cycle-for-cycle against golden traces captured
- * from the pre-unification pipeline.
+ * in the shared engine, and tests/test_golden_traces.cc pins both this
+ * façade and a one-thread engine cycle-for-cycle against golden traces
+ * captured from the pre-unification pipeline.
  *
  * The hierarchy and main memory are shared with other agents (the
  * attacker); the predictor is owned but externally trainable, exactly

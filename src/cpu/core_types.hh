@@ -47,9 +47,10 @@ struct CoreConfig
     /**
      * Structural sanity check. @return "" if the configuration is
      * usable, otherwise a description of the first problem (zero-size
-     * structure, issueWidth exceeding the port count, ...). Core,
-     * SmtCore and System call this from their constructors and
-     * fatal() on a non-empty result instead of silently misbehaving.
+     * structure, issueWidth exceeding the port count, ...). The
+     * pipeline engine and System call this from their constructors
+     * and fatal() on a non-empty result instead of silently
+     * misbehaving.
      */
     std::string validate() const;
 };

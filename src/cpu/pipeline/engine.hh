@@ -15,10 +15,25 @@
  * reverse pipeline order so producers wake consumers with a one-cycle
  * boundary.
  *
- * Facades: cpu/core.hh (Core) is this engine with one thread behind
- * the original single-thread API; smt/smt_core.hh (SmtCore) is the
- * N-thread orchestration; system/system.hh steps N engines over one
- * shared Hierarchy via the incremental beginRun()/step() API.
+ * cpu/core.hh (Core) is this engine with one thread behind the
+ * original single-thread API; the SMT attacker placement (§2.1,
+ * attack/smt_probe.hh) runs it directly with two threads;
+ * system/system.hh steps N engines over one shared Hierarchy via the
+ * incremental beginRun()/step() API.
+ *
+ * With N threads, each owns its frontend, branch predictor, ROB,
+ * rename state and speculation-safety scheme, and the finite
+ * structures are shared as SmtConfig says (smt/smt_config.hh):
+ * ROB/RS/LQ/SQ capacity partitioned or competitively shared, fetch
+ * arbitrated round-robin or by ICOUNT, and the issue ports, the L1-D
+ * MSHRs and the core's private caches (one CoreId in the hierarchy)
+ * fully shared. Cross-thread age arbitration (CDB slots, issue order)
+ * uses the core-global dispatch stamp on DynInst, since SeqNums are
+ * per-thread. Squash is strictly per-thread: a mispredict on thread A
+ * flushes only A's ROB/frontend/rename state and releases only A's
+ * ports and MSHRs. With one thread every sharing policy degenerates
+ * and the engine is cycle-identical to the pre-unification Core
+ * (pinned by tests/test_golden_traces.cc).
  *
  * The speculation-safety Scheme (src/spec) is consulted at load issue,
  * at every instruction's issue (fence defenses), and in the scheduler
@@ -68,7 +83,7 @@ class PipelineEngine
   public:
     /**
      * @param name how the façade that owns the engine appears in
-     * runtime diagnostics ("Core", "SmtCore", "System core 2", ...).
+     * runtime diagnostics ("Core", "System core 2", ...).
      * @param config_context prefix for configuration fatal()s
      * ("CoreConfig", "SystemConfig(core 2)", ...); defaults to @p name.
      */
@@ -173,8 +188,8 @@ class PipelineEngine
     Tick nextTransitionAt() const;
     /**
      * The shared stall predicate: no stage can change state this
-     * cycle. The one definition used by fast-forward and by the
-     * Core/SmtCore façades.
+     * cycle. The one definition used by fast-forward and by the Core
+     * façade.
      */
     bool allThreadsStalled() const { return nextTransitionAt() > now_; }
     /** nextTransitionAt() on behalf of a skip attempt, counted as one

@@ -1,24 +1,20 @@
 /**
  * @file
- * Chunked object arena with a freelist.
+ * Flat fixed-capacity slab for strictly nested (LIFO) short-lived
+ * records.
  *
- * The pipeline allocates and frees one DynInst per instruction and the
- * memory hierarchy builds short-lived MemTransaction records on every
- * access; at tens of millions of simulated instructions that heap
- * churn dominates wall-clock time.  Arena<T> replaces it with pooled
- * storage:
+ * The memory hierarchy builds short-lived MemTransaction records on
+ * every access; at tens of millions of simulated instructions heap
+ * churn for them would dominate wall-clock time. A demand transaction
+ * may spawn prefetch transactions, but every inner record is released
+ * before the outer one, so TxnSlab needs no freelist or per-slot
+ * bookkeeping: acquire() is a bump of one index into contiguous
+ * pre-constructed storage, and the active transaction stack stays in
+ * adjacent cache lines.
  *
- *  - objects live in fixed-size chunks that are never moved or freed
- *    while the arena exists, so pointers handed out by create() stay
- *    valid until destroy() or reset() — the Rob can keep raw DynInst
- *    pointers across cycles;
- *  - destroy() runs the destructor and pushes the slot on an intrusive
- *    freelist, so steady-state create/destroy touches no allocator;
- *  - reset() destroys every live object and rebuilds the freelist in
- *    address order, giving deterministic allocation order from run to
- *    run (simulation results must not depend on pool history).
- *
- * Not thread-safe; each engine owns its own arenas.
+ * acquire() value-resets the slot (no construct/destruct per use) and
+ * release() asserts the LIFO discipline, which is what makes the
+ * index-bump sound. Not thread-safe; each hierarchy owns its own.
  */
 
 #ifndef SPECINT_SIM_ARENA_HH
@@ -27,140 +23,11 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
-#include <utility>
 #include <vector>
 
 namespace specint
 {
 
-template <typename T>
-class Arena
-{
-  public:
-    /** @param chunkSlots objects per chunk; also the initial reserve. */
-    explicit Arena(std::size_t chunkSlots = 64)
-        : chunkSlots_(chunkSlots ? chunkSlots : 1)
-    {}
-
-    Arena(const Arena &) = delete;
-    Arena &operator=(const Arena &) = delete;
-
-    ~Arena() { reset(); }
-
-    /** Construct a T in pooled storage; pointer stays valid until
-     *  destroy()/reset(). */
-    template <typename... Args>
-    T *
-    create(Args &&...args)
-    {
-        if (!freeHead_)
-            grow();
-        Slot *slot = freeHead_;
-        freeHead_ = slot->nextFree;
-        T *obj = new (slot->bytes) T(std::forward<Args>(args)...);
-        slot->live = true;
-        ++liveCount_;
-        return obj;
-    }
-
-    /** Destroy an object previously returned by create(). */
-    void
-    destroy(T *obj)
-    {
-        Slot *slot = slotOf(obj);
-        assert(slot->live && "double destroy");
-        obj->~T();
-        slot->live = false;
-        slot->nextFree = freeHead_;
-        freeHead_ = slot;
-        assert(liveCount_ > 0);
-        --liveCount_;
-    }
-
-    /** Destroy all live objects; keep the memory.  The freelist is
-     *  rebuilt in address order so a fresh run allocates slots in the
-     *  same sequence regardless of prior churn. */
-    void
-    reset()
-    {
-        for (auto &chunk : chunks_) {
-            for (std::size_t i = 0; i < chunkSlots_; ++i) {
-                Slot &slot = chunk[i];
-                if (slot.live) {
-                    reinterpret_cast<T *>(slot.bytes)->~T();
-                    slot.live = false;
-                }
-            }
-        }
-        liveCount_ = 0;
-        rebuildFreelist();
-    }
-
-    std::size_t live() const { return liveCount_; }
-    std::size_t capacity() const { return chunks_.size() * chunkSlots_; }
-
-  private:
-    struct Slot
-    {
-        alignas(T) unsigned char bytes[sizeof(T)];
-        bool live = false;
-        Slot *nextFree = nullptr;
-    };
-
-    static Slot *
-    slotOf(T *obj)
-    {
-        // Slot is standard-layout and bytes is its first member, so
-        // the object's address is the slot's address.
-        return reinterpret_cast<Slot *>(
-            reinterpret_cast<unsigned char *>(obj) - offsetof(Slot, bytes));
-    }
-
-    void
-    grow()
-    {
-        chunks_.emplace_back(new Slot[chunkSlots_]);
-        rebuildFreelist();
-    }
-
-    void
-    rebuildFreelist()
-    {
-        freeHead_ = nullptr;
-        // Walk chunks (and slots within them) backwards so the list
-        // pops in address order.
-        for (std::size_t c = chunks_.size(); c-- > 0;) {
-            for (std::size_t i = chunkSlots_; i-- > 0;) {
-                Slot &slot = chunks_[c][i];
-                if (!slot.live) {
-                    slot.nextFree = freeHead_;
-                    freeHead_ = &slot;
-                }
-            }
-        }
-    }
-
-    std::size_t chunkSlots_;
-    std::vector<std::unique_ptr<Slot[]>> chunks_;
-    Slot *freeHead_ = nullptr;
-    std::size_t liveCount_ = 0;
-};
-
-/**
- * Flat fixed-capacity slab for strictly nested (LIFO) short-lived
- * records, e.g. the Hierarchy's in-flight MemTransactions: a demand
- * transaction may spawn prefetch transactions, but every inner record
- * is released before the outer one.  Compared to Arena<T> this drops
- * the freelist and per-slot bookkeeping entirely — acquire() is a
- * bump of one index into contiguous pre-constructed storage, so the
- * active transaction stack stays in adjacent cache lines.
- *
- * acquire() value-resets the slot (no construct/destruct per use) and
- * release() asserts the LIFO discipline, which is what makes the
- * index-bump sound.  Not thread-safe; each hierarchy owns its own.
- */
 template <typename T>
 class TxnSlab
 {

@@ -1,7 +1,6 @@
 /**
  * @file
- * Driver entry points shared by the unified `specsim_bench` binary and
- * the per-scenario thin wrappers (the old bench executables).
+ * Driver entry points of the unified `specsim_bench` binary.
  */
 
 #ifndef SPECINT_SIM_EXPERIMENT_DRIVER_HH
@@ -18,7 +17,7 @@ namespace specint::experiment
  * Run one registered scenario with the given argv: parse flags (the
  * shared layer plus the scenario's extras), execute the sweep, emit
  * the report in the requested format, and return the process exit
- * code. This is the whole main() of a thin wrapper.
+ * code: `specsim_bench <scenario> [flags...]`.
  */
 int runScenarioCli(const ScenarioRegistry &registry,
                    const std::string &scenario_name, int argc,

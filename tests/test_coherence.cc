@@ -334,7 +334,7 @@ TEST_P(CoherenceChannelRecovers, SecretComesThroughTheRequest)
     cfg.attack.kind = kind;
     cfg.trialsPerBit = 1;
 
-    const CoherenceChannelResult res = runCoherenceChannel(bits, cfg);
+    const ProbeChannelResult res = runCoherenceChannel(bits, cfg);
     EXPECT_TRUE(res.calibration.usable)
         << schemeName(scheme) << " closed the "
         << coherenceChannelKindName(kind) << " channel";

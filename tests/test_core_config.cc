@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "cpu/core.hh"
+#include "cpu/pipeline/engine.hh"
 #include "memory/hierarchy.hh"
-#include "smt/smt_core.hh"
 
 namespace specint
 {
@@ -103,13 +103,13 @@ TEST(SmtConfigValidation, DegeneratePartitionIsRejected)
     EXPECT_EQ(validateSmtConfig(smt, core), "");
 }
 
-TEST(SmtConfigValidationDeathTest, SmtCoreConstructorFatalsOnBadConfig)
+TEST(SmtConfigValidationDeathTest, EngineConstructorFatalsOnBadConfig)
 {
     SmtConfig smt;
     smt.numThreads = 0;
     Hierarchy hier(HierarchyConfig::small());
     MainMemory mem;
-    EXPECT_EXIT(SmtCore(CoreConfig{}, smt, 0, hier, mem),
+    EXPECT_EXIT(PipelineEngine(CoreConfig{}, smt, 0, hier, mem),
                 ::testing::ExitedWithCode(1), "numThreads");
 }
 

@@ -7,7 +7,7 @@
  * once through the literal per-cycle tick loop (tests/literal_loop.hh)
  * and once through run(), which skips dead cycles — rotating through
  * the topologies the skip must compose with: a single Core, a
- * two-thread SmtCore, and 2-/4-core Systems with and without the
+ * two-thread PipelineEngine, and 2-/4-core Systems with and without the
  * shared-LLC contention knobs (slice port busy time, finite shared
  * MSHRs). Every cycle count, per-thread stat and final architectural
  * register must match exactly; a mismatch prints the failing
@@ -28,11 +28,11 @@
 
 #include "attack/smt_probe.hh"
 #include "cpu/core.hh"
+#include "cpu/pipeline/engine.hh"
 #include "literal_loop.hh"
 #include "memory/hierarchy.hh"
 #include "sim/obs/metrics.hh"
 #include "sim/rng.hh"
-#include "smt/smt_core.hh"
 #include "spec/scheme.hh"
 #include "system/system.hh"
 #include "workload/generator.hh"
@@ -147,7 +147,7 @@ struct FuzzPoint
 {
     std::uint64_t seed = 0;
     SchemeKind scheme = SchemeKind::Unsafe;
-    unsigned topology = 0;   ///< 0=Core, 1=SmtCore 2T, 2/3=System 2/4c
+    unsigned topology = 0;   ///< 0=Core, 1=engine 2T, 2/3=System 2/4c
     bool contended = false;  ///< shared-LLC port/MSHR limits on
     std::vector<GeneratedWorkload> workloads;
 };
@@ -201,19 +201,18 @@ runSmt(const FuzzPoint &pt, bool literal)
             mem.write(a, v);
     SmtConfig smt;
     smt.numThreads = 2;
-    SmtCore core(CoreConfig{}, smt, 0, hier, mem);
+    PipelineEngine core(CoreConfig{}, smt, 0, hier, mem);
     for (unsigned t = 0; t < 2; ++t)
         core.setScheme(t, makeScheme(pt.scheme));
-    const SmtRunResult run = runEngine(
-        core.engine(), {&pt.workloads[0].prog, &pt.workloads[1].prog},
-        literal);
+    const EngineRunResult run = runEngine(
+        core, {&pt.workloads[0].prog, &pt.workloads[1].prog}, literal);
 
     RunDigest d;
     d.cycles = run.cycles;
     d.finished = run.finished;
     d.threads = run.threads;
     for (unsigned t = 0; t < 2; ++t)
-        d.regHashes.push_back(hashRegs(core.engine(), t));
+        d.regHashes.push_back(hashRegs(core, t));
     return d;
 }
 
@@ -466,8 +465,8 @@ TEST(FastForwardRuleTest, SmtChannelTrialsMatchLiteralLoop)
                 SCOPED_TRACE(what);
                 literal.prepare(secret);
                 skipping.prepare(secret);
-                PipelineEngine &l = literal.core().engine();
-                PipelineEngine &r = skipping.core().engine();
+                PipelineEngine &l = literal.core();
+                PipelineEngine &r = skipping.core();
                 const RunDigest base = digestOf(literalRun(l, progs), l);
                 const RunDigest ff = digestOf(r.run(progs), r);
                 expectDigestsEqual(ff, base, what);

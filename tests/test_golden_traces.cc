@@ -26,11 +26,13 @@
 #include <vector>
 
 #include "attack/channel.hh"
+#include "attack/coherence_probe.hh"
+#include "attack/cross_core_probe.hh"
 #include "attack/smt_probe.hh"
 #include "cpu/core.hh"
+#include "cpu/pipeline/engine.hh"
 #include "literal_loop.hh"
 #include "memory/hierarchy.hh"
-#include "smt/smt_core.hh"
 #include "spec/scheme.hh"
 #include "system/system.hh"
 #include "workload/generator.hh"
@@ -101,8 +103,8 @@ runCore(Core &core, const Program &prog, const EngineVariant &v)
  * One golden data point, captured from the independent pre-refactor
  * Core pipeline (commit affb3f5, before Core/SmtCore were folded into
  * the unified engine) running the fuzz workloads above. Any behaviour
- * change in the unified engine — via the Core façade or SmtCore with
- * one thread, under any engine variant — shows up as a
+ * change in the unified engine — via the Core façade or a one-thread
+ * engine, under any engine variant — shows up as a
  * cycle/stat/register divergence here.
  */
 struct GoldenTrace
@@ -198,7 +200,7 @@ TEST_P(GoldenTraceTest, CoreFacadeMatchesGoldenUnderEveryVariant)
     }
 }
 
-TEST_P(GoldenTraceTest, SingleThreadSmtCoreMatchesGoldenUnderEveryVariant)
+TEST_P(GoldenTraceTest, SingleThreadEngineMatchesGoldenUnderEveryVariant)
 {
     const GoldenTrace &g = GetParam();
     const GeneratedWorkload wl = generateWorkload(fuzzSpec(g.seed));
@@ -208,11 +210,11 @@ TEST_P(GoldenTraceTest, SingleThreadSmtCoreMatchesGoldenUnderEveryVariant)
         MainMemory mem;
         for (const auto &[a, v2] : wl.memInit)
             mem.write(a, v2);
-        SmtCore smt(CoreConfig{}, SmtConfig::singleThread(), 0, hier, mem);
+        PipelineEngine smt(CoreConfig{}, SmtConfig::singleThread(), 0, hier,
+                           mem);
         smt.setScheme(0, makeScheme(g.kind));
-        const SmtRunResult run = v.literal
-                                     ? literalRun(smt.engine(), {&wl.prog})
-                                     : smt.run({&wl.prog});
+        const EngineRunResult run = v.literal ? literalRun(smt, {&wl.prog})
+                                              : smt.run({&wl.prog});
 
         ASSERT_TRUE(run.finished) << schemeName(g.kind) << " " << v.name;
         expectMatchesGolden(
@@ -323,11 +325,11 @@ TEST_P(SmtGoldenTest, TwoThreadRunMatchesGoldenUnderEveryVariant)
             mem.write(a, val);
         SmtConfig smt;
         smt.rsPolicy = g.rs;
-        SmtCore core(CoreConfig{}, smt, 0, hier, mem);
+        PipelineEngine core(CoreConfig{}, smt, 0, hier, mem);
         core.setScheme(0, makeScheme(g.victim));
         const std::vector<const Program *> progs = {&wl0.prog, &wl1.prog};
-        const SmtRunResult run = v.literal ? literalRun(core.engine(), progs)
-                                           : core.run(progs);
+        const EngineRunResult run = v.literal ? literalRun(core, progs)
+                                              : core.run(progs);
         ASSERT_TRUE(run.finished) << v.name;
         for (unsigned t = 0; t < 2; ++t) {
             const ThreadStats &s = run.threads[t];
@@ -572,13 +574,153 @@ TEST(ChannelGoldenTest, SmtChannelVerdictUnchangedByFastForward)
     cfg.scheme = SchemeKind::InvisiSpecSpectre;
     cfg.attack.kind = SmtChannelKind::Port;
     cfg.trialsPerBit = 1;
-    const SmtChannelResult res =
+    const ProbeChannelResult res =
         runSmtContentionChannel(randomBits(8, 123), cfg);
     EXPECT_TRUE(res.calibration.usable);
     EXPECT_EQ(res.channel.bitsSent, 8u);
     EXPECT_EQ(res.channel.bitErrors, 0u);
     EXPECT_EQ(res.channel.discardedTrials, 0u);
     EXPECT_EQ(res.channel.totalCycles, 21890u);
+}
+
+/** The known-secret calibration of one two-agent channel kind under
+ *  one scheme: default harness, default gap. */
+struct CalibrationPin
+{
+    std::uint64_t score0, score1;
+    bool usable;
+};
+
+constexpr SchemeKind kPinSchemes[] = {
+    SchemeKind::Unsafe, SchemeKind::InvisiSpecSpectre,
+    SchemeKind::DomNonTso, SchemeKind::FenceSpectre};
+
+struct ChannelPins
+{
+    const char *kind;
+    /** One pin per kPinSchemes entry. */
+    CalibrationPin pins[4];
+};
+
+constexpr ChannelPins kCalibrationPins[] = {
+    {"smt-port", {{0, 30, true}, {0, 30, true}, {0, 30, true},
+                  {0, 0, false}}},
+    {"smt-mshr", {{168, 562, true}, {168, 562, true}, {112, 112, false},
+                  {112, 112, false}}},
+    {"occupancy", {{7470, 8778, true}, {7470, 8778, true},
+                   {7242, 7242, false}, {7242, 7242, false}}},
+    {"eviction", {{896, 4096, true}, {896, 896, false}, {896, 896, false},
+                  {896, 896, false}}},
+    {"invalidation", {{4, 96, true}, {4, 56, true}, {4, 4, false},
+                      {4, 4, false}}},
+    {"prefetch", {{896, 4096, true}, {896, 4096, true}, {896, 896, false},
+                  {896, 896, false}}},
+};
+
+/** Calibrate a harness of @p kind with only its channel kind set. */
+ProbeCalibration
+calibrateDefault(const std::string &kind, SchemeKind scheme)
+{
+    if (kind == "smt-port" || kind == "smt-mshr") {
+        SmtAttackParams p;
+        p.kind = kind == "smt-port" ? SmtChannelKind::Port
+                                    : SmtChannelKind::Mshr;
+        return SmtProbeHarness(buildSmtAttack(p), scheme).calibrate();
+    }
+    if (kind == "occupancy" || kind == "eviction") {
+        CrossCoreAttackParams p;
+        p.kind = kind == "occupancy" ? CrossCoreChannelKind::Occupancy
+                                     : CrossCoreChannelKind::Eviction;
+        return CrossCoreHarness(p, scheme).calibrate();
+    }
+    CoherenceAttackParams p;
+    p.kind = kind == "invalidation" ? CoherenceChannelKind::Invalidation
+                                    : CoherenceChannelKind::PrefetchTraining;
+    return CoherenceHarness(p, scheme).calibrate();
+}
+
+TEST(ChannelGoldenTest, ProbeCalibrationScoresArePinned)
+{
+    for (const ChannelPins &row : kCalibrationPins) {
+        for (unsigned s = 0; s < 4; ++s) {
+            const ProbeCalibration cal =
+                calibrateDefault(row.kind, kPinSchemes[s]);
+            const CalibrationPin &want = row.pins[s];
+            const std::string what =
+                std::string(row.kind) + " " + schemeName(kPinSchemes[s]);
+            EXPECT_EQ(cal.score0, want.score0) << what;
+            EXPECT_EQ(cal.score1, want.score1) << what;
+            EXPECT_EQ(cal.usable, want.usable) << what;
+        }
+    }
+}
+
+/** One noisy transmission per channel family: 12 random bits under
+ *  the calibrated noise model, every other knob at its default. */
+ProbeChannelResult
+transmitNoisy(const std::string &family, SchemeKind scheme)
+{
+    const std::vector<std::uint8_t> bits = randomBits(12, 77);
+    if (family == "smt") {
+        SmtChannelConfig cfg;
+        cfg.scheme = scheme;
+        cfg.attack.kind = SmtChannelKind::Mshr;
+        cfg.noise = NoiseConfig::calibrated();
+        return runSmtContentionChannel(bits, cfg);
+    }
+    if (family == "cross-core") {
+        CrossCoreChannelConfig cfg;
+        cfg.scheme = scheme;
+        cfg.attack.kind = CrossCoreChannelKind::Occupancy;
+        cfg.noise = NoiseConfig::calibrated();
+        return runCrossCoreChannel(bits, cfg);
+    }
+    CoherenceChannelConfig cfg;
+    cfg.scheme = scheme;
+    cfg.attack.kind = CoherenceChannelKind::Invalidation;
+    cfg.noise = NoiseConfig::calibrated();
+    return runCoherenceChannel(bits, cfg);
+}
+
+TEST(ChannelGoldenTest, NoisyProbeTransmissionsArePinned)
+{
+    // The vote loop's prepare/run order fixes the order in which the
+    // trials draw from the shared noise model; these pin it.
+    struct Pin
+    {
+        const char *family;
+        unsigned bitsSent, bitErrors;
+        std::uint64_t totalCycles;
+    };
+    constexpr Pin kPins[] = {
+        {"smt", 12, 0, 85279},
+        {"cross-core", 12, 0, 210510},
+        {"coherence", 12, 1, 184885},
+    };
+    for (const Pin &want : kPins) {
+        const ProbeChannelResult res =
+            transmitNoisy(want.family, SchemeKind::InvisiSpecSpectre);
+        EXPECT_TRUE(res.calibration.usable) << want.family;
+        EXPECT_EQ(res.channel.bitsSent, want.bitsSent) << want.family;
+        EXPECT_EQ(res.channel.bitErrors, want.bitErrors) << want.family;
+        EXPECT_EQ(res.channel.totalCycles, want.totalCycles)
+            << want.family;
+    }
+}
+
+TEST(ChannelGoldenTest, ClosedProbeChannelRunsNoTrial)
+{
+    // A fence keeps every gadget from issuing, so calibration finds no
+    // gap: no trial runs and every bit decodes as 0, which costs one
+    // error per one-bit of the message.
+    for (const char *family : {"smt", "cross-core", "coherence"}) {
+        const ProbeChannelResult res =
+            transmitNoisy(family, SchemeKind::FenceSpectre);
+        EXPECT_FALSE(res.calibration.usable) << family;
+        EXPECT_EQ(res.channel.bitsSent, 12u) << family;
+        EXPECT_EQ(res.channel.bitErrors, 5u) << family;
+        EXPECT_EQ(res.channel.totalCycles, 0u) << family;
+    }
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "cpu/core.hh"
+#include "cpu/pipeline/engine.hh"
 #include "memory/hierarchy.hh"
 #include "sim/experiment/report.hh"
 #include "sim/experiment/runner.hh"
@@ -20,7 +21,6 @@
 #include "sim/obs/metrics.hh"
 #include "sim/obs/profile.hh"
 #include "sim/obs/trace.hh"
-#include "smt/smt_core.hh"
 
 namespace specint
 {
@@ -359,11 +359,11 @@ TEST_F(ObservabilityTest, FastForwardEfficacyPublished)
     {
         Hierarchy hier(HierarchyConfig::small());
         MainMemory mem;
-        SmtCore core(tinyCoreConfig(), SmtConfig{}, 0, hier, mem);
+        PipelineEngine core(tinyCoreConfig(), SmtConfig{}, 0, hier, mem);
         const Program prog = tinyProgram();
         core.run({&prog, &prog});
     }
-    expect_skipped("two-thread SmtCore");
+    expect_skipped("two-thread engine");
     obs::setMetricsEnabled(false);
 }
 

@@ -13,9 +13,9 @@
 
 #include "attack/smt_probe.hh"
 #include "cpu/core.hh"
+#include "cpu/pipeline/engine.hh"
 #include "memory/hierarchy.hh"
 #include "smt/fetch_arbiter.hh"
-#include "smt/smt_core.hh"
 #include "workload/generator.hh"
 
 namespace specint
@@ -118,8 +118,8 @@ TEST(SmtCoreTest, TwoThreadsComputeTheSameResultsAsAlone)
             Hierarchy hier(HierarchyConfig::small());
             MainMemory mem;
             init_mem(mem);
-            SmtCore core(CoreConfig{}, smt, 0, hier, mem);
-            const SmtRunResult run =
+            PipelineEngine core(CoreConfig{}, smt, 0, hier, mem);
+            const EngineRunResult run =
                 core.run({&wl_mem.prog, &wl_cpu.prog});
             ASSERT_TRUE(run.finished) << smtConfigName(smt);
             for (unsigned r = 0; r < kNumRegs; ++r) {
@@ -163,8 +163,8 @@ TEST(SmtCoreTest, SiblingMispredictDoesNotFlushOtherThread)
     Hierarchy hier(HierarchyConfig::small());
     MainMemory mem;
     mem.write(kVal, 10); // 5 < 10: branch actually taken
-    SmtCore core(CoreConfig{}, SmtConfig{}, 0, hier, mem);
-    const SmtRunResult run = core.run({&a, &b});
+    PipelineEngine core(CoreConfig{}, SmtConfig{}, 0, hier, mem);
+    const EngineRunResult run = core.run({&a, &b});
 
     ASSERT_TRUE(run.finished);
     EXPECT_GE(run.threads[0].mispredicts, 1u);
@@ -317,11 +317,11 @@ TEST(SmtCoreTest, PartitionedRsProtectsSiblingFromCongestion)
         smt.fetchPolicy = fp;
         Hierarchy hier(HierarchyConfig::small());
         MainMemory mem;
-        SmtCore core(CoreConfig{}, smt, 0, hier, mem);
+        PipelineEngine core(CoreConfig{}, smt, 0, hier, mem);
         for (const Program *p : {&a, &b})
             for (unsigned pc = 0; pc < p->size(); ++pc)
                 hier.access(0, p->instLine(pc), AccessType::Instr, 0);
-        const SmtRunResult run = core.run({&a, &b});
+        const EngineRunResult run = core.run({&a, &b});
         EXPECT_TRUE(run.finished);
         return run.threads[1].cycles;
     };
@@ -390,8 +390,8 @@ TEST(SmtCoreTest, FetchArbitrationIsFairForSymmetricThreads)
         smt.fetchPolicy = fp;
         Hierarchy hier(HierarchyConfig::small());
         MainMemory mem;
-        SmtCore core(CoreConfig{}, smt, 0, hier, mem);
-        const SmtRunResult run = core.run({&wl0.prog, &wl1.prog});
+        PipelineEngine core(CoreConfig{}, smt, 0, hier, mem);
+        const EngineRunResult run = core.run({&wl0.prog, &wl1.prog});
         ASSERT_TRUE(run.finished);
         const auto g0 = run.threads[0].fetchGrants;
         const auto g1 = run.threads[1].fetchGrants;
@@ -421,7 +421,7 @@ TEST_P(SmtChannelRecovers, SecretComesThroughContention)
     cfg.attack.kind = kind;
     cfg.trialsPerBit = 1;
 
-    const SmtChannelResult res = runSmtContentionChannel(bits, cfg);
+    const ProbeChannelResult res = runSmtContentionChannel(bits, cfg);
     EXPECT_TRUE(res.calibration.usable)
         << schemeName(scheme) << " closed the "
         << smtChannelKindName(kind) << " channel";
@@ -449,15 +449,6 @@ INSTANTIATE_TEST_SUITE_P(
                     : "_mshr");
     });
 
-TEST(SmtChannelTest, FenceDefenseClosesTheChannel)
-{
-    SmtChannelConfig cfg;
-    cfg.scheme = SchemeKind::FenceSpectre;
-    const SmtChannelResult res =
-        runSmtContentionChannel(randomBits(4, 1), cfg);
-    EXPECT_FALSE(res.calibration.usable);
-}
-
 TEST(SmtChannelTest, ChannelSurvivesPartitionedWindowResources)
 {
     // Partitioning ROB/RS/LQ/SQ does NOT close the channel: ports and
@@ -466,7 +457,7 @@ TEST(SmtChannelTest, ChannelSurvivesPartitionedWindowResources)
     cfg.scheme = SchemeKind::InvisiSpecSpectre;
     cfg.smt.robPolicy = cfg.smt.rsPolicy = cfg.smt.lqPolicy =
         cfg.smt.sqPolicy = SharingPolicy::Partitioned;
-    const SmtChannelResult res =
+    const ProbeChannelResult res =
         runSmtContentionChannel(randomBits(8, 5), cfg);
     EXPECT_TRUE(res.calibration.usable);
     EXPECT_EQ(res.channel.bitErrors, 0u);

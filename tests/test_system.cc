@@ -383,7 +383,7 @@ TEST_P(CrossCoreChannelRecovers, SecretComesThroughTheSharedLlc)
     cfg.attack.kind = kind;
     cfg.trialsPerBit = 1;
 
-    const CrossCoreChannelResult res = runCrossCoreChannel(bits, cfg);
+    const ProbeChannelResult res = runCrossCoreChannel(bits, cfg);
     EXPECT_TRUE(res.calibration.usable)
         << schemeName(scheme) << " closed the "
         << crossCoreChannelKindName(kind) << " channel";
