@@ -8,6 +8,7 @@
 
 #include "cpu/core.hh"
 
+#include "cpu/rob.hh"
 #include "sim/log.hh"
 
 namespace specint
@@ -27,6 +28,11 @@ CoreConfig::validate() const
     for (const auto &p : positives) {
         if (p.value == 0)
             return std::string(p.name) + " must be nonzero";
+    }
+    if (robSize > kMaxRobSize) {
+        return "robSize (" + std::to_string(robSize) +
+               ") exceeds the largest ROB a per-slot set indexes (" +
+               std::to_string(kMaxRobSize) + ")";
     }
     if (issueWidth > kNumPorts) {
         return "issueWidth (" + std::to_string(issueWidth) +

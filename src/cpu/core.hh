@@ -47,12 +47,6 @@ class Core
     }
 
     BranchPredictor &predictor() { return engine_.predictor(0); }
-    /** The engine's shared stall predicate (no stage can transition
-     *  this cycle) — the same definition fast-forward uses. */
-    bool allThreadsStalled() const
-    {
-        return engine_.allThreadsStalled();
-    }
     const CoreConfig &config() const { return engine_.config(); }
     CoreId id() const { return engine_.id(); }
     Hierarchy &hierarchy() { return engine_.hierarchy(); }

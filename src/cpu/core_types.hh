@@ -27,6 +27,7 @@ struct CoreConfig
     unsigned issueWidth = 8;
     unsigned retireWidth = 4;
 
+    /** At most kMaxRobSize (cpu/rob.hh). */
     unsigned robSize = 224;
     unsigned rsSize = 97;
     unsigned lqSize = 72;

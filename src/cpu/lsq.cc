@@ -115,7 +115,7 @@ Lsq::check(const DynInst &load, const Rob &rob,
             break; // younger than the load: cannot conflict
         const DynInst *inst = rob.find(seq);
         assert(inst && inst->isStore());
-        if (!inst->executed()) {
+        if (!inst->writtenBack()) {
             // Address (and data) not known yet: conservative stall.
             res.blocked = true;
             return res;

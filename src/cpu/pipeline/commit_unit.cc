@@ -66,14 +66,13 @@ CommitUnit::retire(std::vector<std::unique_ptr<ThreadContext>> &threads,
                     hier_.access(id_, h.effAddr(), AccessType::Data, now,
                                  MemIntent::Read, /*train=*/false);
                     h.exposurePending = false;
-                    --th.pendingVisibility;
                 }
                 if (h.deferredTouchPending) {
                     hier_.l1DeferredTouch(id_, h.effAddr(),
                                           AccessType::Data);
                     h.deferredTouchPending = false;
-                    --th.pendingVisibility;
                 }
+                th.pendingVisibility.erase(th.rob.slotOf(h));
             }
             if (h.ifetchExposureLine() != kAddrInvalid) {
                 hier_.access(id_, h.ifetchExposureLine(), AccessType::Instr,
@@ -174,11 +173,10 @@ CommitUnit::wakeConsumers(ThreadContext &th, const DynInst &producer,
 void
 CommitUnit::resolveBranch(ThreadContext &th, DynInst &br, Tick now)
 {
-    assert(br.isBranch() && !br.resolved);
+    assert(br.isBranch() && th.unresolvedBranches.contains(th.rob.slotOf(br)));
     br.actualTaken() = evalCond(br.si().cond, br.src1Val(), br.src2Val());
     br.mispredicted() = br.actualTaken() != br.predictedTaken();
-    br.resolved = true;
-    --th.numUnresolvedBranches;
+    th.unresolvedBranches.erase(th.rob.slotOf(br));
     th.predictor.update(br.pc(), br.actualTaken());
     ++th.stats.branches;
     if (br.mispredicted()) {
@@ -191,65 +189,44 @@ void
 CommitUnit::writeback(std::vector<std::unique_ptr<ThreadContext>> &threads,
                       Tick now)
 {
-    // One pass over each thread's inflight queue (maintained at issue,
-    // revalidated and compacted here) replaces the two
-    // full-window walks this stage used to make: the few Issued
-    // entries are the only ones that can complete. Within a thread,
-    // completions act in age order — branches resolve (and a
-    // mispredict squashes every younger completion) before value
-    // producers join the global CDB arbitration below. Branches
-    // produce no value and do not contend for CDB slots.
+    // Each thread's Issued entries are the members of its issued set,
+    // walked oldest first: the only entries that can complete. Within
+    // a thread, completions act in age order — branches resolve (and a
+    // mispredict squashes every younger entry) before value producers
+    // join the global CDB arbitration below. Branches produce no value
+    // and do not contend for CDB slots.
     cands_.clear();
     for (auto &tp : threads) {
         ThreadContext &th = *tp;
         if (now < th.minWbAt)
             continue; // no Issued entry of this thread completes yet
-        // Recompute the thread's writeback bound while collecting: the
+        // Recompute the thread's writeback bound while walking: the
         // earliest completion among Issued entries still in flight.
-        // Completed entries that lose CDB arbitration below re-arm it
-        // to now + 1. (Entries a squash below removes may be counted
-        // here — a harmlessly early bound: the next pass drops them.)
-        wbDone_.clear();
+        // Complete entries that lose CDB arbitration below re-arm it
+        // to now + 1.
         Tick new_min = kTickMax;
-        std::size_t keep = 0;
-        for (const SeqNum seq : th.inflightQ) {
-            DynInst *inst = th.rob.find(seq);
-            if (!inst || inst->state != InstState::Issued)
-                continue; // stale: written back, squashed, or reused
-            th.inflightQ[keep++] = seq;
-            if (inst->completeAt <= now)
-                wbDone_.push_back(inst);
-            else
-                new_min = std::min(new_min, inst->completeAt);
-        }
-        th.inflightQ.resize(keep);
-        th.minWbAt = new_min;
-        if (wbDone_.empty())
-            continue;
-        // Queue order is issue order, not age order; a squashed,
-        // reused and re-issued seq can also appear twice, resolving to
-        // the same (adjacent after the sort) instruction — acting on
-        // it twice would double-count a CDB slot.
-        std::sort(wbDone_.begin(), wbDone_.end(),
-                  [](const DynInst *a, const DynInst *b) {
-                      return a->seq < b->seq;
-                  });
-        const DynInst *prev = nullptr;
-        for (DynInst *inst : wbDone_) {
-            if (inst == prev)
-                continue; // duplicate queue entry for a reused seq
-            prev = inst;
-            if (inst->isBranch()) {
-                inst->state = InstState::WrittenBack;
-                inst->wbAt() = now;
-                ports_.releaseIfHeldBy(inst->seq, th.tid);
-                resolveBranch(th, *inst, now);
-                if (inst->mispredicted())
-                    break; // every younger completion was just squashed
-            } else {
-                cands_.emplace_back(&th, inst);
+        const std::size_t head = th.rob.headSlot();
+        for (std::size_t age = th.issued.nextByAge(head, 0);
+             age != SlotSet::kNone;
+             age = th.issued.nextByAge(head, age + 1)) {
+            DynInst &inst = *th.rob.at(age);
+            if (inst.completeAt > now) {
+                new_min = std::min(new_min, inst.completeAt);
+                continue;
             }
+            if (!inst.isBranch()) {
+                cands_.emplace_back(&th, &inst);
+                continue;
+            }
+            inst.state = InstState::WrittenBack;
+            inst.wbAt() = now;
+            th.issued.erase(th.rob.slotOf(inst));
+            ports_.releaseIfHeldBy(inst.seq, th.tid);
+            resolveBranch(th, inst, now);
+            if (inst.mispredicted())
+                break; // every younger entry was just squashed
         }
+        th.minWbAt = new_min;
     }
 
     // Value-producing instructions from all threads arbitrate for the
@@ -274,10 +251,10 @@ CommitUnit::writeback(std::vector<std::unique_ptr<ThreadContext>> &threads,
         }
         inst->state = InstState::WrittenBack;
         inst->wbAt() = now;
-        if (inst->isLoad())
-            --th->numIncompleteLoads;
-        else if (inst->isStore())
-            --th->numIncompleteStores;
+        const std::size_t slot = th->rob.slotOf(*inst);
+        th->issued.erase(slot);
+        th->incompleteLoads.erase(slot);
+        th->incompleteStores.erase(slot);
         ports_.releaseIfHeldBy(inst->seq, th->tid);
         wakeConsumers(*th, *inst, now);
         --slots;
@@ -290,27 +267,15 @@ CommitUnit::squashAfter(ThreadContext &th, const DynInst &br, Tick now)
     const SeqNum bound = br.seq;
 
     // Release structural resources held by this thread's squashed
-    // instructions; a sibling's holdings are untouched.
-    for (auto &inst : th.rob) {
-        if (inst.seq <= bound)
-            continue;
-        th.readySet.erase(th.rob.slotOf(inst));
+    // instructions (every entry after the branch); a sibling's
+    // holdings are untouched.
+    const std::size_t first =
+        static_cast<std::size_t>(bound - th.rob.head().seq) + 1;
+    for (std::size_t i = first; i < th.rob.size(); ++i) {
+        DynInst &inst = *th.rob.at(i);
+        th.forgetSlot(th.rob.slotOf(inst));
         rs_.release(inst);
         lsq_.release(inst);
-        if (inst.exposurePending)
-            --th.pendingVisibility;
-        if (inst.deferredTouchPending)
-            --th.pendingVisibility;
-        if (inst.isBranch()) {
-            if (!inst.resolved)
-                --th.numUnresolvedBranches;
-        } else if (inst.isLoad()) {
-            if (!inst.executed())
-                --th.numIncompleteLoads;
-        } else if (inst.isStore()) {
-            if (!inst.executed())
-                --th.numIncompleteStores;
-        }
     }
     th.rob.squashYoungerThan(bound);
     while (!th.storeSeqs.empty() && th.storeSeqs.back() > bound)

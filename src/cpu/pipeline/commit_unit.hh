@@ -71,9 +71,6 @@ class CommitUnit
 
     /** Reused CDB-arbitration buffer (hot path: no per-cycle alloc). */
     std::vector<std::pair<ThreadContext *, DynInst *>> cands_;
-    /** Per-thread completions collected from the inflight queue each
-     *  writeback pass (reused scratch, age-sorted before acting). */
-    std::vector<DynInst *> wbDone_;
 
     /** Cached event-trace track ids, indexed by thread. */
     std::vector<std::uint32_t> threadTraceTracks_;

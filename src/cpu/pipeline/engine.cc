@@ -302,6 +302,8 @@ PipelineEngine::nextTransitionAt(FfProbe &probe) const
     for (const auto &tp : threads_) {
         const ThreadContext &th = *tp;
 
+        // Each stage's gate in tick order; the window stages visit only
+        // their own per-slot set.
         // Retire: the head retires the cycle it is found written back.
         if (!th.rob.empty() &&
             th.rob.head().state == InstState::WrittenBack) {
@@ -309,57 +311,51 @@ PipelineEngine::nextTransitionAt(FfProbe &probe) const
             return now_;
         }
 
-        const SafePoint sp = th.scheme->safePoint();
-        // The running shadow state is folded into this single walk
-        // (the shadowStep recurrence): each instruction sees the
-        // shadows of strictly older entries.
-        ShadowInfo running;
-        for (const auto &inst : th.rob) {
-            const ShadowInfo sh = running;
-            shadowStep(running, inst);
-
-            if (inst.state == InstState::Issued) {
-                // Writeback (and branch resolution / squash) fires the
-                // cycle completeAt is reached; a completed instruction
-                // that lost CDB arbitration re-arbitrates every cycle.
-                if (inst.completeAt <= now_) {
-                    gate = FfGate::Writeback;
-                    return now_;
-                }
-                next = std::min(next, inst.completeAt);
-                continue;
+        // Writeback (and branch resolution / squash) fires the cycle an
+        // Issued entry's completeAt is reached; a completed entry that
+        // lost CDB arbitration re-arbitrates every cycle.
+        const std::size_t head = th.rob.headSlot();
+        for (std::size_t age = th.issued.nextByAge(head, 0);
+             age != SlotSet::kNone;
+             age = th.issued.nextByAge(head, age + 1)) {
+            const Tick t = th.rob.at(age)->completeAt;
+            if (t <= now_) {
+                gate = FfGate::Writeback;
+                return now_;
             }
+            next = std::min(next, t);
+        }
 
-            // Safety stage: an executed load with a pending visibility
-            // op transitions the cycle it becomes safe. If it is not
-            // safe now, it can only become safe after another captured
-            // event (branch resolution, load completion, retire).
-            if (inst.isLoad() && inst.executed() &&
-                (inst.exposurePending || inst.deferredTouchPending) &&
-                th.isSafe(inst, sh, sp)) {
+        // Safety: a written-back load with a pending visibility op
+        // transitions the cycle it is inside the safe prefix. Outside
+        // it, it can only become safe after another captured event
+        // (branch resolution, load completion, retire).
+        const Frontiers f = th.frontiers();
+        const std::size_t safe = safeUpTo(f, th.scheme->safePoint());
+        for (std::size_t age = th.pendingVisibility.nextByAge(head, 0);
+             age != SlotSet::kNone && age <= safe;
+             age = th.pendingVisibility.nextByAge(head, age + 1)) {
+            if (th.rob.at(age)->writtenBack()) {
                 gate = FfGate::Safety;
                 return now_;
             }
+        }
 
-            if (inst.state != InstState::Dispatched ||
-                !inst.src1Ready || !inst.src2Ready) {
-                continue;
-            }
-
+        // Issue: the ready set's candidates.
+        for (std::size_t age = th.readySet.nextByAge(head, 0);
+             age != SlotSet::kNone;
+             age = th.readySet.nextByAge(head, age + 1)) {
+            const DynInst &inst = *th.rob.at(age);
             // Statically blocked candidates: the issue stage skips them
             // with no state change, and they can only unblock after an
             // event already captured above. Mirror its gates exactly.
-            if (inst.loadPhase == LoadPhase::WaitSafe &&
-                !th.isSafe(inst, sh, sp)) {
+            if (inst.loadPhase == LoadPhase::WaitSafe && age > safe)
                 continue;
-            }
-            if (inst.isFence() &&
-                th.rob.head().seq != inst.seq) {
+            if (inst.isFence() && age != 0)
                 continue;
-            }
             IssueContext ctx;
-            ctx.olderUnresolvedBranch = sh.olderUnresolvedBranch;
-            ctx.olderIncompleteLoad = sh.olderIncompleteLoad;
+            ctx.olderUnresolvedBranch = f.branch < age;
+            ctx.olderIncompleteLoad = f.load < age;
             ctx.isLoad = inst.isLoad();
             ctx.isBranch = inst.isBranch();
             if (!th.scheme->mayIssue(ctx))
@@ -529,57 +525,57 @@ PipelineEngine::checkInvariants() const
 {
     for (const auto &tp : threads_) {
         const ThreadContext &th = *tp;
-        auto who = [&th] {
-            return "thread " + std::to_string(th.tid) + ": ";
-        };
 
-        // One pass over the live entries: each slot's ready bit must
-        // match the candidate condition, and the counters a recount.
-        std::size_t candidates = 0;
-        unsigned branches = 0, loads = 0, stores = 0, visibility = 0;
+        // Rebuild every per-slot set from the ROB in one pass.
+        const std::size_t slots = th.rob.capacity();
+        SlotSet ready(slots), issued(slots), branches(slots), loads(slots),
+            stores(slots), visibility(slots);
         for (const DynInst &inst : th.rob) {
-            const bool cand = inst.state == InstState::Dispatched &&
-                              inst.src1Ready && inst.src2Ready;
-            if (th.readySet.contains(th.rob.slotOf(inst)) != cand) {
-                return who() + "ready bit of seq " +
-                       std::to_string(inst.seq) +
-                       (cand ? " clear for a candidate"
-                             : " set for a non-candidate");
-            }
-            candidates += cand;
-            if (inst.isBranch() && !inst.resolved)
-                ++branches;
-            if (inst.isLoad() && !inst.executed())
-                ++loads;
-            if (inst.isStore() && !inst.executed())
-                ++stores;
-            visibility += inst.exposurePending;
-            visibility += inst.deferredTouchPending;
+            const std::size_t s = th.rob.slotOf(inst);
+            if (inst.state == InstState::Dispatched && inst.src1Ready &&
+                inst.src2Ready)
+                ready.insert(s);
+            if (inst.state == InstState::Issued)
+                issued.insert(s);
+            if (inst.isBranch() && !inst.writtenBack())
+                branches.insert(s);
+            if (inst.isLoad() && !inst.writtenBack())
+                loads.insert(s);
+            if (inst.isStore() && !inst.writtenBack())
+                stores.insert(s);
+            if (inst.exposurePending || inst.deferredTouchPending)
+                visibility.insert(s);
         }
-        // Every live slot matched, so any surplus member is a slot no
-        // entry holds.
-        if (th.readySet.count() != candidates) {
-            return who() + "ready set has " +
-                   std::to_string(th.readySet.count() - candidates) +
-                   " member(s) in dead slots";
-        }
-        auto mismatch = [&](const char *what, unsigned kept,
-                            unsigned counted) {
-            return who() + what + " is " + std::to_string(kept) +
-                   ", ROB recount " + std::to_string(counted);
+
+        // Compare word for word; only a mismatch pays for naming it.
+        const struct
+        {
+            const char *name;
+            const SlotSet &kept;
+            const SlotSet &rebuilt;
+        } sets[] = {
+            {"readySet", th.readySet, ready},
+            {"issued", th.issued, issued},
+            {"unresolvedBranches", th.unresolvedBranches, branches},
+            {"incompleteLoads", th.incompleteLoads, loads},
+            {"incompleteStores", th.incompleteStores, stores},
+            {"pendingVisibility", th.pendingVisibility, visibility},
         };
-        if (th.numUnresolvedBranches != branches)
-            return mismatch("numUnresolvedBranches",
-                            th.numUnresolvedBranches, branches);
-        if (th.numIncompleteLoads != loads)
-            return mismatch("numIncompleteLoads", th.numIncompleteLoads,
-                            loads);
-        if (th.numIncompleteStores != stores)
-            return mismatch("numIncompleteStores", th.numIncompleteStores,
-                            stores);
-        if (th.pendingVisibility != visibility)
-            return mismatch("pendingVisibility", th.pendingVisibility,
-                            visibility);
+        for (const auto &set : sets) {
+            if (set.kept == set.rebuilt)
+                continue;
+            const std::string where = "thread " + std::to_string(th.tid) +
+                                      ": " + set.name;
+            for (const DynInst &inst : th.rob) {
+                const std::size_t s = th.rob.slotOf(inst);
+                if (set.kept.contains(s) != set.rebuilt.contains(s)) {
+                    return where +
+                           (set.kept.contains(s) ? " holds" : " misses") +
+                           " seq " + std::to_string(inst.seq);
+                }
+            }
+            return where + " has a member in a dead slot";
+        }
     }
     return {};
 }

@@ -186,18 +186,12 @@ class PipelineEngine
      * loop would).
      */
     Tick nextTransitionAt() const;
-    /**
-     * The shared stall predicate: no stage can change state this
-     * cycle. The one definition used by fast-forward and by the Core
-     * façade.
-     */
-    bool allThreadsStalled() const { return nextTransitionAt() > now_; }
     /** nextTransitionAt() on behalf of a skip attempt, counted as one
      *  fast-forward probe (core<N>.ff.probes). While metrics are
      *  armed, a probe that finds a transition due now is also counted
-     *  under the stage gate that found it (core<N>.ff.blocked.*). The
-     *  probe also records which threads' port denials repeat over the
-     *  span, for fastForwardTo(). */
+     *  under the first stage, in tick order, that has one
+     *  (core<N>.ff.blocked.*). The probe also records which threads'
+     *  port denials repeat over the span, for fastForwardTo(). */
     Tick probeTransition();
     /** Skip dead cycles up to @p bound. @return cycles skipped. */
     Tick fastForward(Tick bound);
@@ -219,12 +213,12 @@ class PipelineEngine
     /// @}
 
     /**
-     * Check the incremental scheduling state against the ROB: each
-     * thread's ready set holds exactly the live, Dispatched entries
-     * with both sources ready, and the unresolved-branch /
-     * incomplete-load / incomplete-store counters and the
-     * pending-visibility count equal a recount. @return a description
-     * of the first violation, empty when all hold. A full-window scan
+     * Check each thread's six per-slot sets (ThreadContext: readySet,
+     * issued, unresolvedBranches, incompleteLoads, incompleteStores,
+     * pendingVisibility) against the ROB: each set is rebuilt from the
+     * live entries in one pass and compared word for word, so a member
+     * in a dead slot fails too. @return a description of the first
+     * violation (set and seq), empty when all hold. A full-window scan
      * for tests (tests/literal_loop.hh runs it after every cycle);
      * run() never calls it.
      */
@@ -250,11 +244,11 @@ class PipelineEngine
     };
     static constexpr unsigned kNumFfGates = 6;
 
-    /** What a nextTransitionAt() walk finds besides the time. */
+    /** What a nextTransitionAt() probe finds besides the time. */
     struct FfProbe
     {
-        /** The stage gate that returned now() (left untouched when
-         *  the result is in the future). */
+        /** The first stage gate, in tick order, with a transition due
+         *  now() (left untouched when the result is in the future). */
         FfGate gate = FfGate::Retire;
         /** Bit t: thread t has an issue candidate denied a port a
          *  sibling holds, so its portContended flag is set on every

@@ -93,14 +93,15 @@ FrontUnit::dispatch(std::vector<std::unique_ptr<ThreadContext>> &threads,
             th->renameMap[si.dst] = stored.seq;
 
         rs_.allocate(stored);
+        const std::size_t slot = th->rob.slotOf(stored);
         if (stored.src1Ready && stored.src2Ready)
-            th->readySet.insert(th->rob.slotOf(stored));
+            th->readySet.insert(slot);
         if (stored.isBranch()) {
-            ++th->numUnresolvedBranches;
+            th->unresolvedBranches.insert(slot);
         } else if (stored.isLoad()) {
-            ++th->numIncompleteLoads;
+            th->incompleteLoads.insert(slot);
         } else if (stored.isStore()) {
-            ++th->numIncompleteStores;
+            th->incompleteStores.insert(slot);
             th->storeSeqs.push_back(stored.seq);
         }
         ++th->nextSeq;
@@ -140,9 +141,8 @@ FrontUnit::fetch(std::vector<std::unique_ptr<ThreadContext>> &threads,
     ++th.stats.fetchGrants;
 
     const auto ifetch = [&](Addr line) -> IFetchResult {
-        // The unresolved-branch counter is exactly the old whole-ROB
-        // "any unresolved branch" scan.
-        const bool speculative = th.numUnresolvedBranches > 0;
+        // Speculating iff the thread holds any unresolved branch.
+        const bool speculative = th.frontiers().branch != SlotSet::kNone;
         if (th.scheme->protectsIFetch() && speculative) {
             const MemAccessResult res = hier_.accessInvisible(
                 id_, line, AccessType::Instr, now);

@@ -23,21 +23,18 @@ Scheduler::safety(std::vector<std::unique_ptr<ThreadContext>> &threads,
 {
     for (auto &tp : threads) {
         ThreadContext &th = *tp;
-        if (th.pendingVisibility == 0)
+        const std::size_t head = th.rob.headSlot();
+        std::size_t age = th.pendingVisibility.nextByAge(head, 0);
+        if (age == SlotSet::kNone)
             continue; // no deferred visibility op anywhere in the ROB
-        const SafePoint sp = th.scheme->safePoint();
-        // Running shadow computed inline during the walk (the
-        // shadowStep recurrence): each instruction sees the shadows of
-        // strictly older entries.
-        ShadowInfo running;
-        for (auto &inst : th.rob) {
-            const ShadowInfo sh = running;
-            shadowStep(running, inst);
-            if (!inst.isLoad() || !inst.executed())
-                continue;
-            if (!(inst.exposurePending || inst.deferredTouchPending))
-                continue;
-            if (!th.isSafe(inst, sh, sp))
+        // Only the safe prefix can act, oldest first; nothing here
+        // moves a frontier.
+        const std::size_t safe =
+            safeUpTo(th.frontiers(), th.scheme->safePoint());
+        for (; age != SlotSet::kNone && age <= safe;
+             age = th.pendingVisibility.nextByAge(head, age + 1)) {
+            DynInst &inst = *th.rob.at(age);
+            if (!inst.writtenBack())
                 continue;
             if (inst.exposurePending) {
                 // InvisiSpec-style exposure: the load's visible cache
@@ -47,15 +44,14 @@ Scheduler::safety(std::vector<std::unique_ptr<ThreadContext>> &threads,
                 hier_.access(id_, inst.effAddr(), AccessType::Data, now,
                              MemIntent::Read, /*train=*/false);
                 inst.exposurePending = false;
-                --th.pendingVisibility;
             }
             if (inst.deferredTouchPending) {
                 // DoM deferred replacement update.
                 hier_.l1DeferredTouch(id_, inst.effAddr(),
                                       AccessType::Data);
                 inst.deferredTouchPending = false;
-                --th.pendingVisibility;
             }
+            th.pendingVisibility.erase(th.rob.slotOf(inst));
         }
     }
 }
@@ -102,40 +98,10 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
         run.th = &th;
         run.age = age;
         run.inst = th.rob.at(age);
-
-        // Shadow info for the candidates: each property holds for a
-        // candidate iff the oldest ROB entry having it is older than
-        // the candidate. The counters bound an early-exit scan for
-        // those oldest instances (kSeqNumInvalid = none, compares
-        // older than nothing).
-        SeqNum min_ld = kSeqNumInvalid;
-        SeqNum min_st = kSeqNumInvalid;
-        bool want_br = th.numUnresolvedBranches > 0;
-        bool want_ld = th.numIncompleteLoads > 0;
-        bool want_st = th.numIncompleteStores > 0;
-        for (std::size_t i = 0;
-             (want_br || want_ld || want_st) && i < th.rob.size();
-             ++i) {
-            const DynInst &inst = *th.rob.at(i);
-            if (inst.isBranch()) {
-                if (want_br && !inst.resolved) {
-                    run.minBranch = inst.seq;
-                    want_br = false;
-                }
-            } else if (inst.isLoad()) {
-                if (want_ld && !inst.executed()) {
-                    min_ld = inst.seq;
-                    want_ld = false;
-                }
-            } else if (inst.isStore()) {
-                if (want_st && !inst.executed()) {
-                    min_st = inst.seq;
-                    want_st = false;
-                }
-            }
-        }
-        run.minLoad = min_ld;
-        run.minMem = std::min(min_ld, min_st);
+        // Nothing during issue() moves a frontier: branches resolve and
+        // memory ops complete at writeback, earlier in the tick.
+        run.f = th.frontiers();
+        run.safe = safeUpTo(run.f, th.scheme->safePoint());
     }
     if (runs_.empty())
         return;
@@ -168,10 +134,10 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
         Run &run = runs_[k];
         ThreadContext &th = *run.th;
         DynInst &inst = *run.inst;
-        ShadowInfo sh;
-        sh.olderUnresolvedBranch = run.minBranch < inst.seq;
-        sh.olderIncompleteLoad = run.minLoad < inst.seq;
-        sh.olderIncompleteMem = run.minMem < inst.seq;
+        const std::size_t age = run.age;
+        const bool speculative = run.f.branch < age;
+        const bool older_load = run.f.load < age;
+        const bool safe = age <= run.safe;
 
         // Advance this run past the candidate before acting on it.
         run.age = th.readySet.nextByAge(th.rob.headSlot(), run.age + 1);
@@ -188,37 +154,34 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
             continue;
 
         // Loads the scheme parked until their safe point.
-        if (inst.loadPhase == LoadPhase::WaitSafe &&
-            !th.isSafe(inst, sh, th.scheme->safePoint())) {
+        if (inst.loadPhase == LoadPhase::WaitSafe && !safe)
             continue;
-        }
 
         // Fences serialise: issue only from the ROB head.
-        if (inst.isFence() && th.rob.head().seq != inst.seq)
+        if (inst.isFence() && age != 0)
             continue;
 
         // Scheme issue gate (fence defenses).
         IssueContext ctx;
-        ctx.olderUnresolvedBranch = sh.olderUnresolvedBranch;
-        ctx.olderIncompleteLoad = sh.olderIncompleteLoad;
+        ctx.olderUnresolvedBranch = speculative;
+        ctx.olderIncompleteLoad = older_load;
         ctx.isLoad = inst.isLoad();
         ctx.isBranch = inst.isBranch();
         if (!th.scheme->mayIssue(ctx))
             continue;
 
-        if (tryIssue(th, inst, sh, now, noise))
+        if (tryIssue(th, inst, speculative, safe, now, noise))
             ++issued;
     }
 }
 
 bool
-Scheduler::tryIssue(ThreadContext &th, DynInst &inst,
-                    const ShadowInfo &sh, Tick now, NoiseModel *noise)
+Scheduler::tryIssue(ThreadContext &th, DynInst &inst, bool speculative,
+                    bool safe, Tick now, NoiseModel *noise)
 {
     const Op op = inst.op;
     const OpTraits &traits = opTraits(op);
     const SchedFlags flags = th.scheme->schedFlags();
-    const bool speculative = sh.olderUnresolvedBranch;
     const bool may_preempt = flags.strictAgePriority && !traits.pipelined;
 
     int port = (blockedOps_ & opBit(op)) ? -1 : ports_.selectPort(op, now);
@@ -241,6 +204,7 @@ Scheduler::tryIssue(ThreadContext &th, DynInst &inst,
             v->retryAt = now + 1;
             // Back to Dispatched with both sources still ready: a
             // candidate again from the next cycle on.
+            th.issued.erase(th.rob.slotOf(*v));
             th.readySet.insert(th.rob.slotOf(*v));
             if (!v->inRs())
                 rs_.allocate(*v);
@@ -262,11 +226,8 @@ Scheduler::tryIssue(ThreadContext &th, DynInst &inst,
     }
 
     if (inst.isLoad()) {
-        if (!issueLoad(th, inst,
-                       th.isSafe(inst, sh, th.scheme->safePoint()),
-                       speculative, now, noise)) {
+        if (!issueLoad(th, inst, safe, speculative, now, noise))
             return false;
-        }
     } else if (inst.isStore()) {
         inst.effAddr() = inst.src1Val() * inst.si().scale +
                        static_cast<std::uint64_t>(inst.si().imm);
@@ -297,7 +258,7 @@ Scheduler::tryIssue(ThreadContext &th, DynInst &inst,
     inst.port() = port;
     inst.state = InstState::Issued;
     th.readySet.erase(th.rob.slotOf(inst));
-    th.inflightQ.push_back(inst.seq);
+    th.issued.insert(th.rob.slotOf(inst));
     th.minWbAt = std::min(th.minWbAt, inst.completeAt);
     inst.issuedAt() = now;
     ++th.stats.issued;
@@ -399,7 +360,7 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
                 now + hier_.config().l1Latency + jitter;
             inst.result() = mem_.read(inst.effAddr());
             inst.deferredTouchPending = true;
-            ++th.pendingVisibility;
+            th.pendingVisibility.insert(th.rob.slotOf(inst));
             inst.loadPhase = LoadPhase::InFlight;
             return true;
         }
@@ -419,7 +380,7 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
                 now + hier_.config().l1Latency + jitter;
             inst.result() = mem_.read(inst.effAddr());
             inst.exposurePending = true;
-            ++th.pendingVisibility;
+            th.pendingVisibility.insert(th.rob.slotOf(inst));
             inst.loadPhase = LoadPhase::InFlight;
             return true;
         }
@@ -455,7 +416,7 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
         inst.completeAt = now + res.latency + jitter;
         inst.result() = mem_.read(inst.effAddr());
         inst.exposurePending = true;
-        ++th.pendingVisibility;
+        th.pendingVisibility.insert(th.rob.slotOf(inst));
         inst.loadPhase = LoadPhase::InFlight;
         if (policy == SpecLoadPolicy::InvisibleFilter)
             th.scheme->filterFill(line, inst.seq);

@@ -67,12 +67,10 @@ class Scheduler
         /** Age (ROB index) of the next candidate, and its record. */
         std::size_t age = 0;
         DynInst *inst = nullptr;
-        /** Seqs of the oldest unresolved branch, incomplete load and
-         *  incomplete memory op (kSeqNumInvalid: none) — a candidate
-         *  is in a shadow iff the matching seq is older. */
-        SeqNum minBranch = kSeqNumInvalid;
-        SeqNum minLoad = kSeqNumInvalid;
-        SeqNum minMem = kSeqNumInvalid;
+        /** The thread's frontiers this cycle, and its safe prefix
+         *  (safeUpTo). */
+        Frontiers f;
+        std::size_t safe = 0;
     };
 
     static_assert(kNumOps <= 16, "per-op memo masks are 16 bits wide");
@@ -82,9 +80,11 @@ class Scheduler
         return static_cast<std::uint16_t>(1u << static_cast<unsigned>(op));
     }
 
-    /** Attempt to issue @p inst. @return true if it left the RS. */
-    bool tryIssue(ThreadContext &th, DynInst &inst, const ShadowInfo &sh,
-                  Tick now, NoiseModel *noise);
+    /** Attempt to issue @p inst, which is @p speculative (behind an
+     *  unresolved branch) and @p safe (past its safe point) or not.
+     *  @return true if it left the RS. */
+    bool tryIssue(ThreadContext &th, DynInst &inst, bool speculative,
+                  bool safe, Tick now, NoiseModel *noise);
     /** Load-specific issue path (disambiguation, MSHRs, the scheme's
      *  speculative-load policy). */
     bool issueLoad(ThreadContext &th, DynInst &inst, bool safe,

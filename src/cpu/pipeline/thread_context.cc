@@ -1,13 +1,12 @@
 /**
  * @file
- * ThreadContext implementation: per-thread run reset and the helper
- * computations (safe points, rename) shared by every stage component
- * of the unified pipeline engine.
+ * ThreadContext implementation: per-thread run reset, squashed-slot
+ * bookkeeping and operand rename, shared by every stage component of
+ * the unified pipeline engine.
  */
 
 #include "cpu/pipeline/thread_context.hh"
 
-#include "sim/log.hh"
 #include "spec/unsafe.hh"
 
 namespace specint
@@ -15,7 +14,9 @@ namespace specint
 
 ThreadContext::ThreadContext(const CoreConfig &cfg, ThreadId t)
     : tid(t), frontend({cfg.fetchWidth, cfg.decodeQueue, t}),
-      rob(cfg.robSize), readySet(cfg.robSize)
+      rob(cfg.robSize), readySet(cfg.robSize), issued(cfg.robSize),
+      unresolvedBranches(cfg.robSize), incompleteLoads(cfg.robSize),
+      incompleteStores(cfg.robSize), pendingVisibility(cfg.robSize)
 {
     scheme = std::make_unique<UnsafeScheme>();
     renameMap.fill(kSeqNumInvalid);
@@ -37,31 +38,21 @@ ThreadContext::resetRun(const Program *p)
     stats = ThreadStats{};
     trace.clear();
     minWbAt = 0;
-    pendingVisibility = 0;
-    readySet.clear();
-    inflightQ.clear();
+    for (SlotSet *set : {&readySet, &issued, &unresolvedBranches,
+                         &incompleteLoads, &incompleteStores,
+                         &pendingVisibility})
+        set->clear();
     storeSeqs.clear();
-    numUnresolvedBranches = 0;
-    numIncompleteLoads = 0;
-    numIncompleteStores = 0;
     scheme->reset();
 }
 
-bool
-ThreadContext::isSafe(const DynInst &inst, const ShadowInfo &sh,
-                      SafePoint sp) const
+void
+ThreadContext::forgetSlot(std::size_t slot)
 {
-    switch (sp) {
-      case SafePoint::Always:
-        return true;
-      case SafePoint::BranchesResolved:
-        return !sh.olderUnresolvedBranch;
-      case SafePoint::TSO:
-        return !sh.olderUnresolvedBranch && !sh.olderIncompleteMem;
-      case SafePoint::RobHead:
-        return !rob.empty() && rob.head().seq == inst.seq;
-    }
-    panic("ThreadContext::isSafe: unknown SafePoint");
+    for (SlotSet *set : {&readySet, &issued, &unresolvedBranches,
+                         &incompleteLoads, &incompleteStores,
+                         &pendingVisibility})
+        set->erase(slot);
 }
 
 void

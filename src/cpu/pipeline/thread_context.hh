@@ -5,10 +5,11 @@
  * ThreadContext owns everything an architectural thread carries
  * through the pipeline — frontend, branch predictor, ROB, rename
  * state, architectural registers, speculation-safety scheme, stats and
- * traces — plus the per-thread helper computations (safe-point checks,
- * operand rename) every stage consults. The stage components in this
- * directory operate on one or more ThreadContexts and the shared
- * structures (RS/LSQ/ports/MSHRs) owned by the PipelineEngine.
+ * traces — plus the per-thread helper computations (speculation
+ * frontiers and safe points, operand rename) every stage consults.
+ * The stage components in this directory operate on one or more
+ * ThreadContexts and the shared structures (RS/LSQ/ports/MSHRs) owned
+ * by the PipelineEngine.
  *
  * With one ThreadContext the engine is the plain out-of-order core;
  * with N it is the SMT core. tests/test_smt.cc pins the single-thread
@@ -19,7 +20,9 @@
 #ifndef SPECINT_CPU_PIPELINE_THREAD_CONTEXT_HH
 #define SPECINT_CPU_PIPELINE_THREAD_CONTEXT_HH
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <vector>
@@ -29,6 +32,7 @@
 #include "cpu/frontend.hh"
 #include "cpu/program.hh"
 #include "cpu/rob.hh"
+#include "sim/log.hh"
 #include "spec/scheme.hh"
 
 namespace specint
@@ -81,32 +85,41 @@ struct ThreadStats
     /// @}
 };
 
-/** Per-instruction speculative-shadow context: does an older entry of
- *  the same thread still have each shadow-casting property? */
-struct ShadowInfo
+/**
+ * A thread's speculation frontiers: the age (distance from the ROB
+ * head, 0 = oldest) of its oldest unresolved branch, oldest incomplete
+ * (not written back) load and oldest incomplete load or store.
+ * SlotSet::kNone means none; it compares above every age, so an empty
+ * set casts no shadow. An entry at age a has an older member of a set
+ * iff that set's frontier is below a.
+ */
+struct Frontiers
 {
-    bool olderUnresolvedBranch = false;
-    bool olderIncompleteLoad = false;
-    bool olderIncompleteMem = false;
+    std::size_t branch = SlotSet::kNone;
+    std::size_t load = SlotSet::kNone;
+    std::size_t mem = SlotSet::kNone;
 };
 
 /**
- * Fold one instruction into a running ShadowInfo. Walking the ROB in
- * age order and reading @p running *before* each step yields the
- * shadows of strictly older entries — the single definition shared by
- * the safety stage and the fast-forward predicate.
+ * The largest age past safe point @p sp: an entry is safe iff its age
+ * is at most this (kNone: every entry). Every SafePoint is
+ * prefix-closed in age order — an entry younger than an unsafe one is
+ * unsafe too — so one age answers the question for the whole window.
  */
-inline void
-shadowStep(ShadowInfo &running, const DynInst &inst)
+inline std::size_t
+safeUpTo(const Frontiers &f, SafePoint sp)
 {
-    if (inst.isBranch() && !inst.resolved)
-        running.olderUnresolvedBranch = true;
-    if (inst.isLoad() && !inst.executed()) {
-        running.olderIncompleteLoad = true;
-        running.olderIncompleteMem = true;
+    switch (sp) {
+      case SafePoint::Always:
+        return SlotSet::kNone;
+      case SafePoint::BranchesResolved:
+        return f.branch;
+      case SafePoint::TSO:
+        return std::min(f.branch, f.mem);
+      case SafePoint::RobHead:
+        return 0;
     }
-    if (inst.isStore() && !inst.executed())
-        running.olderIncompleteMem = true;
+    panic("safeUpTo: unknown SafePoint");
 }
 
 /** Per-thread pipeline context (see file comment). */
@@ -142,52 +155,46 @@ struct ThreadContext
 
     /** Conservative lower bound on the next cycle any of this
      *  thread's Issued instructions can write back: the writeback
-     *  stage skips its ROB scans while now < minWbAt. Lowered at
-     *  issue, recomputed during each writeback scan; a stale-low
-     *  value only costs a wasted scan, never a missed event. */
+     *  stage skips its walk over @ref issued while now < minWbAt.
+     *  Lowered at issue, recomputed during each writeback walk; a
+     *  stale-low value only costs a wasted walk, never a missed event. */
     Tick minWbAt = 0;
 
-    /** Number of set exposurePending/deferredTouchPending flags across
-     *  this thread's ROB (each flag counts separately). The safety
-     *  stage skips its ROB walk while zero — permanently so under
-     *  schemes that never defer visibility (Unsafe, fence-style). */
-    unsigned pendingVisibility = 0;
-
-    /** @name Issue-stage candidate tracking
-     *  @ref readySet is the exact set of issue candidates, one bit per
-     *  ROB ring slot: bit s is set iff slot s holds a live entry that
-     *  is Dispatched with both sources ready. Every transition into or
-     *  out of that condition updates it — set at dispatch, on the
-     *  wakeup that readies the last source and when an EU preemption
-     *  returns an instruction to Dispatched; cleared at issue and for
-     *  every squashed slot (retirement needs nothing: a retiring entry
-     *  left the set when it issued). An entry keeps its slot for life
-     *  and live slots run from the ROB head slot in age order, so
-     *  walking the members from the head yields the candidates oldest
-     *  first: no lookup, revalidation or sort.
-     *  PipelineEngine::checkInvariants() verifies the set against the
-     *  ROB. The three counters track how many ROB entries currently
-     *  have each shadow-relevant property, letting the issue stage
-     *  find the oldest instance of each with an early-exit scan
-     *  instead of walking the whole window. */
+    /** @name Per-slot sets
+     *  Exact sets of this thread's ROB entries, one bit per ring slot.
+     *  An entry keeps its slot for life and live slots run from the ROB
+     *  head slot in age order, so walking a set's members from the
+     *  head (SlotSet::nextByAge) yields them oldest first, and the
+     *  first member is the oldest: no scan, lookup, revalidation or
+     *  sort. Every transition into or out of a set's condition updates
+     *  it; a squash clears the squashed slots from all six
+     *  (forgetSlot). PipelineEngine::checkInvariants() rebuilds each
+     *  set from the ROB and compares. */
     /// @{
+    /** Issue candidates: Dispatched with both sources ready. Set at
+     *  dispatch, on the wakeup that readies the last source and when
+     *  an EU preemption returns an instruction to Dispatched; cleared
+     *  at issue. */
     SlotSet readySet;
-    unsigned numUnresolvedBranches = 0;
-    unsigned numIncompleteLoads = 0;
-    unsigned numIncompleteStores = 0;
+    /** Issued entries, in flight to writeback: set at issue, cleared
+     *  at writeback and by an EU preemption. */
+    SlotSet issued;
+    /** Branches not yet resolved: set at dispatch, cleared when the
+     *  branch resolves at writeback. */
+    SlotSet unresolvedBranches;
+    /** Loads and stores not yet written back: set at dispatch, cleared
+     *  when they win a CDB slot. */
+    SlotSet incompleteLoads;
+    SlotSet incompleteStores;
+    /** Loads with a deferred exposure or replacement touch
+     *  (exposurePending or deferredTouchPending): set when the load
+     *  issues with one, cleared when the safety stage or retirement
+     *  performs it. */
+    SlotSet pendingVisibility;
     /// @}
 
-    /** Seqs of instructions currently Issued (in flight toward
-     *  writeback), pushed at issue. A superset: the writeback stage
-     *  revalidates and compacts it each pass, so entries stranded by
-     *  a squash, an EU preemption or a reused seq are dropped there.
-     *  Bounds the writeback scan to the few in-flight instructions
-     *  instead of the whole window. */
-    std::vector<SeqNum> inflightQ;
-
-    /** Seqs of this thread's in-flight stores, sorted by age. Unlike
-     *  inflightQ this list is exact, not self-compacting: a store is
-     *  appended at dispatch, dropped from the front when it retires
+    /** Seqs of this thread's in-flight stores, sorted by age: a store
+     *  is appended at dispatch, dropped from the front when it retires
      *  (retirement is age-ordered) and from the back when a squash
      *  discards it — so disambiguating a load walks only the older
      *  stores instead of the whole window prefix. */
@@ -196,9 +203,21 @@ struct ThreadContext
     /** Reset all run state and start executing @p p from its entry. */
     void resetRun(const Program *p);
 
-    /** Is @p inst past safe point @p sp given its shadow info? */
-    bool isSafe(const DynInst &inst, const ShadowInfo &sh,
-                SafePoint sp) const;
+    /** This thread's speculation frontiers: the one source of every
+     *  shadow and safe-point question (see safeUpTo()). */
+    Frontiers
+    frontiers() const
+    {
+        const std::size_t head = rob.headSlot();
+        Frontiers f;
+        f.branch = unresolvedBranches.nextByAge(head, 0);
+        f.load = incompleteLoads.nextByAge(head, 0);
+        f.mem = std::min(f.load, incompleteStores.nextByAge(head, 0));
+        return f;
+    }
+
+    /** Clear a squashed ring slot from every per-slot set. */
+    void forgetSlot(std::size_t slot);
 
     /** Read a source register through the rename map; registers
      *  @p inst on the producer's waiter list when the value is still

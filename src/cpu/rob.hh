@@ -4,21 +4,21 @@
  *
  * DynInst is split into a hot/cold pair banked by the ROB. The hot
  * record is exactly one cache line and carries only the fields the
- * per-cycle scans read — issue selection, oldest-instance search,
- * CDB collection, shadow (safety) walks and the retire head check all
- * touch `state`, the readiness bits, the tick fields and the cached
- * kind flags. Everything an instruction accumulates at discrete
- * pipeline events (renamed operand values, the decoded StaticInst,
- * memory results, trace timestamps, the consumer waiter list) lives in
- * a parallel DynInstCold bank reached through one pointer hop, touched
- * only at dispatch/execute/writeback/retire.
+ * per-cycle stages read — issue selection, CDB collection, the safety
+ * stage and the retire head check all touch `state`, the readiness
+ * bits, the tick fields and the cached kind flags. Everything an
+ * instruction accumulates at discrete pipeline events (renamed operand
+ * values, the decoded StaticInst, memory results, trace timestamps,
+ * the consumer waiter list) lives in a parallel DynInstCold bank
+ * reached through one pointer hop, touched only at
+ * dispatch/execute/writeback/retire.
  *
  * The ROB owns both banks as capacity-sized parallel arrays indexed by
  * a dense ring slot id, with contiguous sequence numbers, so lookup by
  * SeqNum is O(1) and pushing/popping entries is pure index arithmetic
  * — no allocation anywhere on the per-instruction path. Records never
  * move while in the ROB, and a record's ring slot doubles as its key in
- * per-slot sets (the issue stage's ready bitmap).
+ * per-slot sets (the thread's ready, in-flight and shadow bitmaps).
  */
 
 #ifndef SPECINT_CPU_ROB_HH
@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -42,8 +43,7 @@ namespace specint
 enum class InstState : std::uint8_t
 {
     Dispatched, ///< in ROB + RS, waiting for operands / issue
-    Issued,     ///< executing on a functional unit
-    Completed,  ///< result ready, waiting for a writeback (CDB) slot
+    Issued,     ///< executing, or complete and waiting for a CDB slot
     WrittenBack,///< result broadcast; eligible to retire
     Retired,
 };
@@ -161,7 +161,6 @@ struct alignas(64) DynInst
 
     bool src1Ready = true;
     bool src2Ready = true;
-    bool resolved = false;
     /** DoM: speculative L1 hit whose replacement update is deferred. */
     bool deferredTouchPending = false;
     /** InvisiSpec/SafeSpec/MuonTrap: visible exposure access pending. */
@@ -262,13 +261,6 @@ struct alignas(64) DynInst
     }
 
     bool
-    executed() const
-    {
-        return state == InstState::Completed ||
-               state == InstState::WrittenBack ||
-               state == InstState::Retired;
-    }
-    bool
     writtenBack() const
     {
         return state == InstState::WrittenBack ||
@@ -305,6 +297,11 @@ struct OwnedDynInst
     }
 };
 
+/** Largest ROB a SlotSet can index; CoreConfig::validate() rejects a
+ *  larger robSize. The sets store their words inline, so a thread's
+ *  sets cost no allocation. */
+constexpr std::size_t kMaxRobSize = 512;
+
 /**
  * A set of ROB ring slots, one bit per slot. Because a ROB entry keeps
  * its slot for life and live slots run from the head slot with
@@ -314,14 +311,16 @@ struct OwnedDynInst
 class SlotSet
 {
   public:
-    /** nextByAge() result when no member remains. */
+    /** nextByAge() result when no member remains. Compares above every
+     *  age, so as a frontier it shadows no entry. */
     static constexpr std::size_t kNone = ~std::size_t{0};
 
-    explicit SlotSet(std::size_t slots)
-        : slots_(slots), words_((slots + 63) / 64, 0)
-    {}
+    explicit SlotSet(std::size_t slots) : slots_(slots)
+    {
+        assert(slots <= kMaxRobSize);
+    }
 
-    void clear() { std::fill(words_.begin(), words_.end(), 0); }
+    void clear() { std::fill_n(words_.begin(), usedWords(), 0); }
     void insert(std::size_t slot) { words_[slot >> 6] |= bit(slot); }
     void erase(std::size_t slot) { words_[slot >> 6] &= ~bit(slot); }
     bool
@@ -329,14 +328,12 @@ class SlotSet
     {
         return (words_[slot >> 6] & bit(slot)) != 0;
     }
-    /** Number of members. */
-    std::size_t
-    count() const
+    bool
+    operator==(const SlotSet &o) const
     {
-        std::size_t n = 0;
-        for (const std::uint64_t w : words_)
-            n += static_cast<std::size_t>(__builtin_popcountll(w));
-        return n;
+        return slots_ == o.slots_ &&
+               std::equal(words_.begin(), words_.begin() + usedWords(),
+                          o.words_.begin());
     }
 
     /**
@@ -362,6 +359,9 @@ class SlotSet
     }
 
   private:
+    /** Words that can hold a member; the rest stay zero. */
+    std::size_t usedWords() const { return (slots_ + 63) / 64; }
+
     static std::uint64_t bit(std::size_t slot)
     {
         return std::uint64_t{1} << (slot & 63);
@@ -389,7 +389,7 @@ class SlotSet
     }
 
     std::size_t slots_;
-    std::vector<std::uint64_t> words_;
+    std::array<std::uint64_t, kMaxRobSize / 64> words_{};
 };
 
 /**

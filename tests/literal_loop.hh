@@ -7,7 +7,7 @@
  *
  * The loops also run PipelineEngine::checkInvariants() after every
  * cycle, so every test that uses them checks the incremental
- * scheduling state (exact ready sets, shadow counters) each cycle; the
+ * scheduling state (each thread's exact per-slot sets) each cycle; the
  * first violation fails the test with its cycle and description.
  */
 

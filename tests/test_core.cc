@@ -3,15 +3,17 @@
  * Out-of-order core tests: functional correctness (dataflow, memory,
  * branches, squash recovery) and the microarchitectural timing
  * properties the attacks build on (non-pipelined EU occupancy, CDB
- * bandwidth, MSHR limits, age-ordered issue), plus the ring-slot
- * ready set the issue stage walks.
+ * bandwidth, MSHR limits, age-ordered issue), plus the ring-slot sets
+ * the stages walk and the safe-point ages derived from them.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "cpu/core.hh"
+#include "cpu/pipeline/thread_context.hh"
 #include "memory/hierarchy.hh"
 #include "spec/unsafe.hh"
 
@@ -365,8 +367,8 @@ TEST_F(CoreTest, RerunResetsPipelineState)
 }
 
 // ---------------------------------------------------------------------
-// The issue stage's ready set: ring slots walked from the head slot
-// come out in age order, across the wrap and across bitmap words
+// Per-slot sets: ring slots walked from the head slot come out in age
+// order, across the wrap and across bitmap words
 // ---------------------------------------------------------------------
 
 /** Seqs of @p set's members, walked oldest first from @p rob's head. */
@@ -403,7 +405,6 @@ TEST(SlotSetTest, WalksMembersOldestFirstAcrossTheRingWrap)
     SlotSet set(rob.capacity());
     for (SeqNum s : {1004u, 1001u, 1002u})
         set.insert(rob.slotOf(*rob.find(s)));
-    EXPECT_EQ(set.count(), 3u);
     EXPECT_EQ(walkByAge(rob, set), (std::vector<SeqNum>{1001, 1002, 1004}));
 
     set.erase(rob.slotOf(*rob.find(1002)));
@@ -424,6 +425,61 @@ TEST(SlotSetTest, WalksMembersOldestFirstAcrossBitmapWords)
         set.insert(rob.slotOf(*rob.find(s)));
     EXPECT_EQ(walkByAge(rob, set),
               (std::vector<SeqNum>{1000, 1027, 1029, 1030, 1033, 1059}));
+}
+
+// ---------------------------------------------------------------------
+// Safe points as one age: safeUpTo() against the per-entry rule it
+// replaced, a running shadow folded over the window oldest first
+// ---------------------------------------------------------------------
+
+TEST(ThreadContextTest, SafeUpToMatchesThePerEntryRule)
+{
+    // Windows of ages 0-7, oldest first: 'B' an unresolved branch, 'L'
+    // an incomplete load, 'S' an incomplete store, '.' anything else.
+    const std::string windows[] = {"........", "B.......", "...B....",
+                                   ".L......", "..S.....", "B..L..S.",
+                                   "S..B..L.", ".L.B....", "......LB",
+                                   ".......S"};
+    const SafePoint points[] = {SafePoint::Always,
+                                SafePoint::BranchesResolved,
+                                SafePoint::TSO, SafePoint::RobHead};
+    for (const std::string &w : windows) {
+        const auto oldest = [&w](const char *kinds) {
+            const std::size_t a = w.find_first_of(kinds);
+            return a == std::string::npos ? SlotSet::kNone : a;
+        };
+        Frontiers f;
+        f.branch = oldest("B");
+        f.load = oldest("L");
+        f.mem = oldest("LS");
+        for (const SafePoint sp : points) {
+            // Shadows cast by strictly older entries.
+            bool older_branch = false;
+            bool older_mem = false;
+            for (std::size_t age = 0; age < w.size(); ++age) {
+                bool safe = false;
+                switch (sp) {
+                  case SafePoint::Always:
+                    safe = true;
+                    break;
+                  case SafePoint::BranchesResolved:
+                    safe = !older_branch;
+                    break;
+                  case SafePoint::TSO:
+                    safe = !older_branch && !older_mem;
+                    break;
+                  case SafePoint::RobHead:
+                    safe = age == 0;
+                    break;
+                }
+                EXPECT_EQ(age <= safeUpTo(f, sp), safe)
+                    << w << " safe point " << static_cast<int>(sp)
+                    << " age " << age;
+                older_branch |= w[age] == 'B';
+                older_mem |= w[age] == 'L' || w[age] == 'S';
+            }
+        }
+    }
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include "cpu/core.hh"
 #include "cpu/pipeline/engine.hh"
+#include "cpu/rob.hh"
 #include "memory/hierarchy.hh"
 
 namespace specint
@@ -53,6 +54,16 @@ TEST(CoreConfigValidation, IssueWidthBeyondPortCountIsRejected)
     const std::string err = cfg.validate();
     EXPECT_NE(err.find("issueWidth"), std::string::npos) << err;
     EXPECT_NE(err.find("port count"), std::string::npos) << err;
+}
+
+TEST(CoreConfigValidation, RobBeyondTheSlotSetCapacityIsRejected)
+{
+    CoreConfig cfg;
+    cfg.robSize = static_cast<unsigned>(kMaxRobSize);
+    EXPECT_EQ(cfg.validate(), "");
+    cfg.robSize = static_cast<unsigned>(kMaxRobSize) + 1;
+    const std::string err = cfg.validate();
+    EXPECT_NE(err.find("robSize"), std::string::npos) << err;
 }
 
 TEST(CoreConfigValidation, ZeroMaxCyclesIsRejected)

@@ -40,7 +40,7 @@ storeList(const Rob &rob)
 
 OwnedDynInst
 makeInst(SeqNum seq, Op op, Addr addr = kAddrInvalid,
-         bool executed = false, std::uint64_t value = 0)
+         bool writtenBack = false, std::uint64_t value = 0)
 {
     OwnedDynInst o;
     DynInst &d = o.inst;
@@ -48,7 +48,7 @@ makeInst(SeqNum seq, Op op, Addr addr = kAddrInvalid,
     d.setStaticInst(&staticFor(op));
     d.effAddr() = addr;
     d.result() = value;
-    d.state = executed ? InstState::Completed : InstState::Dispatched;
+    d.state = writtenBack ? InstState::WrittenBack : InstState::Dispatched;
     return o;
 }
 
