@@ -28,6 +28,7 @@
 #include "sim/experiment/fixture_pool.hh"
 #include "sim/experiment/report.hh"
 #include "sim/stats.hh"
+#include "spec/scheme.hh"
 #include "system/system.hh"
 #include "workload/generator.hh"
 
@@ -159,7 +160,8 @@ memStallSpec(unsigned instructions)
 
 KernelResult
 benchCoreSimulation(unsigned trials, unsigned instructions,
-                    bool memstall = false)
+                    bool memstall = false,
+                    SchemeKind scheme = SchemeKind::Unsafe)
 {
     WorkloadSpec spec =
         memstall ? memStallSpec(instructions) : WorkloadSpec{};
@@ -174,6 +176,7 @@ benchCoreSimulation(unsigned trials, unsigned instructions,
                 for (const auto &[a, v] : wl.memInit)
                     mem.write(a, v);
                 Core core(CoreConfig{}, 0, hier, mem);
+                core.setScheme(makeScheme(scheme));
                 cycles += core.run(wl.prog).cycles;
             }
             return cycles;
@@ -348,6 +351,12 @@ const Kernel kKernels[] = {
      [](unsigned t) { return benchCoreSimulation(t, 4000); }},
     {"CoreSimulation/4000/memstall",
      [](unsigned t) { return benchCoreSimulation(t, 4000, true); }},
+    // The same workload under DoM: a row that is not Unsafe, so the gate
+    // also times the scheme paths, the store-frontier wait among them.
+    {"CoreSimulation/4000/memstall/dom",
+     [](unsigned t) {
+         return benchCoreSimulation(t, 4000, true, SchemeKind::DomNonTso);
+     }},
     {"SmtCoreSimulation/1000",
      [](unsigned t) { return benchSmtCoreSimulation(t, 1000); }},
     {"SmtCoreSimulation/4000",

@@ -1,9 +1,7 @@
 /**
  * @file
- * Load/store queue implementation: conservative memory
- * disambiguation (loads wait for older store addresses), store-to-load
- * forwarding from completed covering stores, and per-thread SMT
- * capacity accounting.
+ * Load/store queue implementation: store-to-load forwarding from
+ * written-back covering stores and per-thread SMT capacity accounting.
  */
 
 #include "cpu/lsq.hh"
@@ -99,35 +97,27 @@ Lsq::clear()
     std::fill(stores_.begin(), stores_.end(), 0u);
 }
 
-DisambigResult
-Lsq::check(const DynInst &load, const Rob &rob,
-           const std::vector<SeqNum> &storeSeqs) const
+const DynInst *
+Lsq::forwardingStore(const DynInst &load, const Rob &rob,
+                     const SlotSet &stores) const
 {
     assert(load.isLoad());
-    DisambigResult res;
     const Addr word = load.effAddr() & ~static_cast<Addr>(7);
 
     // Walk the older stores oldest-first; the last (nearest) matching
     // store provides the forwarded value.
     const DynInst *match = nullptr;
-    for (const SeqNum seq : storeSeqs) {
-        if (seq >= load.seq)
+    const std::size_t head = rob.headSlot();
+    for (std::size_t age = stores.nextByAge(head, 0);
+         age != SlotSet::kNone; age = stores.nextByAge(head, age + 1)) {
+        const DynInst *inst = rob.at(age);
+        if (inst->seq >= load.seq)
             break; // younger than the load: cannot conflict
-        const DynInst *inst = rob.find(seq);
-        assert(inst && inst->isStore());
-        if (!inst->writtenBack()) {
-            // Address (and data) not known yet: conservative stall.
-            res.blocked = true;
-            return res;
-        }
+        assert(inst->isStore() && inst->writtenBack());
         if ((inst->effAddr() & ~static_cast<Addr>(7)) == word)
             match = inst;
     }
-    if (match) {
-        res.forward = true;
-        res.forwardValue = match->result();
-    }
-    return res;
+    return match;
 }
 
 } // namespace specint

@@ -1,13 +1,13 @@
 /**
  * @file
- * Load/store queue: occupancy accounting plus memory disambiguation.
+ * Load/store queue: occupancy accounting plus store-to-load forwarding.
  *
  * The model is conservative (no memory-dependence speculation): a load
- * may not issue while an older store's address is unknown, and a load
- * whose word is covered by a completed older store forwards from the
- * store queue without touching the cache. This keeps the memory model
- * simple while preserving the properties the attacks use (loads hitting
- * the cache hierarchy at issue time).
+ * may not issue while an older store's address is unknown (the issue
+ * stage's waitsOnStore()), and a load whose word is covered by an older
+ * store forwards from the store queue without touching the cache. This
+ * keeps the memory model simple while preserving the properties the
+ * attacks use (loads hitting the cache hierarchy at issue time).
  *
  * Under SMT the LQ/SQ capacities are split between hardware threads by
  * a SharingPolicy (partitioned or competitively shared), mirroring the
@@ -26,16 +26,6 @@
 
 namespace specint
 {
-
-/** Outcome of the disambiguation check for a load about to issue. */
-struct DisambigResult
-{
-    /** Load must wait: some older store's address is unknown. */
-    bool blocked = false;
-    /** Load can forward from an older store. */
-    bool forward = false;
-    std::uint64_t forwardValue = 0;
-};
 
 class Lsq
 {
@@ -71,14 +61,13 @@ class Lsq
     void release(const DynInst &inst);
 
     /**
-     * Check whether @p load (already address-resolved) may issue given
-     * the older stores in @p rob, and whether it can forward. @p rob
-     * must be the load's own thread's ROB and @p storeSeqs that
-     * thread's age-sorted in-flight store list — the walk visits only
-     * stores instead of the whole window prefix below the load.
+     * The nearest store older than @p load (already address-resolved)
+     * that writes the load's word, or nullptr. @p rob must be the
+     * load's own thread's ROB and @p stores that thread's store set;
+     * every older store must be written back (the load waited for it).
      */
-    DisambigResult check(const DynInst &load, const Rob &rob,
-                         const std::vector<SeqNum> &storeSeqs) const;
+    const DynInst *forwardingStore(const DynInst &load, const Rob &rob,
+                                   const SlotSet &stores) const;
 
     void clear();
 

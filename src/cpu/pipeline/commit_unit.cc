@@ -52,11 +52,7 @@ CommitUnit::retire(std::vector<std::unique_ptr<ThreadContext>> &threads,
                 mem_.write(h.effAddr(), h.result());
                 hier_.access(id_, h.effAddr(), AccessType::Data, now,
                              MemIntent::Write, /*train=*/false);
-                // Retirement is age-ordered, so this store is the
-                // oldest one the disambiguation list tracks.
-                assert(!th.storeSeqs.empty() &&
-                       th.storeSeqs.front() == h.seq);
-                th.storeSeqs.erase(th.storeSeqs.begin());
+                th.stores.erase(th.rob.slotOf(h));
             }
             if (h.isLoad()) {
                 if (h.exposurePending) {
@@ -278,8 +274,6 @@ CommitUnit::squashAfter(ThreadContext &th, const DynInst &br, Tick now)
         lsq_.release(inst);
     }
     th.rob.squashYoungerThan(bound);
-    while (!th.storeSeqs.empty() && th.storeSeqs.back() > bound)
-        th.storeSeqs.pop_back();
     ports_.squashThread(th.tid, bound);
     mshr_.squashThread(th.tid, bound);
     th.scheme->filterSquashYoungerThan(bound);

@@ -346,35 +346,28 @@ PipelineEngine::nextTransitionAt(FfProbe &probe) const
              age != SlotSet::kNone;
              age = th.readySet.nextByAge(head, age + 1)) {
             const DynInst &inst = *th.rob.at(age);
-            // Statically blocked candidates: the issue stage skips them
-            // with no state change, and they can only unblock after an
-            // event already captured above. Mirror its gates exactly.
-            if (inst.loadPhase == LoadPhase::WaitSafe && age > safe)
-                continue;
-            if (inst.isFence() && age != 0)
-                continue;
-            IssueContext ctx;
-            ctx.olderUnresolvedBranch = f.branch < age;
-            ctx.olderIncompleteLoad = f.load < age;
-            ctx.isLoad = inst.isLoad();
-            ctx.isBranch = inst.isBranch();
-            if (!th.scheme->mayIssue(ctx))
+            // Gated candidates: the issue stage skips them with no
+            // state change, and they can only unblock after an event
+            // already captured above.
+            if (th.issueGated(inst, age, f, safe))
                 continue;
 
             // An issue *attempt* is a transition even when it fails:
-            // it can preempt an EU or update a blocked load's retry
-            // time. The exception is a port denial that cannot
+            // it can preempt an EU or wait on an MSHR. The exceptions
+            // are a load waiting on an older store that is offered a
+            // port (it changes nothing), and a port denial that cannot
             // preempt: it repeats unchanged, setting only the thread's
             // portContended flag, until one of the busy ports frees.
             // The port holders cannot change without a transition, so
             // the flag is constant over the span.
-            const Tick t = std::max(inst.readyAt, inst.retryAt);
-            if (t > now_) {
-                next = std::min(next, t);
+            if (inst.readyAt > now_) {
+                next = std::min(next, inst.readyAt);
                 continue;
             }
             const Tick free_at = portsFreeAt(th, inst);
             if (free_at <= now_) {
+                if (waitsOnStore(inst, age, f))
+                    continue;
                 gate = FfGate::Issue;
                 return now_;
             }
@@ -529,7 +522,7 @@ PipelineEngine::checkInvariants() const
         // Rebuild every per-slot set from the ROB in one pass.
         const std::size_t slots = th.rob.capacity();
         SlotSet ready(slots), issued(slots), branches(slots), loads(slots),
-            stores(slots), visibility(slots);
+            stores(slots), visibility(slots), all_stores(slots);
         for (const DynInst &inst : th.rob) {
             const std::size_t s = th.rob.slotOf(inst);
             if (inst.state == InstState::Dispatched && inst.src1Ready &&
@@ -545,6 +538,8 @@ PipelineEngine::checkInvariants() const
                 stores.insert(s);
             if (inst.exposurePending || inst.deferredTouchPending)
                 visibility.insert(s);
+            if (inst.isStore())
+                all_stores.insert(s);
         }
 
         // Compare word for word; only a mismatch pays for naming it.
@@ -560,6 +555,7 @@ PipelineEngine::checkInvariants() const
             {"incompleteLoads", th.incompleteLoads, loads},
             {"incompleteStores", th.incompleteStores, stores},
             {"pendingVisibility", th.pendingVisibility, visibility},
+            {"stores", th.stores, all_stores},
         };
         for (const auto &set : sets) {
             if (set.kept == set.rebuilt)

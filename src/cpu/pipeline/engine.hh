@@ -213,13 +213,13 @@ class PipelineEngine
     /// @}
 
     /**
-     * Check each thread's six per-slot sets (ThreadContext: readySet,
+     * Check each thread's seven per-slot sets (ThreadContext: readySet,
      * issued, unresolvedBranches, incompleteLoads, incompleteStores,
-     * pendingVisibility) against the ROB: each set is rebuilt from the
-     * live entries in one pass and compared word for word, so a member
-     * in a dead slot fails too. @return a description of the first
-     * violation (set and seq), empty when all hold. A full-window scan
-     * for tests (tests/literal_loop.hh runs it after every cycle);
+     * pendingVisibility, stores) against the ROB: each set is rebuilt
+     * from the live entries in one pass and compared word for word, so
+     * a member in a dead slot fails too. @return a description of the
+     * first violation (set and seq), empty when all hold. A full-window
+     * scan for tests (tests/literal_loop.hh runs it after every cycle);
      * run() never calls it.
      */
     std::string checkInvariants() const;

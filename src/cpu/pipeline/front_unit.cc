@@ -102,7 +102,7 @@ FrontUnit::dispatch(std::vector<std::unique_ptr<ThreadContext>> &threads,
             th->incompleteLoads.insert(slot);
         } else if (stored.isStore()) {
             th->incompleteStores.insert(slot);
-            th->storeSeqs.push_back(stored.seq);
+            th->stores.insert(slot);
         }
         ++th->nextSeq;
         ++nextStamp_;

@@ -86,7 +86,7 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
     // is also each thread's seq order) is a plain merge of the threads'
     // runs. Nothing during issue() readies a source (wakeups happen at
     // writeback, earlier in the tick); an EU preemption returns its
-    // victim to the set with retryAt = now + 1, so whether or not the
+    // victim to the set with readyAt = now + 1, so whether or not the
     // walk still reaches the victim, it cannot act this cycle.
     runs_.clear();
     for (auto &tp : threads) {
@@ -135,9 +135,9 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
         ThreadContext &th = *run.th;
         DynInst &inst = *run.inst;
         const std::size_t age = run.age;
-        const bool speculative = run.f.branch < age;
-        const bool older_load = run.f.load < age;
-        const bool safe = age <= run.safe;
+        // Copied: advancing a finished run overwrites it.
+        const Frontiers f = run.f;
+        const std::size_t safe = run.safe;
 
         // Advance this run past the candidate before acting on it.
         run.age = th.readySet.nextByAge(th.rob.headSlot(), run.age + 1);
@@ -148,37 +148,23 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
             run.inst = th.rob.at(run.age);
         }
 
-        if (inst.readyAt > now || inst.retryAt > now)
+        if (inst.readyAt > now)
             continue;
         if (settledOps_[th.tid] & opBit(inst.op))
             continue;
-
-        // Loads the scheme parked until their safe point.
-        if (inst.loadPhase == LoadPhase::WaitSafe && !safe)
+        if (th.issueGated(inst, age, f, safe))
             continue;
-
-        // Fences serialise: issue only from the ROB head.
-        if (inst.isFence() && age != 0)
-            continue;
-
-        // Scheme issue gate (fence defenses).
-        IssueContext ctx;
-        ctx.olderUnresolvedBranch = speculative;
-        ctx.olderIncompleteLoad = older_load;
-        ctx.isLoad = inst.isLoad();
-        ctx.isBranch = inst.isBranch();
-        if (!th.scheme->mayIssue(ctx))
-            continue;
-
-        if (tryIssue(th, inst, speculative, safe, now, noise))
+        if (tryIssue(th, inst, age, f, age <= safe, now, noise))
             ++issued;
     }
 }
 
 bool
-Scheduler::tryIssue(ThreadContext &th, DynInst &inst, bool speculative,
-                    bool safe, Tick now, NoiseModel *noise)
+Scheduler::tryIssue(ThreadContext &th, DynInst &inst, std::size_t age,
+                    const Frontiers &f, bool safe, Tick now,
+                    NoiseModel *noise)
 {
+    const bool speculative = f.branch < age;
     const Op op = inst.op;
     const OpTraits &traits = opTraits(op);
     const SchedFlags flags = th.scheme->schedFlags();
@@ -201,7 +187,7 @@ Scheduler::tryIssue(ThreadContext &th, DynInst &inst, bool speculative,
             v->state = InstState::Dispatched;
             v->issuedAt() = kTickMax;
             v->completeAt = kTickMax;
-            v->retryAt = now + 1;
+            v->readyAt = now + 1;
             // Back to Dispatched with both sources still ready: a
             // candidate again from the next cycle on.
             th.issued.erase(th.rob.slotOf(*v));
@@ -224,6 +210,11 @@ Scheduler::tryIssue(ThreadContext &th, DynInst &inst, bool speculative,
         }
         return false;
     }
+    // A load waiting on an older store leaves the port it was offered.
+    // Checked after the port request: a waiting load denied a port
+    // still sets portContended, the SMT port channel's observable.
+    if (waitsOnStore(inst, age, f))
+        return false;
 
     if (inst.isLoad()) {
         if (!issueLoad(th, inst, safe, speculative, now, noise))
@@ -274,18 +265,11 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
     inst.effAddr() = (inst.si().src1 == kNoReg ? 0
                         : inst.src1Val() * inst.si().scale) +
                    static_cast<std::uint64_t>(inst.si().imm);
-
-    // Memory disambiguation against this thread's own older stores.
-    const DisambigResult dis = lsq_.check(inst, th.rob, th.storeSeqs);
-    if (dis.blocked) {
-        inst.retryAt = now + 1;
-        return false;
-    }
     if (inst.loadPhase == LoadPhase::None)
         ++th.stats.loads; // count each load once, not per retry
-    if (dis.forward) {
+    if (const DynInst *st = lsq_.forwardingStore(inst, th.rob, th.stores)) {
         inst.forwarded() = true;
-        inst.result() = dis.forwardValue;
+        inst.result() = st->result();
         inst.completeAt = now + cfg_.storeForwardLatency;
         inst.loadPhase = LoadPhase::Done;
         return true;
@@ -330,7 +314,7 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
             if (!acquire_mshr(now + probe.latency + jitter,
                               speculative)) {
                 const Tick earliest = mshr_.earliestReady(now);
-                inst.retryAt =
+                inst.readyAt =
                     earliest == kTickMax ? now + 1 : earliest;
                 inst.loadPhase = LoadPhase::WaitMshr;
                 return false;
@@ -366,7 +350,6 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
         }
         // Speculative miss: delay until safe, then re-execute.
         inst.loadPhase = LoadPhase::WaitSafe;
-        inst.retryAt = now + 1;
         return false;
       }
 
@@ -397,7 +380,7 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
             // through the shared-LLC model, across cores.
             if (!acquire_mshr(now + probe.latency + jitter, true)) {
                 const Tick earliest = mshr_.earliestReady(now);
-                inst.retryAt =
+                inst.readyAt =
                     earliest == kTickMax ? now + 1 : earliest;
                 inst.loadPhase = LoadPhase::WaitMshr;
                 return false;
@@ -425,7 +408,6 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
 
       case SpecLoadPolicy::DelayAlways:
         inst.loadPhase = LoadPhase::WaitSafe;
-        inst.retryAt = now + 1;
         return false;
     }
     panic("Scheduler::issueLoad: unknown policy");

@@ -80,12 +80,13 @@ class Scheduler
         return static_cast<std::uint16_t>(1u << static_cast<unsigned>(op));
     }
 
-    /** Attempt to issue @p inst, which is @p speculative (behind an
-     *  unresolved branch) and @p safe (past its safe point) or not.
+    /** Attempt to issue @p inst, at @p age under its thread's
+     *  frontiers @p f, which is @p safe (past its safe point) or not.
      *  @return true if it left the RS. */
-    bool tryIssue(ThreadContext &th, DynInst &inst, bool speculative,
-                  bool safe, Tick now, NoiseModel *noise);
-    /** Load-specific issue path (disambiguation, MSHRs, the scheme's
+    bool tryIssue(ThreadContext &th, DynInst &inst, std::size_t age,
+                  const Frontiers &f, bool safe, Tick now,
+                  NoiseModel *noise);
+    /** Load-specific issue path (store forwarding, MSHRs, the scheme's
      *  speculative-load policy). */
     bool issueLoad(ThreadContext &th, DynInst &inst, bool safe,
                    bool speculative, Tick now, NoiseModel *noise);

@@ -16,7 +16,8 @@ ThreadContext::ThreadContext(const CoreConfig &cfg, ThreadId t)
     : tid(t), frontend({cfg.fetchWidth, cfg.decodeQueue, t}),
       rob(cfg.robSize), readySet(cfg.robSize), issued(cfg.robSize),
       unresolvedBranches(cfg.robSize), incompleteLoads(cfg.robSize),
-      incompleteStores(cfg.robSize), pendingVisibility(cfg.robSize)
+      incompleteStores(cfg.robSize), pendingVisibility(cfg.robSize),
+      stores(cfg.robSize)
 {
     scheme = std::make_unique<UnsafeScheme>();
     renameMap.fill(kSeqNumInvalid);
@@ -40,9 +41,8 @@ ThreadContext::resetRun(const Program *p)
     minWbAt = 0;
     for (SlotSet *set : {&readySet, &issued, &unresolvedBranches,
                          &incompleteLoads, &incompleteStores,
-                         &pendingVisibility})
+                         &pendingVisibility, &stores})
         set->clear();
-    storeSeqs.clear();
     scheme->reset();
 }
 
@@ -51,7 +51,7 @@ ThreadContext::forgetSlot(std::size_t slot)
 {
     for (SlotSet *set : {&readySet, &issued, &unresolvedBranches,
                          &incompleteLoads, &incompleteStores,
-                         &pendingVisibility})
+                         &pendingVisibility, &stores})
         set->erase(slot);
 }
 

@@ -88,16 +88,16 @@ struct ThreadStats
 /**
  * A thread's speculation frontiers: the age (distance from the ROB
  * head, 0 = oldest) of its oldest unresolved branch, oldest incomplete
- * (not written back) load and oldest incomplete load or store.
- * SlotSet::kNone means none; it compares above every age, so an empty
- * set casts no shadow. An entry at age a has an older member of a set
- * iff that set's frontier is below a.
+ * (not written back) load and oldest incomplete store. SlotSet::kNone
+ * means none; it compares above every age, so an empty set casts no
+ * shadow. An entry at age a has an older member of a set iff that
+ * set's frontier is below a.
  */
 struct Frontiers
 {
     std::size_t branch = SlotSet::kNone;
     std::size_t load = SlotSet::kNone;
-    std::size_t mem = SlotSet::kNone;
+    std::size_t store = SlotSet::kNone;
 };
 
 /**
@@ -115,11 +115,19 @@ safeUpTo(const Frontiers &f, SafePoint sp)
       case SafePoint::BranchesResolved:
         return f.branch;
       case SafePoint::TSO:
-        return std::min(f.branch, f.mem);
+        return std::min({f.branch, f.load, f.store});
       case SafePoint::RobHead:
         return 0;
     }
     panic("safeUpTo: unknown SafePoint");
+}
+
+/** Does @p inst, at age @p age, wait for memory disambiguation: is it
+ *  a load with an older store not written back (address unknown)? */
+inline bool
+waitsOnStore(const DynInst &inst, std::size_t age, const Frontiers &f)
+{
+    return inst.isLoad() && f.store < age;
 }
 
 /** Per-thread pipeline context (see file comment). */
@@ -167,7 +175,7 @@ struct ThreadContext
      *  head (SlotSet::nextByAge) yields them oldest first, and the
      *  first member is the oldest: no scan, lookup, revalidation or
      *  sort. Every transition into or out of a set's condition updates
-     *  it; a squash clears the squashed slots from all six
+     *  it; a squash clears the squashed slots from all seven
      *  (forgetSlot). PipelineEngine::checkInvariants() rebuilds each
      *  set from the ROB and compares. */
     /// @{
@@ -191,14 +199,10 @@ struct ThreadContext
      *  issues with one, cleared when the safety stage or retirement
      *  performs it. */
     SlotSet pendingVisibility;
+    /** Every store: set at dispatch, cleared at retirement; store-to-load
+     *  forwarding walks it (Lsq::forwardingStore). */
+    SlotSet stores;
     /// @}
-
-    /** Seqs of this thread's in-flight stores, sorted by age: a store
-     *  is appended at dispatch, dropped from the front when it retires
-     *  (retirement is age-ordered) and from the back when a squash
-     *  discards it — so disambiguating a load walks only the older
-     *  stores instead of the whole window prefix. */
-    std::vector<SeqNum> storeSeqs;
 
     /** Reset all run state and start executing @p p from its entry. */
     void resetRun(const Program *p);
@@ -212,8 +216,29 @@ struct ThreadContext
         Frontiers f;
         f.branch = unresolvedBranches.nextByAge(head, 0);
         f.load = incompleteLoads.nextByAge(head, 0);
-        f.mem = std::min(f.load, incompleteStores.nextByAge(head, 0));
+        f.store = incompleteStores.nextByAge(head, 0);
         return f;
+    }
+
+    /** The issue stage's gates: may @p inst, a ready candidate at @p age
+     *  under frontiers @p f and safe prefix @p safe, not even attempt
+     *  issue? A gated candidate changes no state; only a frontier move
+     *  or a retirement lifts a gate. */
+    bool
+    issueGated(const DynInst &inst, std::size_t age, const Frontiers &f,
+               std::size_t safe) const
+    {
+        // Loads the scheme parked until their safe point; fences, which
+        // serialise (issue only from the ROB head); the scheme's gate.
+        if ((inst.loadPhase == LoadPhase::WaitSafe && age > safe) ||
+            (inst.isFence() && age != 0))
+            return true;
+        IssueContext ctx;
+        ctx.olderUnresolvedBranch = f.branch < age;
+        ctx.olderIncompleteLoad = f.load < age;
+        ctx.isLoad = inst.isLoad();
+        ctx.isBranch = inst.isBranch();
+        return !scheme->mayIssue(ctx);
     }
 
     /** Clear a squashed ring slot from every per-slot set. */

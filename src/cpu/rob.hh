@@ -138,11 +138,10 @@ struct alignas(64) DynInst
     /** Core-global dispatch order, shared by all SMT threads: the age
      *  key for cross-thread arbitration (CDB slots, issue ports). */
     std::uint64_t stamp = 0;
-    /** Earliest cycle the instruction may issue (operand readiness,
-     *  including the +1 writeback-to-issue delay). */
+    /** Earliest cycle the instruction may issue: operand readiness,
+     *  including the +1 writeback-to-issue delay, raised for an EU
+     *  preemption's victim and a load waiting for an MSHR. */
     Tick readyAt = 0;
-    /** Next cycle a blocked load should re-attempt issue. */
-    Tick retryAt = 0;
     Tick completeAt = kTickMax;
     /** Cold bank slot of this record (never null once banked). */
     DynInstCold *cold_ = nullptr;

@@ -4,7 +4,8 @@
  * branches, squash recovery) and the microarchitectural timing
  * properties the attacks build on (non-pipelined EU occupancy, CDB
  * bandwidth, MSHR limits, age-ordered issue), plus the ring-slot sets
- * the stages walk and the safe-point ages derived from them.
+ * the stages walk and the safe-point ages and store wait derived from
+ * them.
  */
 
 #include <gtest/gtest.h>
@@ -451,7 +452,7 @@ TEST(ThreadContextTest, SafeUpToMatchesThePerEntryRule)
         Frontiers f;
         f.branch = oldest("B");
         f.load = oldest("L");
-        f.mem = oldest("LS");
+        f.store = oldest("S");
         for (const SafePoint sp : points) {
             // Shadows cast by strictly older entries.
             bool older_branch = false;
@@ -477,6 +478,58 @@ TEST(ThreadContextTest, SafeUpToMatchesThePerEntryRule)
                     << " age " << age;
                 older_branch |= w[age] == 'B';
                 older_mem |= w[age] == 'L' || w[age] == 'S';
+            }
+        }
+    }
+}
+
+TEST(ThreadContextTest, StoreWaitMatchesTheOlderStoreWalk)
+{
+    // Windows of ages 0-7, oldest first: 'S' a store not written back
+    // (its address unknown), 's' a written-back store, 'L' a load, '.'
+    // an ALU op. Each is laid out from every head slot of an 8-entry
+    // ring, so the frontier is also read across the wrap.
+    const std::string windows[] = {"L.......", "S.L.....", "s.L.....",
+                                   "sSL.L...", "LsL.S.L.", "ssssLLLL",
+                                   "s.s.S.L.", "L.S.s.sL", ".....SsL",
+                                   "SLSLsLsL"};
+    CoreConfig cfg;
+    cfg.robSize = 8;
+    StaticInst load, store, alu;
+    load.op = Op::Load;
+    store.op = Op::Store;
+    alu.op = Op::IntAlu;
+    for (const std::string &w : windows) {
+        for (SeqNum head = 0; head < cfg.robSize; ++head) {
+            ThreadContext th(cfg, 0);
+            for (SeqNum seq = 0; seq < head; ++seq) {
+                th.rob.allocTail(seq);
+                th.rob.popHead();
+            }
+            for (std::size_t age = 0; age < w.size(); ++age) {
+                DynInst &d = th.rob.allocTail(head + age);
+                d.setStaticInst(w[age] == 'L'   ? &load
+                                : w[age] == '.' ? &alu
+                                                : &store);
+                if (w[age] == 's')
+                    d.state = InstState::WrittenBack;
+                if (w[age] == 'S')
+                    th.incompleteStores.insert(th.rob.slotOf(d));
+            }
+            const Frontiers f = th.frontiers();
+            for (std::size_t age = 0; age < w.size(); ++age) {
+                const DynInst &inst = *th.rob.at(age);
+                // The reference: walk the older entries; a load waits
+                // iff one of them is a store not written back.
+                bool blocked = false;
+                for (std::size_t older = 0; older < age; ++older) {
+                    const DynInst &o = *th.rob.at(older);
+                    if (o.isStore() && !o.writtenBack())
+                        blocked = true;
+                }
+                EXPECT_EQ(waitsOnStore(inst, age, f),
+                          inst.isLoad() && blocked)
+                    << w << " head " << head << " age " << age;
             }
         }
     }

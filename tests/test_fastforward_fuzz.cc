@@ -15,10 +15,11 @@
  *
  * tests/test_golden_traces.cc pins the fixed-seed scenario points;
  * this file walks the configuration space around them. The fixed
- * cases at the end target the two skip rules random programs rarely
+ * cases at the end target the skip rules random programs rarely
  * stress: port denials bounded by the ports' free time (including the
- * advanced defense's preemption, which must never be skipped) and
- * timed actions landing inside a skipped stall.
+ * advanced defense's preemption, which must never be skipped), loads
+ * waiting on an older store's address, and timed actions landing
+ * inside a skipped stall.
  */
 
 #include <gtest/gtest.h>
@@ -379,6 +380,37 @@ TEST(FastForwardRuleTest, PortBlockedSqrtStreamIsSkipped)
     // that finds work), the rest of the wait is skipped.
     const Tick latency = opTraits(Op::FpSqrt).latency;
     EXPECT_GE(skipped, kOps * latency / 2) << skipped;
+}
+
+TEST(FastForwardRuleTest, LoadBehindUnknownStoreAddressIsSkipped)
+{
+    // A store's address comes from a cold load, so the independent
+    // loads behind it wait for disambiguation for a memory round trip.
+    // Each is a ready candidate offered a free port that it cannot use:
+    // the attempt changes nothing, so the probe bounds the wait by the
+    // cold load's completion instead of ticking it.
+    constexpr Addr kCold = 0x80000;
+    constexpr Addr kStoreTo = 0x90000;
+    constexpr Addr kWarm = 0xa0000;
+    constexpr unsigned kLoads = 8;
+    Program prog;
+    prog.setReg(2, 5);
+    prog.load(1, kNoReg, static_cast<std::int64_t>(kCold));
+    prog.store(1, 2, static_cast<std::int64_t>(kStoreTo));
+    for (unsigned k = 0; k < kLoads; ++k) {
+        prog.load(static_cast<RegId>(8 + k), kNoReg,
+                  static_cast<std::int64_t>(kWarm + kLineBytes * k));
+    }
+    prog.halt();
+    auto warm = [&prog](Hierarchy &hier, MainMemory &) {
+        for (unsigned k = 0; k < kLoads; ++k)
+            hier.access(0, kWarm + kLineBytes * k, AccessType::Data, 0);
+        for (unsigned pc = 0; pc < prog.size(); ++pc)
+            hier.access(0, prog.instLine(pc), AccessType::Instr, 0);
+    };
+    const std::uint64_t skipped =
+        expectRunMatchesLiteral(prog, SchemeKind::Unsafe, warm);
+    EXPECT_GE(skipped, 100u) << skipped;
 }
 
 TEST(FastForwardRuleTest, PreemptingOlderSqrtIsNeverSkipped)

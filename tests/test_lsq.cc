@@ -1,12 +1,11 @@
 /**
  * @file
- * Load/store queue unit tests: occupancy accounting and memory
- * disambiguation (conservative blocking + store-to-load forwarding).
+ * Load/store queue unit tests: occupancy accounting and store-to-load
+ * forwarding. Whether a load waits for an older store is the issue
+ * stage's store-frontier rule, tested in tests/test_core.cc.
  */
 
 #include <gtest/gtest.h>
-
-#include <vector>
 
 #include "cpu/lsq.hh"
 
@@ -26,16 +25,17 @@ staticFor(Op op)
     return s;
 }
 
-/** Age-sorted in-flight store list as the engine maintains it on the
- *  thread context (pushed at dispatch, popped at retire/squash). */
-std::vector<SeqNum>
-storeList(const Rob &rob)
+/** The in-flight store set as the engine keeps it on the thread
+ *  context (ThreadContext::stores: set at dispatch, cleared at
+ *  retire/squash). */
+SlotSet
+storeSet(const Rob &rob)
 {
-    std::vector<SeqNum> seqs;
+    SlotSet stores(rob.capacity());
     for (const auto &inst : rob)
         if (inst.isStore())
-            seqs.push_back(inst.seq);
-    return seqs;
+            stores.insert(rob.slotOf(inst));
+    return stores;
 }
 
 OwnedDynInst
@@ -81,18 +81,6 @@ TEST(Lsq, NonMemOpsDoNotConsumeEntries)
     EXPECT_EQ(lsq.stores(), 0u);
 }
 
-TEST(Lsq, LoadBlockedByUnresolvedOlderStore)
-{
-    Lsq lsq;
-    Rob rob;
-    rob.push(makeInst(0, Op::Store).inst); // address unknown
-    DynInst &load = rob.push(makeInst(1, Op::Load, 0x1000).inst);
-
-    const DisambigResult r = lsq.check(load, rob, storeList(rob));
-    EXPECT_TRUE(r.blocked);
-    EXPECT_FALSE(r.forward);
-}
-
 TEST(Lsq, LoadForwardsFromMatchingOlderStore)
 {
     Lsq lsq;
@@ -100,10 +88,9 @@ TEST(Lsq, LoadForwardsFromMatchingOlderStore)
     rob.push(makeInst(0, Op::Store, 0x1000, true, 42).inst);
     DynInst &load = rob.push(makeInst(1, Op::Load, 0x1000).inst);
 
-    const DisambigResult r = lsq.check(load, rob, storeList(rob));
-    EXPECT_FALSE(r.blocked);
-    EXPECT_TRUE(r.forward);
-    EXPECT_EQ(r.forwardValue, 42u);
+    const DynInst *st = lsq.forwardingStore(load, rob, storeSet(rob));
+    ASSERT_NE(st, nullptr);
+    EXPECT_EQ(st->result(), 42u);
 }
 
 TEST(Lsq, ForwardingMatchesWordGranularity)
@@ -114,8 +101,8 @@ TEST(Lsq, ForwardingMatchesWordGranularity)
     DynInst &same_word = rob.push(makeInst(1, Op::Load, 0x1004).inst);
     DynInst &next_word = rob.push(makeInst(2, Op::Load, 0x1008).inst);
 
-    EXPECT_TRUE(lsq.check(same_word, rob, storeList(rob)).forward);
-    EXPECT_FALSE(lsq.check(next_word, rob, storeList(rob)).forward);
+    EXPECT_NE(lsq.forwardingStore(same_word, rob, storeSet(rob)), nullptr);
+    EXPECT_EQ(lsq.forwardingStore(next_word, rob, storeSet(rob)), nullptr);
 }
 
 TEST(Lsq, NearestOlderStoreWins)
@@ -126,9 +113,9 @@ TEST(Lsq, NearestOlderStoreWins)
     rob.push(makeInst(1, Op::Store, 0x1000, true, 2).inst);
     DynInst &load = rob.push(makeInst(2, Op::Load, 0x1000).inst);
 
-    const DisambigResult r = lsq.check(load, rob, storeList(rob));
-    EXPECT_TRUE(r.forward);
-    EXPECT_EQ(r.forwardValue, 2u);
+    const DynInst *st = lsq.forwardingStore(load, rob, storeSet(rob));
+    ASSERT_NE(st, nullptr);
+    EXPECT_EQ(st->result(), 2u);
 }
 
 TEST(Lsq, YoungerStoresAreIgnored)
@@ -138,9 +125,9 @@ TEST(Lsq, YoungerStoresAreIgnored)
     DynInst &load = rob.push(makeInst(0, Op::Load, 0x1000).inst);
     rob.push(makeInst(1, Op::Store, 0x1000, false).inst);
 
-    const DisambigResult r = lsq.check(load, rob, storeList(rob));
-    EXPECT_FALSE(r.blocked);
-    EXPECT_FALSE(r.forward);
+    // The younger store is not written back: the walk must stop before
+    // it (forwardingStore asserts every older store is).
+    EXPECT_EQ(lsq.forwardingStore(load, rob, storeSet(rob)), nullptr);
 }
 
 } // namespace
