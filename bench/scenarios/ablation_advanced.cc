@@ -11,14 +11,14 @@
 
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "attack/sender.hh"
 #include "cpu/core.hh"
 #include "sim/experiment/report.hh"
 #include "sim/stats.hh"
-#include "spec/advanced.hh"
+#include "spec/scheme.hh"
 #include "workload/suite.hh"
 
 namespace specint::scenarios
@@ -32,27 +32,31 @@ using namespace experiment;
 struct RuleConfig
 {
     const char *name;
-    AdvancedDefenseScheme::Rules rules;
+    SchedFlags rules;
 };
 
+// Each rules literal names its fields: SchedFlags lists them as
+// strictAgePriority (rule 2a), holdRsUntilRetire (rule 1),
+// preemptSpecMshr (rule 2b).
 constexpr RuleConfig kConfigs[] = {
-    {"none (plain DoM)", {false, false, false}},
-    {"rule1: hold RS", {true, false, false}},
-    {"rule2a: EU priority", {false, true, false}},
-    {"rule2b: MSHR preempt", {false, false, true}},
-    {"all rules", {true, true, true}},
+    {"none (plain DoM)",
+     {/*age=*/false, /*hold=*/false, /*mshr=*/false}},
+    {"rule1: hold RS", {/*age=*/false, /*hold=*/true, /*mshr=*/false}},
+    {"rule2a: EU priority",
+     {/*age=*/true, /*hold=*/false, /*mshr=*/false}},
+    {"rule2b: MSHR preempt",
+     {/*age=*/false, /*hold=*/false, /*mshr=*/true}},
+    {"all rules", {/*age=*/true, /*hold=*/true, /*mshr=*/true}},
 };
 
 bool
-attackWorks(GadgetKind g, OrderingKind o,
-            AdvancedDefenseScheme::Rules rules,
+attackWorks(GadgetKind g, OrderingKind o, SchedFlags rules,
             SpecLoadPolicy base = SpecLoadPolicy::DelayOnMiss)
 {
     Hierarchy hier(HierarchyConfig::small());
     MainMemory mem;
     Core victim(CoreConfig{}, 0, hier, mem);
-    victim.setScheme(
-        std::make_unique<AdvancedDefenseScheme>(rules, base));
+    victim.setScheme(advancedDefense(rules, base));
     AttackerAgent attacker(hier, 1);
     TrialHarness harness(hier, mem, victim, attacker);
 
@@ -75,7 +79,7 @@ attackWorks(GadgetKind g, OrderingKind o,
 }
 
 double
-suiteSlowdown(AdvancedDefenseScheme::Rules rules)
+suiteSlowdown(SchedFlags rules)
 {
     // Cycles relative to plain DoM (the cache-protection baseline the
     // advanced defense builds on), geomean over a reduced suite.
@@ -94,7 +98,7 @@ suiteSlowdown(AdvancedDefenseScheme::Rules rules)
                 core.setScheme(makeScheme(SchemeKind::DomNonTso));
             else
                 core.setScheme(
-                    std::make_unique<AdvancedDefenseScheme>(rules));
+                    advancedDefense(rules, SpecLoadPolicy::DelayOnMiss));
             cyc[variant] = core.run(wl.prog).cycles;
         }
         log_sum += std::log(static_cast<double>(cyc[1]) /
@@ -116,9 +120,9 @@ runPoint(const PointContext &ctx, const RunOptions &)
         throw std::out_of_range("unknown rule config '" + name + "'");
 
     // Rule 2a requires rule 1's held RS entries for re-issue.
-    AdvancedDefenseScheme::Rules rules = config->rules;
-    if (rules.agePriority)
-        rules.holdResources = true;
+    SchedFlags rules = config->rules;
+    if (rules.strictAgePriority)
+        rules.holdRsUntilRetire = true;
     const bool npeu =
         !attackWorks(GadgetKind::Npeu, OrderingKind::VdVd, rules);
     // The MSHR column layers the rules on an InvisiSpec-style

@@ -27,9 +27,9 @@
  *     which issues a *visible* prefetch of trigger+1 into an LLC set
  *     the probe has primed, evicting one probe line. The probe times
  *     its primed lines (Prime+Probe). Leaks through every scheme
- *     whose speculative requests leave the core
- *     (Scheme::trainsPrefetcher()); closed by DoM/fences, whose
- *     speculative misses never issue.
+ *     whose speculative requests leave the core (the trainsPrefetcher
+ *     column of the scheme table, spec/scheme.cc); closed by
+ *     DoM/fences, whose speculative misses never issue.
  *
  * Both are the paper's thesis one layer up: invisible speculation
  * hides cache state, not the request's side effects. Both run on the

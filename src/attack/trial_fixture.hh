@@ -63,8 +63,7 @@ std::string attackFixtureKey(const CoreConfig &core,
                              const HierarchyConfig &hier);
 
 /** Per-worker-thread pooled fixture for (core, hier); reset and ready
- *  for a trial. Publishes nothing itself — pool counters live in
- *  experiment::fixtureCacheStats(). */
+ *  for a trial (see experiment::FixtureCache). */
 AttackFixture &acquireAttackFixture(const CoreConfig &core,
                                     const HierarchyConfig &hier);
 

@@ -33,8 +33,7 @@ class Core
     Core(CoreConfig cfg, CoreId id, Hierarchy &hier, MainMemory &mem);
 
     /** Install the active speculation-safety scheme. */
-    void setScheme(SchemePtr scheme) { engine_.setScheme(0, std::move(scheme)); }
-    Scheme &scheme() { return engine_.scheme(0); }
+    void setScheme(Scheme scheme) { engine_.setScheme(0, scheme); }
 
     /** Attach a noise model (nullptr = noiseless). */
     void setNoise(NoiseModel *noise) { engine_.setNoise(noise); }

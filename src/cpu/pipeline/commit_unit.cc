@@ -276,7 +276,7 @@ CommitUnit::squashAfter(ThreadContext &th, const DynInst &br, Tick now)
     th.rob.squashYoungerThan(bound);
     ports_.squashThread(th.tid, bound);
     mshr_.squashThread(th.tid, bound);
-    th.scheme->filterSquashYoungerThan(bound);
+    th.filter.squashYoungerThan(bound);
 
     // Restore the rename map from the branch's checkpoint; discard
     // checkpoints belonging to squashed (younger) branches.

@@ -16,7 +16,6 @@
 #include "sim/log.hh"
 #include "sim/obs/metrics.hh"
 #include "sim/obs/trace.hh"
-#include "spec/unsafe.hh"
 
 namespace specint
 {
@@ -51,16 +50,10 @@ PipelineEngine::PipelineEngine(CoreConfig cfg, SmtConfig smt, CoreId id,
 PipelineEngine::~PipelineEngine() = default;
 
 void
-PipelineEngine::setScheme(ThreadId tid, SchemePtr scheme)
+PipelineEngine::setScheme(ThreadId tid, Scheme scheme)
 {
-    assert(scheme && tid < threads_.size());
-    threads_[tid]->scheme = std::move(scheme);
-}
-
-Scheme &
-PipelineEngine::scheme(ThreadId tid)
-{
-    return *threads_[tid]->scheme;
+    assert(tid < threads_.size());
+    threads_[tid]->scheme = scheme;
 }
 
 BranchPredictor &
@@ -121,7 +114,7 @@ PipelineEngine::resetForRun()
         // ThreadContext::resetRun keeps the installed scheme (a run
         // boundary is not a trial boundary); a trial boundary must
         // restore the constructed default.
-        tp->scheme = std::make_unique<UnsafeScheme>();
+        tp->scheme = Scheme();
     }
 }
 
@@ -276,7 +269,7 @@ PipelineEngine::portsFreeAt(const ThreadContext &th,
     // portContended flag.
     const OpTraits &traits = opTraits(inst.op);
     const bool may_preempt =
-        th.scheme->schedFlags().strictAgePriority && !traits.pipelined;
+        th.scheme.schedFlags().strictAgePriority && !traits.pipelined;
     Tick free_at = kTickMax;
     for (std::uint8_t p : traits.ports) {
         if (!ports_.busy(p, now_) ||
@@ -331,7 +324,7 @@ PipelineEngine::nextTransitionAt(FfProbe &probe) const
         // it, it can only become safe after another captured event
         // (branch resolution, load completion, retire).
         const Frontiers f = th.frontiers();
-        const std::size_t safe = safeUpTo(f, th.scheme->safePoint());
+        const std::size_t safe = safeUpTo(f, th.scheme.safePoint());
         for (std::size_t age = th.pendingVisibility.nextByAge(head, 0);
              age != SlotSet::kNone && age <= safe;
              age = th.pendingVisibility.nextByAge(head, age + 1)) {
@@ -516,15 +509,19 @@ PipelineEngine::accrueSiblingHoldings(Tick to)
 std::string
 PipelineEngine::checkInvariants() const
 {
+    unsigned rs_held_total = 0;
     for (const auto &tp : threads_) {
         const ThreadContext &th = *tp;
 
-        // Rebuild every per-slot set from the ROB in one pass.
+        // Rebuild every per-slot set, and count the RS slots held, from
+        // the ROB in one pass.
         const std::size_t slots = th.rob.capacity();
         SlotSet ready(slots), issued(slots), branches(slots), loads(slots),
             stores(slots), visibility(slots), all_stores(slots);
+        unsigned rs_held = 0;
         for (const DynInst &inst : th.rob) {
             const std::size_t s = th.rob.slotOf(inst);
+            rs_held += inst.inRs;
             if (inst.state == InstState::Dispatched && inst.src1Ready &&
                 inst.src2Ready)
                 ready.insert(s);
@@ -572,6 +569,21 @@ PipelineEngine::checkInvariants() const
             }
             return where + " has a member in a dead slot";
         }
+
+        // The RS share equals the entries holding an RS slot (under
+        // holdRsUntilRetire, issued ones too, until they retire).
+        if (rs_.occupancy(th.tid) != rs_held) {
+            return "thread " + std::to_string(th.tid) + ": RS share " +
+                   std::to_string(rs_.occupancy(th.tid)) + " but " +
+                   std::to_string(rs_held) +
+                   " entries hold an RS slot";
+        }
+        rs_held_total += rs_held;
+    }
+    if (rs_.occupancy() != rs_held_total) {
+        return "RS occupancy " + std::to_string(rs_.occupancy()) +
+               " but the threads' shares sum to " +
+               std::to_string(rs_held_total);
     }
     return {};
 }

@@ -100,8 +100,7 @@ class PipelineEngine
     Hierarchy &hierarchy() { return *hier_; }
 
     /** Install thread @p tid's speculation-safety scheme. */
-    void setScheme(ThreadId tid, SchemePtr scheme);
-    Scheme &scheme(ThreadId tid);
+    void setScheme(ThreadId tid, Scheme scheme);
 
     /** Attach a noise model shared by all threads (nullptr = none). */
     void setNoise(NoiseModel *noise) { noise_ = noise; }
@@ -131,7 +130,7 @@ class PipelineEngine
      * Restore the engine to its just-constructed state so it can host
      * a fresh, history-independent trial without reallocation: drops
      * the noise model, a pending timed action and any installed
-     * schemes (back to UnsafeScheme), and clears predictor state.
+     * schemes (back to the Unsafe default), and clears predictor state.
      * beginRun() covers everything else (ROB/RS/LSQ/ports/MSHRs/
      * clock). The ROB's SoA banks and the shared structures keep
      * their storage.
@@ -217,10 +216,13 @@ class PipelineEngine
      * issued, unresolvedBranches, incompleteLoads, incompleteStores,
      * pendingVisibility, stores) against the ROB: each set is rebuilt
      * from the live entries in one pass and compared word for word, so
-     * a member in a dead slot fails too. @return a description of the
-     * first violation (set and seq), empty when all hold. A full-window
-     * scan for tests (tests/literal_loop.hh runs it after every cycle);
-     * run() never calls it.
+     * a member in a dead slot fails too. The same pass counts the
+     * entries holding an RS slot, which must equal the thread's RS
+     * share; the shares must sum to the RS occupancy. @return a
+     * description of the first violation (set and seq, or the RS
+     * counts), empty when all hold. A full-window scan for tests
+     * (tests/literal_loop.hh runs it after every cycle); run() never
+     * calls it.
      */
     std::string checkInvariants() const;
 

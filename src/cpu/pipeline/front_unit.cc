@@ -143,7 +143,7 @@ FrontUnit::fetch(std::vector<std::unique_ptr<ThreadContext>> &threads,
     const auto ifetch = [&](Addr line) -> IFetchResult {
         // Speculating iff the thread holds any unresolved branch.
         const bool speculative = th.frontiers().branch != SlotSet::kNone;
-        if (th.scheme->protectsIFetch() && speculative) {
+        if (th.scheme.protectsIFetch() && speculative) {
             const MemAccessResult res = hier_.accessInvisible(
                 id_, line, AccessType::Instr, now);
             return {res.l1Hit ? now : now + res.latency, true};

@@ -30,7 +30,7 @@ Scheduler::safety(std::vector<std::unique_ptr<ThreadContext>> &threads,
         // Only the safe prefix can act, oldest first; nothing here
         // moves a frontier.
         const std::size_t safe =
-            safeUpTo(th.frontiers(), th.scheme->safePoint());
+            safeUpTo(th.frontiers(), th.scheme.safePoint());
         for (; age != SlotSet::kNone && age <= safe;
              age = th.pendingVisibility.nextByAge(head, age + 1)) {
             DynInst &inst = *th.rob.at(age);
@@ -101,7 +101,7 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
         // Nothing during issue() moves a frontier: branches resolve and
         // memory ops complete at writeback, earlier in the tick.
         run.f = th.frontiers();
-        run.safe = safeUpTo(run.f, th.scheme->safePoint());
+        run.safe = safeUpTo(run.f, th.scheme.safePoint());
     }
     if (runs_.empty())
         return;
@@ -167,7 +167,7 @@ Scheduler::tryIssue(ThreadContext &th, DynInst &inst, std::size_t age,
     const bool speculative = f.branch < age;
     const Op op = inst.op;
     const OpTraits &traits = opTraits(op);
-    const SchedFlags flags = th.scheme->schedFlags();
+    const SchedFlags flags = th.scheme.schedFlags();
     const bool may_preempt = flags.strictAgePriority && !traits.pipelined;
 
     int port = (blockedOps_ & opBit(op)) ? -1 : ports_.selectPort(op, now);
@@ -192,7 +192,7 @@ Scheduler::tryIssue(ThreadContext &th, DynInst &inst, std::size_t age,
             // candidate again from the next cycle on.
             th.issued.erase(th.rob.slotOf(*v));
             th.readySet.insert(th.rob.slotOf(*v));
-            if (!v->inRs())
+            if (!v->inRs)
                 rs_.allocate(*v);
             port = p;
             break;
@@ -232,7 +232,7 @@ Scheduler::tryIssue(ThreadContext &th, DynInst &inst, std::size_t age,
         // (it then upgrades via the retirement-time write access).
         if (speculative && hier_.coherenceEnabled()) {
             const SpecCoherencePolicy cp =
-                th.scheme->specCoherencePolicy();
+                th.scheme.specCoherencePolicy();
             if (cp != SpecCoherencePolicy::DeferAll) {
                 inst.completeAt += hier_.specStoreUpgrade(
                     id_, inst.effAddr(), now,
@@ -276,10 +276,10 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
     }
 
     const SpecLoadPolicy policy =
-        safe ? SpecLoadPolicy::Visible : th.scheme->specLoadPolicy();
+        safe ? SpecLoadPolicy::Visible : th.scheme.specLoadPolicy();
     const Tick jitter = noise ? noise->loadJitter() : 0;
     const Addr line = lineAlign(inst.effAddr());
-    const SchedFlags flags = th.scheme->schedFlags();
+    const SchedFlags flags = th.scheme.schedFlags();
 
     auto need_mshr = [&](bool l1_hit) -> bool { return !l1_hit; };
     auto acquire_mshr = [&](Tick ready_at, bool spec_alloc) -> bool {
@@ -324,7 +324,7 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
         // only under schemes whose requests leave the core.
         const MemAccessResult res = hier_.access(
             id_, inst.effAddr(), AccessType::Data, now, MemIntent::Read,
-            safe || th.scheme->trainsPrefetcher());
+            safe || th.scheme.trainsPrefetcher());
         if (res.l1Hit)
             ++th.stats.loadL1Hits;
         inst.servedBy() = res.servedBy;
@@ -356,7 +356,7 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
       case SpecLoadPolicy::InvisibleRequest:
       case SpecLoadPolicy::InvisibleFilter: {
         if (policy == SpecLoadPolicy::InvisibleFilter &&
-            th.scheme->filterProbe(line)) {
+            th.filter.probe(line)) {
             // MuonTrap filter-cache hit: core-local, fast.
             inst.servedBy() = ServedBy::L1;
             inst.completeAt =
@@ -392,7 +392,7 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
         // channel exploits).
         const MemAccessResult res = hier_.accessInvisible(
             id_, inst.effAddr(), AccessType::Data, now,
-            th.scheme->trainsPrefetcher());
+            th.scheme.trainsPrefetcher());
         if (res.l1Hit)
             ++th.stats.loadL1Hits;
         inst.servedBy() = res.servedBy;
@@ -402,7 +402,7 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
         th.pendingVisibility.insert(th.rob.slotOf(inst));
         inst.loadPhase = LoadPhase::InFlight;
         if (policy == SpecLoadPolicy::InvisibleFilter)
-            th.scheme->filterFill(line, inst.seq);
+            th.filter.fill(line, inst.seq);
         return true;
       }
 

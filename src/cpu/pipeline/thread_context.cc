@@ -7,8 +7,6 @@
 
 #include "cpu/pipeline/thread_context.hh"
 
-#include "spec/unsafe.hh"
-
 namespace specint
 {
 
@@ -19,7 +17,6 @@ ThreadContext::ThreadContext(const CoreConfig &cfg, ThreadId t)
       incompleteStores(cfg.robSize), pendingVisibility(cfg.robSize),
       stores(cfg.robSize)
 {
-    scheme = std::make_unique<UnsafeScheme>();
     renameMap.fill(kSeqNumInvalid);
 }
 
@@ -43,7 +40,7 @@ ThreadContext::resetRun(const Program *p)
                          &incompleteLoads, &incompleteStores,
                          &pendingVisibility, &stores})
         set->clear();
-    scheme->reset();
+    filter.clear();
 }
 
 void

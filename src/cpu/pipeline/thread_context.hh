@@ -4,8 +4,8 @@
  *
  * ThreadContext owns everything an architectural thread carries
  * through the pipeline — frontend, branch predictor, ROB, rename
- * state, architectural registers, speculation-safety scheme, stats and
- * traces — plus the per-thread helper computations (speculation
+ * state, architectural registers, speculation-safety scheme and
+ * MuonTrap filter cache, stats and traces — plus the per-thread helper computations (speculation
  * frontiers and safe points, operand rename) every stage consults.
  * The stage components in this directory operate on one or more
  * ThreadContexts and the shared structures (RS/LSQ/ports/MSHRs) owned
@@ -24,7 +24,6 @@
 #include <array>
 #include <cstddef>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "cpu/branch_predictor.hh"
@@ -141,7 +140,9 @@ struct ThreadContext
     Frontend frontend;
     BranchPredictor predictor;
     Rob rob;
-    SchemePtr scheme;
+    Scheme scheme;
+    /** MuonTrap's L0 (SpecLoadPolicy::InvisibleFilter only). */
+    FilterCache filter;
 
     const Program *prog = nullptr;
     bool haltRetired = false;
@@ -229,16 +230,13 @@ struct ThreadContext
                std::size_t safe) const
     {
         // Loads the scheme parked until their safe point; fences, which
-        // serialise (issue only from the ROB head); the scheme's gate.
-        if ((inst.loadPhase == LoadPhase::WaitSafe && age > safe) ||
-            (inst.isFence() && age != 0))
-            return true;
-        IssueContext ctx;
-        ctx.olderUnresolvedBranch = f.branch < age;
-        ctx.olderIncompleteLoad = f.load < age;
-        ctx.isLoad = inst.isLoad();
-        ctx.isBranch = inst.isBranch();
-        return !scheme->mayIssue(ctx);
+        // serialise (issue only from the ROB head); the scheme's fence,
+        // which waits on its own frontiers, never the store frontier.
+        const IssueFence fence = scheme.issueFence();
+        return (inst.loadPhase == LoadPhase::WaitSafe && age > safe) ||
+               (inst.isFence() && age != 0) ||
+               (fence != IssueFence::None && f.branch < age) ||
+               (fence == IssueFence::BranchesAndLoads && f.load < age);
     }
 
     /** Clear a squashed ring slot from every per-slot set. */

@@ -34,8 +34,8 @@ void
 ReservationStation::allocate(DynInst &inst)
 {
     assert(!full(inst.tid));
-    assert(!inst.inRs());
-    inst.inRs() = true;
+    assert(!inst.inRs);
+    inst.inRs = true;
     ++used_[inst.tid];
     ++total_;
 }
@@ -43,9 +43,9 @@ ReservationStation::allocate(DynInst &inst)
 void
 ReservationStation::release(DynInst &inst)
 {
-    if (!inst.inRs())
+    if (!inst.inRs)
         return;
-    inst.inRs() = false;
+    inst.inRs = false;
     assert(used_[inst.tid] > 0);
     --used_[inst.tid];
     --total_;

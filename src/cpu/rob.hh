@@ -97,7 +97,6 @@ struct DynInstCold
     bool mispredicted = false;
     /// @}
 
-    bool inRs = false;
     int port = -1;
 
     /** @name Event timestamps (trace metadata) */
@@ -164,6 +163,10 @@ struct alignas(64) DynInst
     bool deferredTouchPending = false;
     /** InvisiSpec/SafeSpec/MuonTrap: visible exposure access pending. */
     bool exposurePending = false;
+    /** Holds a reservation-station entry (ReservationStation). Hot:
+     *  PipelineEngine::checkInvariants() counts the holders every
+     *  literal cycle. */
+    bool inRs = false;
 
     enum : std::uint8_t
     {
@@ -233,8 +236,6 @@ struct alignas(64) DynInst
     bool actualTaken() const { return cold_->actualTaken; }
     bool &mispredicted() { return cold_->mispredicted; }
     bool mispredicted() const { return cold_->mispredicted; }
-    bool &inRs() { return cold_->inRs; }
-    bool inRs() const { return cold_->inRs; }
     int &port() { return cold_->port; }
     int port() const { return cold_->port; }
     Tick &dispatchedAt() { return cold_->dispatchedAt; }

@@ -502,7 +502,7 @@ Hierarchy::trainPrefetcher(const MemTransaction &txn)
         // A real transaction: fills L2/LLC, occupies slice ports and
         // shared MSHRs, appears in the C(E) trace — and is *visible*
         // even when the demand access that trained it was invisible.
-        MemTransaction &p = *txnPool_.acquire();
+        MemTransaction p;
         p.core = txn.core;
         p.addr = cand;
         p.type = AccessType::Data;
@@ -515,7 +515,6 @@ Hierarchy::trainPrefetcher(const MemTransaction &txn)
         ++pf.stats().issued;
         if (p.result.servedBy == ServedBy::Mem)
             ++pf.stats().llcFills;
-        txnPool_.release(&p);
     }
 }
 
@@ -523,7 +522,7 @@ MemAccessResult
 Hierarchy::access(CoreId core, Addr addr, AccessType type, Tick now,
                   MemIntent intent, bool train)
 {
-    MemTransaction &txn = *txnPool_.acquire();
+    MemTransaction txn;
     txn.core = core;
     txn.addr = addr;
     txn.type = type;
@@ -532,16 +531,14 @@ Hierarchy::access(CoreId core, Addr addr, AccessType type, Tick now,
     txn.visibility = TxnVisibility::Visible;
     txn.train = train;
     txn.issuedAt = now;
-    const MemAccessResult res = execute(txn);
-    txnPool_.release(&txn);
-    return res;
+    return execute(txn);
 }
 
 MemAccessResult
 Hierarchy::accessInvisible(CoreId core, Addr addr, AccessType type,
                            Tick now, bool train)
 {
-    MemTransaction &txn = *txnPool_.acquire();
+    MemTransaction txn;
     txn.core = core;
     txn.addr = addr;
     txn.type = type;
@@ -550,9 +547,7 @@ Hierarchy::accessInvisible(CoreId core, Addr addr, AccessType type,
     txn.visibility = TxnVisibility::Invisible;
     txn.train = train;
     txn.issuedAt = now;
-    const MemAccessResult res = execute(txn);
-    txnPool_.release(&txn);
-    return res;
+    return execute(txn);
 }
 
 MemAccessResult
@@ -588,7 +583,7 @@ Hierarchy::peekLatency(CoreId core, Addr addr, AccessType type) const
 MemAccessResult
 Hierarchy::accessDirect(CoreId core, Addr addr, Tick now)
 {
-    MemTransaction &txn = *txnPool_.acquire();
+    MemTransaction txn;
     txn.core = core;
     txn.addr = addr;
     txn.type = AccessType::Data;
@@ -597,9 +592,7 @@ Hierarchy::accessDirect(CoreId core, Addr addr, Tick now)
     txn.visibility = TxnVisibility::Visible;
     txn.train = false;
     txn.issuedAt = now;
-    const MemAccessResult res = execute(txn);
-    txnPool_.release(&txn);
-    return res;
+    return execute(txn);
 }
 
 Tick
@@ -665,8 +658,6 @@ Hierarchy::reset()
     cohPublished_.assign(cfg_.cores + 1, CoherenceStats{});
     pfPublished_.assign(cfg_.cores, PrefetchStats{});
     tracePublished_ = 0;
-    txnPool_.reset();
-    slabAcquiresPublished_ = 0;
     resetContention();
 }
 
@@ -704,13 +695,6 @@ Hierarchy::publishMetrics()
 
     reg.counterAdd("llc.visible_accesses",
                    publishDelta(trace_.size(), tracePublished_));
-    reg.counterAdd("llc.txnslab.acquires",
-                   publishDelta(txnPool_.acquires(),
-                                slabAcquiresPublished_));
-    reg.sampleAdd("llc.txnslab.high_water",
-                  static_cast<double>(txnPool_.highWater()));
-    reg.sampleAdd("llc.txnslab.capacity",
-                  static_cast<double>(txnPool_.capacity()));
     for (unsigned s = 0; s < cfg_.llcSlices; ++s) {
         // Occupancy is a point-in-time sample, not a cumulative
         // counter: record the valid-line count per slice as a

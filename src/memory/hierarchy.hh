@@ -49,7 +49,6 @@
 
 #include "memory/cache.hh"
 #include "memory/coherence.hh"
-#include "sim/arena.hh"
 #include "memory/prefetcher.hh"
 #include "memory/transaction.hh"
 #include "sim/types.hh"
@@ -399,11 +398,6 @@ class Hierarchy
     std::vector<Prefetcher> prefetchers_;
     /** Reused candidate buffer (no per-access allocation). */
     std::vector<Addr> prefetchCands_;
-    /** Flattened transaction slab for the entry points and the
-     *  prefetch fan-out.  Usage is strictly nested (a demand access
-     *  releases only after any prefetch transactions it spawned), so
-     *  the in-flight stack is a contiguous run of one-line records. */
-    TxnSlab<MemTransaction> txnPool_{16};
 
     /** @name Shared-level contention state */
     /// @{
@@ -438,7 +432,6 @@ class Hierarchy
     std::vector<CoherenceStats> cohPublished_;
     std::vector<PrefetchStats> pfPublished_;
     std::uint64_t tracePublished_ = 0;
-    std::uint64_t slabAcquiresPublished_ = 0;
     /// @}
 };
 

@@ -23,8 +23,8 @@
  * load can therefore deposit an attacker-observable line in the shared
  * LLC through the prefetcher even under InvisiSpec/SafeSpec/MuonTrap
  * (attack/coherence_probe.hh, PrefetchTraining kind). Whether a
- * scheme's speculative requests train at all is the scheme's own
- * declaration: Scheme::trainsPrefetcher().
+ * scheme's speculative requests train at all is a declared policy in
+ * its row of the scheme table (spec/scheme.cc, trainsPrefetcher()).
  *
  * Off by default: PrefetchKind::None issues nothing and trains
  * nothing, preserving every pre-existing experiment bit-for-bit.

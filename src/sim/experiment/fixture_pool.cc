@@ -1,6 +1,6 @@
 /**
  * @file
- * Fixture-reuse switch and per-thread cache counters.
+ * Fixture-reuse switch.
  */
 
 #include "sim/experiment/fixture_pool.hh"
@@ -27,13 +27,6 @@ void
 setFixtureReuse(bool on)
 {
     reuseEnabled.store(on, std::memory_order_relaxed);
-}
-
-FixtureCacheStats &
-fixtureCacheStats()
-{
-    thread_local FixtureCacheStats stats;
-    return stats;
 }
 
 } // namespace specint::experiment

@@ -28,7 +28,6 @@
 #ifndef SPECINT_SIM_EXPERIMENT_FIXTURE_POOL_HH
 #define SPECINT_SIM_EXPERIMENT_FIXTURE_POOL_HH
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -40,16 +39,6 @@ namespace specint::experiment
  *  only while no sweep is running (tests, CLI startup). */
 bool fixtureReuseEnabled();
 void setFixtureReuse(bool on);
-
-/** Cumulative acquire/rebuild counters across all fixture types on
- *  this thread (pool observability; see MetricRegistry publication in
- *  the attack entry points). */
-struct FixtureCacheStats
-{
-    std::uint64_t acquires = 0;
-    std::uint64_t rebuilds = 0;
-};
-FixtureCacheStats &fixtureCacheStats();
 
 /**
  * One cached fixture of type F per thread.  F must provide
@@ -66,14 +55,12 @@ class FixtureCache
     {
         thread_local std::unique_ptr<F> cached;
         thread_local std::string cachedKey;
-        ++fixtureCacheStats().acquires;
         if (fixtureReuseEnabled() && cached && cachedKey == key) {
             cached->resetForRun();
             return *cached;
         }
         cached = build();
         cachedKey = key;
-        ++fixtureCacheStats().rebuilds;
         return *cached;
     }
 };

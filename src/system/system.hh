@@ -104,9 +104,8 @@ class System
      * Restore the system to its just-constructed state — engines back
      * to default schemes/predictors with timed actions and noise
      * detached, the hierarchy's caches/directory/prefetchers/
-     * contention state and transaction slab cleared, main memory
-     * emptied — while keeping every allocation (cache arrays, ROB SoA
-     * banks, slabs) alive.
+     * contention state cleared, main memory emptied — while keeping
+     * every allocation (cache arrays, ROB SoA banks) alive.
      * After resetForRun() a run is bit-identical to the same run on a
      * freshly constructed System of the same config.
      */

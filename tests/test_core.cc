@@ -4,8 +4,8 @@
  * branches, squash recovery) and the microarchitectural timing
  * properties the attacks build on (non-pipelined EU occupancy, CDB
  * bandwidth, MSHR limits, age-ordered issue), plus the ring-slot sets
- * the stages walk and the safe-point ages and store wait derived from
- * them.
+ * the stages walk and the safe-point ages, fence gate and store wait
+ * derived from them.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,7 @@
 #include "cpu/core.hh"
 #include "cpu/pipeline/thread_context.hh"
 #include "memory/hierarchy.hh"
-#include "spec/unsafe.hh"
+#include "spec/scheme.hh"
 
 namespace specint
 {
@@ -478,6 +478,76 @@ TEST(ThreadContextTest, SafeUpToMatchesThePerEntryRule)
                     << " age " << age;
                 older_branch |= w[age] == 'B';
                 older_mem |= w[age] == 'L' || w[age] == 'S';
+            }
+        }
+    }
+}
+
+TEST(ThreadContextTest, IssueGateMatchesTheFenceRule)
+{
+    // Windows of ages 0-7, oldest first: 'B' an unresolved branch, 'L'
+    // an incomplete load, 'S' an incomplete store, '.' an ALU op. An
+    // entry is gated iff an older entry is one its scheme's fence waits
+    // on: branches under Fence (Spectre), branches and loads but never
+    // stores under Fence (Futuristic) — although its TSO safe point
+    // counts the store frontier. No other scheme gates an entry that
+    // is neither parked until safe nor a fence instruction.
+    const std::string windows[] = {"........", "B.......", "...B....",
+                                   ".L......", "S.......", "B..L..S.",
+                                   "S..B..L.", ".S.L....", "..LS..B.",
+                                   "......LB"};
+    const struct
+    {
+        SchemeKind kind;
+        const char *waitsOn;
+    } schemes[] = {
+        {SchemeKind::FenceSpectre, "B"},
+        {SchemeKind::FenceFuturistic, "BL"},
+        {SchemeKind::Unsafe, ""},
+        {SchemeKind::DomTso, ""},
+        {SchemeKind::InvisiSpecFuturistic, ""},
+        {SchemeKind::AdvancedDefense, ""},
+    };
+    CoreConfig cfg;
+    cfg.robSize = 8;
+    StaticInst branch, load, store, alu;
+    branch.op = Op::Branch;
+    load.op = Op::Load;
+    store.op = Op::Store;
+    alu.op = Op::IntAlu;
+    for (const auto &sc : schemes) {
+        for (const std::string &w : windows) {
+            ThreadContext th(cfg, 0);
+            th.scheme = makeScheme(sc.kind);
+            for (std::size_t age = 0; age < w.size(); ++age) {
+                DynInst &d = th.rob.allocTail(age);
+                const std::size_t slot = th.rob.slotOf(d);
+                switch (w[age]) {
+                  case 'B':
+                    d.setStaticInst(&branch);
+                    th.unresolvedBranches.insert(slot);
+                    break;
+                  case 'L':
+                    d.setStaticInst(&load);
+                    th.incompleteLoads.insert(slot);
+                    break;
+                  case 'S':
+                    d.setStaticInst(&store);
+                    th.incompleteStores.insert(slot);
+                    break;
+                  default:
+                    d.setStaticInst(&alu);
+                }
+            }
+            const Frontiers f = th.frontiers();
+            const std::size_t safe = safeUpTo(f, th.scheme.safePoint());
+            bool waiting = false;
+            for (std::size_t age = 0; age < w.size(); ++age) {
+                EXPECT_EQ(th.issueGated(*th.rob.at(age), age, f, safe),
+                          waiting)
+                    << schemeName(sc.kind) << " " << w << " age " << age;
+                waiting |= std::string(sc.waitsOn).find(w[age]) !=
+                           std::string::npos;
             }
         }
     }

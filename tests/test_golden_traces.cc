@@ -469,8 +469,8 @@ TEST(ReusedFixtureGoldenTest, SystemResetForRunErasesAllRunHistory)
 
     // Dirty a second System with an unrelated workload pair (different
     // seeds, footprints and address bases), then reset and rerun the
-    // target pair: predictor state, cache contents, arena/slab
-    // occupancy and memory must all have been restored.
+    // target pair: predictor state, cache contents, ROB ring state
+    // and memory must all have been restored.
     const GeneratedWorkload other0 =
         generateWorkload(systemSpec(13, 0x03000000, 0x600000));
     const GeneratedWorkload other1 =

@@ -1,20 +1,21 @@
 /**
  * @file
  * Speculation-scheme semantics tests: each defense's load policy,
- * exposure behaviour, I-fetch protection, and the factory plumbing.
+ * exposure behaviour, I-fetch protection, MuonTrap's filter cache, and
+ * every declared policy of every row of the scheme table.
  * The headline property — classic Spectre v1 is blocked by every
  * invisible-speculation scheme — is checked for all schemes with a
  * parameterised suite.
  */
 
 #include <cctype>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
 #include "cpu/core.hh"
 #include "memory/hierarchy.hh"
-#include "spec/advanced.hh"
-#include "spec/muontrap.hh"
+#include "spec/scheme.hh"
 
 namespace specint
 {
@@ -195,65 +196,166 @@ TEST(InvisiSpec, CorrectPathSpeculativeLoadIsExposed)
 
 TEST(MuonTrap, FilterCacheSemantics)
 {
-    MuonTrapScheme mt(4);
-    EXPECT_FALSE(mt.filterProbe(0x100));
-    mt.filterFill(0x100, 10);
-    EXPECT_TRUE(mt.filterProbe(0x100));
-    mt.filterFill(0x140, 11);
-    mt.filterFill(0x180, 12);
-    mt.filterFill(0x1c0, 13);
-    mt.filterFill(0x200, 14); // FIFO capacity 4: evicts 0x100
-    EXPECT_FALSE(mt.filterProbe(0x100));
-    mt.filterSquashYoungerThan(12);
-    EXPECT_TRUE(mt.filterProbe(0x180));
-    EXPECT_FALSE(mt.filterProbe(0x200));
-    mt.reset();
-    EXPECT_FALSE(mt.filterProbe(0x180));
+    // Line i is filled by load seq 10 + i.
+    const auto line = [](std::size_t i) { return Addr{0x100 + 0x40 * i}; };
+    constexpr std::size_t n = FilterCache::kLines;
+    FilterCache fc;
+    EXPECT_FALSE(fc.probe(line(0)));
+    for (std::size_t i = 0; i <= n; ++i)
+        fc.fill(line(i), 10 + i);
+    // One past capacity: the oldest fill went, the rest stayed.
+    EXPECT_FALSE(fc.probe(line(0)));
+    for (std::size_t i = 1; i <= n; ++i)
+        EXPECT_TRUE(fc.probe(line(i))) << "line " << i;
+
+    // Re-filling a present line changes nothing (FIFO, not LRU): the
+    // next new line still evicts it as the oldest.
+    fc.fill(line(1), 99);
+    fc.fill(line(n + 1), 10 + n + 1);
+    EXPECT_FALSE(fc.probe(line(1)));
+    EXPECT_TRUE(fc.probe(line(2)));
+
+    // A squash drops exactly the fills of loads younger than the bound.
+    const SeqNum bound = 10 + n / 2;
+    fc.squashYoungerThan(bound);
+    for (std::size_t i = 2; i <= n + 1; ++i)
+        EXPECT_EQ(fc.probe(line(i)), 10 + i <= bound) << "line " << i;
+
+    fc.clear();
+    for (std::size_t i = 0; i <= n + 1; ++i)
+        EXPECT_FALSE(fc.probe(line(i))) << "line " << i;
 }
 
-TEST(FenceDefense, BlocksIssueUnderShadow)
+/** Every declared policy of one scheme-table row. */
+struct Row
 {
-    IssueContext under_branch;
-    under_branch.olderUnresolvedBranch = true;
-    IssueContext under_load;
-    under_load.olderIncompleteLoad = true;
-    IssueContext clear;
+    const char *name;
+    SafePoint safePoint;
+    SpecLoadPolicy load;
+    SpecCoherencePolicy coherence;
+    IssueFence fence;
+    bool protectsIFetch;
+    bool trainsPrefetcher;
+    bool agePriority, holdRs, mshrPreempt;
+};
 
-    const auto spectre = makeScheme(SchemeKind::FenceSpectre);
-    EXPECT_FALSE(spectre->mayIssue(under_branch));
-    EXPECT_TRUE(spectre->mayIssue(under_load));
-    EXPECT_TRUE(spectre->mayIssue(clear));
+void
+expectRow(const Scheme &s, const Row &r)
+{
+    SCOPED_TRACE(r.name);
+    EXPECT_EQ(s.name(), r.name);
+    EXPECT_EQ(s.safePoint(), r.safePoint);
+    EXPECT_EQ(s.specLoadPolicy(), r.load);
+    EXPECT_EQ(s.specCoherencePolicy(), r.coherence);
+    EXPECT_EQ(s.issueFence(), r.fence);
+    EXPECT_EQ(s.protectsIFetch(), r.protectsIFetch);
+    EXPECT_EQ(s.trainsPrefetcher(), r.trainsPrefetcher);
+    EXPECT_EQ(s.schedFlags().strictAgePriority, r.agePriority);
+    EXPECT_EQ(s.schedFlags().holdRsUntilRetire, r.holdRs);
+    EXPECT_EQ(s.schedFlags().preemptSpecMshr, r.mshrPreempt);
+}
 
-    const auto fut = makeScheme(SchemeKind::FenceFuturistic);
-    EXPECT_FALSE(fut->mayIssue(under_branch));
-    EXPECT_FALSE(fut->mayIssue(under_load));
-    EXPECT_TRUE(fut->mayIssue(clear));
+TEST(SchemeTableTest, RowsMatchTheDeclaredPolicies)
+{
+    using SP = SafePoint;
+    using LP = SpecLoadPolicy;
+    using CP = SpecCoherencePolicy;
+    using F = IssueFence;
+    // name, safe point, unsafe load, speculative-store coherence,
+    // fence, I-fetch hidden, trains prefetcher, sched flags {age
+    // priority, hold RS, MSHR preemption}.
+    const struct
+    {
+        SchemeKind kind;
+        Row row;
+    } rows[] = {
+        {SchemeKind::Unsafe,
+         {"Unsafe", SP::Always, LP::Visible, CP::EagerUpgrade, F::None,
+          false, true, false, false, false}},
+        {SchemeKind::DomNonTso,
+         {"DoM (non-TSO)", SP::BranchesResolved, LP::DelayOnMiss,
+          CP::DeferAll, F::None, false, false, false, false, false}},
+        {SchemeKind::DomTso,
+         {"DoM (TSO)", SP::TSO, LP::DelayOnMiss, CP::DeferAll, F::None,
+          false, false, false, false, false}},
+        {SchemeKind::InvisiSpecSpectre,
+         {"InvisiSpec (Spectre)", SP::BranchesResolved,
+          LP::InvisibleRequest, CP::DeferUpgrade, F::None, false, true,
+          false, false, false}},
+        {SchemeKind::InvisiSpecFuturistic,
+         {"InvisiSpec (Futuristic)", SP::RobHead, LP::InvisibleRequest,
+          CP::DeferUpgrade, F::None, false, true, false, false, false}},
+        {SchemeKind::SafeSpecWfb,
+         {"SafeSpec (WFB)", SP::BranchesResolved, LP::InvisibleRequest,
+          CP::DeferUpgrade, F::None, true, true, false, false, false}},
+        {SchemeKind::SafeSpecWfc,
+         {"SafeSpec (WFC)", SP::RobHead, LP::InvisibleRequest,
+          CP::DeferUpgrade, F::None, true, true, false, false, false}},
+        {SchemeKind::MuonTrap,
+         {"MuonTrap", SP::RobHead, LP::InvisibleFilter, CP::DeferUpgrade,
+          F::None, true, true, false, false, false}},
+        {SchemeKind::ConditionalSpec,
+         {"Conditional Spec.", SP::RobHead, LP::DelayOnMiss,
+          CP::DeferAll, F::None, false, false, false, false, false}},
+        {SchemeKind::FenceSpectre,
+         {"Fence (Spectre)", SP::BranchesResolved, LP::DelayAlways,
+          CP::DeferAll, F::Branches, false, false, false, false, false}},
+        {SchemeKind::FenceFuturistic,
+         {"Fence (Futuristic)", SP::TSO, LP::DelayAlways, CP::DeferAll,
+          F::BranchesAndLoads, false, false, false, false, false}},
+        {SchemeKind::AdvancedDefense,
+         {"Advanced (DoM+prio)", SP::BranchesResolved, LP::DelayOnMiss,
+          CP::DeferAll, F::None, false, false, true, true, true}},
+    };
+    ASSERT_EQ(std::size(rows), allSchemes().size());
+    for (const auto &r : rows)
+        expectRow(makeScheme(r.kind), r.row);
+
+    // The ablation-only row: the rules on an InvisiSpec-style
+    // substrate, with the scheduler flags as given.
+    SchedFlags rules;
+    rules.strictAgePriority = true;
+    rules.preemptSpecMshr = true;
+    expectRow(advancedDefense(rules, SpecLoadPolicy::InvisibleRequest),
+              {"Advanced (IS+prio)", SP::BranchesResolved,
+               LP::InvisibleRequest, CP::DeferUpgrade, F::None, false,
+               true, true, false, true});
+
+    // The default is the Unsafe row.
+    expectRow(Scheme(), rows[0].row);
 }
 
 TEST(AdvancedDefense, FlagsReflectRules)
 {
-    AdvancedDefenseScheme all;
-    EXPECT_TRUE(all.schedFlags().strictAgePriority);
-    EXPECT_TRUE(all.schedFlags().holdRsUntilRetire);
-    EXPECT_TRUE(all.schedFlags().preemptSpecMshr);
-
-    AdvancedDefenseScheme none({false, false, false});
-    EXPECT_FALSE(none.schedFlags().strictAgePriority);
-    EXPECT_FALSE(none.schedFlags().holdRsUntilRetire);
-    EXPECT_FALSE(none.schedFlags().preemptSpecMshr);
+    // Every rule subset, on either substrate, comes back as given.
+    for (unsigned bits = 0; bits < 8; ++bits) {
+        SchedFlags rules;
+        rules.strictAgePriority = bits & 1;
+        rules.holdRsUntilRetire = bits & 2;
+        rules.preemptSpecMshr = bits & 4;
+        for (const SpecLoadPolicy base :
+             {SpecLoadPolicy::DelayOnMiss,
+              SpecLoadPolicy::InvisibleRequest}) {
+            const SchedFlags got = advancedDefense(rules, base).schedFlags();
+            EXPECT_EQ(got.strictAgePriority, rules.strictAgePriority);
+            EXPECT_EQ(got.holdRsUntilRetire, rules.holdRsUntilRetire);
+            EXPECT_EQ(got.preemptSpecMshr, rules.preemptSpecMshr);
+        }
+    }
 }
 
 TEST(SchemeFactory, NamesAndProperties)
 {
     for (SchemeKind k : allSchemes()) {
-        const SchemePtr s = makeScheme(k);
-        EXPECT_FALSE(s->name().empty());
+        const Scheme s = makeScheme(k);
+        EXPECT_FALSE(s.name().empty());
+        EXPECT_EQ(schemeName(k), s.name());
     }
-    EXPECT_TRUE(makeScheme(SchemeKind::SafeSpecWfb)->protectsIFetch());
-    EXPECT_TRUE(makeScheme(SchemeKind::MuonTrap)->protectsIFetch());
+    EXPECT_TRUE(makeScheme(SchemeKind::SafeSpecWfb).protectsIFetch());
+    EXPECT_TRUE(makeScheme(SchemeKind::MuonTrap).protectsIFetch());
     EXPECT_FALSE(
-        makeScheme(SchemeKind::InvisiSpecSpectre)->protectsIFetch());
-    EXPECT_FALSE(makeScheme(SchemeKind::DomNonTso)->protectsIFetch());
+        makeScheme(SchemeKind::InvisiSpecSpectre).protectsIFetch());
+    EXPECT_FALSE(makeScheme(SchemeKind::DomNonTso).protectsIFetch());
     EXPECT_EQ(attackedSchemes().size(), 8u);
     EXPECT_EQ(allSchemes().size(), 12u);
 }
