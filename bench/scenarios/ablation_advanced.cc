@@ -3,7 +3,8 @@
  * Scenario: the §5.4 advanced-defense rule ablation. One point per
  * rule configuration; each point runs the three gadget attacks plus
  * the workload-suite slowdown measurement — the heaviest points in
- * the whole scenario set, which is exactly where work-stealing pays.
+ * the whole scenario set, which is exactly where a parallel sweep
+ * pays.
  */
 
 #include "scenarios/scenarios.hh"

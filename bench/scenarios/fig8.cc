@@ -66,8 +66,7 @@ runPoint(const PointContext &ctx, const RunOptions &)
     const Addr A = lineInSet(0);
     const Addr B = lineInSet(1);
 
-    CacheGeometry geo{"llc", kSets, kWays, ReplKind::Qlru,
-                      QlruVariant::h11m1r0u0()};
+    CacheGeometry geo{"llc", kSets, kWays, ReplKind::Qlru};
     CacheArray cache(geo);
 
     PointResult res;

@@ -94,8 +94,7 @@ measure(Body &&body, unsigned trials)
 KernelResult
 benchCacheArrayTouchHit(unsigned trials)
 {
-    CacheArray cache({"c", 64, 8, ReplKind::Qlru,
-                      QlruVariant::h11m1r0u0()});
+    CacheArray cache({"c", 64, 8, ReplKind::Qlru});
     cache.fill(0x1000);
     return measure(
         [&](std::uint64_t n) {
@@ -109,8 +108,7 @@ benchCacheArrayTouchHit(unsigned trials)
 KernelResult
 benchCacheArrayFillEvict(unsigned trials)
 {
-    CacheArray cache({"c", 64, 8, ReplKind::Qlru,
-                      QlruVariant::h11m1r0u0()});
+    CacheArray cache({"c", 64, 8, ReplKind::Qlru});
     Addr a = 0;
     return measure(
         [&](std::uint64_t n) {

@@ -153,15 +153,4 @@ evaluateCell(GadgetKind g, OrderingKind o, SchemeKind s,
     return cell;
 }
 
-std::vector<MatrixCell>
-evaluateMatrix(const std::vector<SchemeKind> &schemes,
-               const SenderParams &params, const MatrixEnv &env)
-{
-    std::vector<MatrixCell> out;
-    for (const auto &[g, o] : tableOneCombos())
-        for (SchemeKind s : schemes)
-            out.push_back(evaluateCell(g, o, s, params, env));
-    return out;
-}
-
 } // namespace specint

@@ -83,12 +83,6 @@ MatrixCell evaluateCell(GadgetKind g, OrderingKind o, SchemeKind s,
                         const SenderParams &params = SenderParams(),
                         const MatrixEnv &env = MatrixEnv());
 
-/** Evaluate the full matrix over @p schemes. */
-std::vector<MatrixCell>
-evaluateMatrix(const std::vector<SchemeKind> &schemes,
-               const SenderParams &params = SenderParams(),
-               const MatrixEnv &env = MatrixEnv());
-
 } // namespace specint
 
 #endif // SPECINT_ATTACK_MATRIX_HH

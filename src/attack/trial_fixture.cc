@@ -22,7 +22,6 @@ appendGeometry(std::string &out, const CacheGeometry &g)
     out += g.name;
     out += ':' + std::to_string(g.sets) + 'x' + std::to_string(g.ways);
     out += ':' + std::to_string(static_cast<int>(g.policy));
-    out += ':' + g.qlru.describe();
     out += ';';
 }
 
@@ -66,7 +65,6 @@ attackFixtureKey(const CoreConfig &core, const HierarchyConfig &hier)
     num(hier.l2Latency);
     num(hier.llcLatency);
     num(hier.memLatency);
-    num(hier.inclusiveLlc);
     num(hier.llcPortBusy);
     num(hier.llcMshrs);
     num(hier.coherence.enabled);
@@ -74,8 +72,6 @@ attackFixtureKey(const CoreConfig &core, const HierarchyConfig &hier)
     num(hier.coherence.writebackLatency);
     num(static_cast<std::uint64_t>(hier.prefetch.kind));
     num(hier.prefetch.degree);
-    num(hier.prefetch.streamTableSize);
-    num(hier.prefetch.trainOnHit);
     k += '}';
     return k;
 }

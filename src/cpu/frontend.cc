@@ -22,7 +22,6 @@ Frontend::reset(std::uint32_t pc)
     pendingInvisible_ = false;
     firstOfLine_ = false;
     queue_.clear();
-    linesFetched_ = 0;
 }
 
 void
@@ -66,7 +65,6 @@ Frontend::tick(Tick now, const Program &prog,
             currentLine_ = line;
             pendingInvisible_ = res.invisible;
             firstOfLine_ = true;
-            ++linesFetched_;
             if (res.readyAt > now) {
                 busyUntil_ = res.readyAt;
                 return;

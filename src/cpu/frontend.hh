@@ -98,9 +98,6 @@ class Frontend
     /** Cycle the fetch stage is next free (engine stall predicate). */
     Tick busyUntil() const { return busyUntil_; }
 
-    /** Number of distinct I-lines fetched (stat). */
-    std::uint64_t linesFetched() const { return linesFetched_; }
-
   private:
     Config cfg_;
     std::uint32_t pc_ = 0;
@@ -110,7 +107,6 @@ class Frontend
     bool pendingInvisible_ = false;
     bool firstOfLine_ = false;
     std::deque<FetchedInst> queue_;
-    std::uint64_t linesFetched_ = 0;
 };
 
 } // namespace specint

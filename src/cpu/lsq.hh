@@ -40,8 +40,6 @@ class Lsq
           stores_(num_threads == 0 ? 1 : num_threads, 0)
     {}
 
-    bool lqFull() const { return lqFull(0); }
-    bool sqFull() const { return sqFull(0); }
     bool lqFull(ThreadId tid) const;
     bool sqFull(ThreadId tid) const;
     unsigned loads() const;

@@ -95,7 +95,6 @@ class PipelineEngine
 
     unsigned numThreads() const { return smt_.numThreads; }
     const CoreConfig &config() const { return cfg_; }
-    const SmtConfig &smtConfig() const { return smt_; }
     CoreId id() const { return id_; }
     Hierarchy &hierarchy() { return *hier_; }
 

@@ -1,12 +1,13 @@
 /**
  * @file
  * Set-associative cache array implementation: touch/fill/
- * invalidate with pluggable replacement and the deferred-touch buffer
+ * invalidate with LRU or QLRU replacement and the deferred touch
  * used by Delay-on-Miss.
  */
 
 #include "memory/cache.hh"
 
+#include <algorithm>
 #include <cassert>
 
 #include "sim/log.hh"
@@ -16,11 +17,15 @@ namespace specint
 
 CacheArray::CacheArray(CacheGeometry geo)
     : geo_(std::move(geo)),
-      policy_(makePolicy(geo_.policy, geo_.qlru)),
       lines_(geo_.sets * geo_.ways),
-      repl_(geo_.sets, SetReplState(geo_.ways))
+      repl_(geo_.sets * geo_.ways)
 {
     assert(geo_.sets > 0 && geo_.ways > 0);
+    if (geo_.ways > kMaxCacheWays) {
+        panic("CacheArray " + geo_.name + ": " + std::to_string(geo_.ways) +
+              " ways exceed kMaxCacheWays (" +
+              std::to_string(kMaxCacheWays) + ")");
+    }
 }
 
 unsigned
@@ -64,7 +69,7 @@ CacheArray::touch(Addr addr)
         ++stats_.misses;
         return false;
     }
-    policy_->onHit(repl_[set], static_cast<unsigned>(way));
+    replHit(geo_.policy, replRow(set), static_cast<unsigned>(way), clock_);
     ++stats_.hits;
     return true;
 }
@@ -81,7 +86,8 @@ CacheArray::fill(Addr addr)
 
     int way = findFree(set);
     if (way < 0) {
-        way = static_cast<int>(policy_->victim(repl_[set]));
+        way = static_cast<int>(
+            replVictim(geo_.policy, replRow(set), geo_.ways));
         assert(row[way].valid);
         evicted = row[way].lineNum << kLineShift;
         ++stats_.evictions;
@@ -89,7 +95,8 @@ CacheArray::fill(Addr addr)
 
     row[way].valid = true;
     row[way].lineNum = line_num;
-    policy_->onInsert(repl_[set], static_cast<unsigned>(way));
+    replInsert(geo_.policy, replRow(set), static_cast<unsigned>(way),
+               clock_);
     ++stats_.fills;
     return evicted;
 }
@@ -111,8 +118,8 @@ CacheArray::reset()
 {
     for (auto &l : lines_)
         l.valid = false;
-    for (auto &r : repl_)
-        r.resize(geo_.ways);
+    std::fill(repl_.begin(), repl_.end(), 0);
+    clock_ = 0;
     stats_ = CacheArrayStats{};
 }
 
@@ -122,7 +129,7 @@ CacheArray::deferredTouch(Addr addr)
     const unsigned set = setIndex(addr);
     const int way = findWay(set, lineNumber(addr));
     if (way >= 0)
-        policy_->onHit(repl_[set], static_cast<unsigned>(way));
+        replHit(geo_.policy, replRow(set), static_cast<unsigned>(way), clock_);
 }
 
 std::vector<WaySnapshot>
@@ -130,12 +137,14 @@ CacheArray::snapshotSet(unsigned set) const
 {
     assert(set < geo_.sets);
     std::vector<WaySnapshot> out(geo_.ways);
-    const Line *row = &lines_[static_cast<std::size_t>(set) * geo_.ways];
+    const std::size_t base = static_cast<std::size_t>(set) * geo_.ways;
+    const Line *row = &lines_[base];
     for (unsigned w = 0; w < geo_.ways; ++w) {
         out[w].valid = row[w].valid;
         out[w].lineAddr =
             row[w].valid ? (row[w].lineNum << kLineShift) : kAddrInvalid;
-        out[w].age = repl_[set].age[w];
+        if (geo_.policy == ReplKind::Qlru)
+            out[w].age = static_cast<std::uint8_t>(repl_[base + w]);
     }
     return out;
 }

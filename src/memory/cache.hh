@@ -16,7 +16,6 @@
 #define SPECINT_MEMORY_CACHE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,16 +25,13 @@
 namespace specint
 {
 
-/** Static geometry + policy configuration of one cache array. */
+/** Static geometry + replacement rule of one cache array. */
 struct CacheGeometry
 {
     std::string name = "cache";
     unsigned sets = 64;
     unsigned ways = 8;
     ReplKind policy = ReplKind::Lru;
-    QlruVariant qlru = QlruVariant::h11m1r0u0();
-
-    unsigned capacityBytes() const { return sets * ways * kLineBytes; }
 };
 
 /** Snapshot of one way used by tests and the Fig. 8 reproduction. */
@@ -43,6 +39,7 @@ struct WaySnapshot
 {
     bool valid = false;
     Addr lineAddr = kAddrInvalid;
+    /** QLRU age (0 in an LRU array). */
     std::uint8_t age = 0;
 };
 
@@ -126,10 +123,17 @@ class CacheArray
     /** Find the leftmost invalid way in @p set, or -1. */
     int findFree(unsigned set) const;
 
+    /** First replacement word of @p set's row. */
+    std::uint64_t *replRow(unsigned set)
+    {
+        return &repl_[static_cast<std::size_t>(set) * geo_.ways];
+    }
+
     CacheGeometry geo_;
-    std::unique_ptr<ReplacementPolicy> policy_;
     std::vector<Line> lines_;          // sets * ways, row-major
-    std::vector<SetReplState> repl_;   // one per set
+    std::vector<std::uint64_t> repl_;  // one word per way, like lines_
+    /** LRU clock: every LRU insert or hit stamps its way with ++clock_. */
+    std::uint64_t clock_ = 0;
     CacheArrayStats stats_;
 };
 

@@ -56,11 +56,6 @@ HierarchyConfig::validate() const
     if (prefetch.kind != PrefetchKind::None && prefetch.degree == 0)
         return "prefetch.degree must be nonzero when a prefetcher is "
                "enabled";
-    if (prefetch.kind == PrefetchKind::Stride &&
-        prefetch.streamTableSize == 0) {
-        return "prefetch.streamTableSize must be nonzero for the "
-               "stride prefetcher";
-    }
     return "";
 }
 
@@ -69,11 +64,10 @@ HierarchyConfig::small()
 {
     HierarchyConfig cfg;
     cfg.cores = 2;
-    cfg.l1i = {"l1i", 16, 4, ReplKind::Lru, QlruVariant::h11m1r0u0()};
-    cfg.l1d = {"l1d", 16, 4, ReplKind::Lru, QlruVariant::h11m1r0u0()};
-    cfg.l2 = {"l2", 64, 4, ReplKind::Lru, QlruVariant::h11m1r0u0()};
-    cfg.llcSlice = {"llc", 64, 16, ReplKind::Qlru,
-                    QlruVariant::h11m1r0u0()};
+    cfg.l1i = {"l1i", 16, 4, ReplKind::Lru};
+    cfg.l1d = {"l1d", 16, 4, ReplKind::Lru};
+    cfg.l2 = {"l2", 64, 4, ReplKind::Lru};
+    cfg.llcSlice = {"llc", 64, 16, ReplKind::Qlru};
     cfg.llcSlices = 2;
     return cfg;
 }
@@ -84,11 +78,10 @@ HierarchyConfig::kabyLake()
     HierarchyConfig cfg;
     cfg.cores = 2;
     // 32 KB 8-way L1s, 256 KB 4-way L2, 8 MB 16-way LLC in 4 slices.
-    cfg.l1i = {"l1i", 64, 8, ReplKind::Lru, QlruVariant::h11m1r0u0()};
-    cfg.l1d = {"l1d", 64, 8, ReplKind::Lru, QlruVariant::h11m1r0u0()};
-    cfg.l2 = {"l2", 1024, 4, ReplKind::Lru, QlruVariant::h11m1r0u0()};
-    cfg.llcSlice = {"llc", 2048, 16, ReplKind::Qlru,
-                    QlruVariant::h11m1r0u0()};
+    cfg.l1i = {"l1i", 64, 8, ReplKind::Lru};
+    cfg.l1d = {"l1d", 64, 8, ReplKind::Lru};
+    cfg.l2 = {"l2", 1024, 4, ReplKind::Lru};
+    cfg.llcSlice = {"llc", 2048, 16, ReplKind::Qlru};
     cfg.llcSlices = 4;
     return cfg;
 }
@@ -260,7 +253,7 @@ void
 Hierarchy::llcFill(Addr addr)
 {
     const Addr evicted = llc_[llcSliceIndex(addr)].fill(addr);
-    if (evicted != kAddrInvalid && cfg_.inclusiveLlc)
+    if (evicted != kAddrInvalid)
         backInvalidate(evicted);
 }
 
@@ -698,8 +691,7 @@ Hierarchy::publishMetrics()
     for (unsigned s = 0; s < cfg_.llcSlices; ++s) {
         // Occupancy is a point-in-time sample, not a cumulative
         // counter: record the valid-line count per slice as a
-        // distribution (order-independent under parallel sweeps,
-        // unlike a gauge).
+        // distribution (order-independent under parallel sweeps).
         std::uint64_t lines = 0;
         for (unsigned set = 0; set < cfg_.llcSlice.sets; ++set)
             lines += llc_[s].occupancy(set);

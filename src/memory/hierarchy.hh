@@ -28,7 +28,7 @@
  *     Invalidations happen when the *request* is made — a speculative
  *     store's RFO is not undone by a squash.
  *
- *  4. A pluggable per-core prefetcher (memory/prefetcher.hh, off by
+ *  4. A per-core next-line prefetcher (memory/prefetcher.hh, off by
  *     default): trained by the demand stream, issuing real Prefetch
  *     transactions that fill L2/LLC and occupy slice ports and shared
  *     MSHRs.
@@ -61,15 +61,11 @@ struct HierarchyConfig
 {
     unsigned cores = 2;
 
-    CacheGeometry l1i{"l1i", 64, 8, ReplKind::Lru,
-                      QlruVariant::h11m1r0u0()};
-    CacheGeometry l1d{"l1d", 64, 8, ReplKind::Lru,
-                      QlruVariant::h11m1r0u0()};
-    CacheGeometry l2{"l2", 1024, 4, ReplKind::Lru,
-                     QlruVariant::h11m1r0u0()};
+    CacheGeometry l1i{"l1i", 64, 8, ReplKind::Lru};
+    CacheGeometry l1d{"l1d", 64, 8, ReplKind::Lru};
+    CacheGeometry l2{"l2", 1024, 4, ReplKind::Lru};
     /** Geometry of one LLC slice. */
-    CacheGeometry llcSlice{"llc", 2048, 16, ReplKind::Qlru,
-                           QlruVariant::h11m1r0u0()};
+    CacheGeometry llcSlice{"llc", 2048, 16, ReplKind::Qlru};
     /** Number of LLC slices (power of two). */
     unsigned llcSlices = 4;
 
@@ -77,9 +73,6 @@ struct HierarchyConfig
     Tick l2Latency = 12;
     Tick llcLatency = 40;
     Tick memLatency = 200;
-
-    /** Inclusive LLC: LLC evictions back-invalidate private copies. */
-    bool inclusiveLlc = true;
 
     /**
      * @name Shared-level contention model (System layer; 0 = off)

@@ -1,133 +1,27 @@
 /**
  * @file
- * Prefetcher implementation: next-line candidate generation and the
- * per-page stride stream table with two-delta confirmation.
+ * Prefetcher implementation: next-line candidate generation.
  */
 
 #include "memory/prefetcher.hh"
 
-#include <algorithm>
-
 namespace specint
 {
 
-namespace
-{
-
-/** Page granule for stream separation (4 KB). */
-constexpr unsigned kPageShift = 12;
-
-Addr
-pageOf(Addr line_addr)
-{
-    return line_addr >> kPageShift;
-}
-
-} // namespace
-
-const char *
-prefetchKindName(PrefetchKind k)
-{
-    switch (k) {
-      case PrefetchKind::None: return "none";
-      case PrefetchKind::NextLine: return "next-line";
-      case PrefetchKind::Stride: return "stride";
-    }
-    return "?";
-}
-
 Prefetcher::Prefetcher(PrefetchParams params)
     : params_(params)
-{
-    if (params_.kind == PrefetchKind::Stride)
-        streams_.resize(std::max(1u, params_.streamTableSize));
-}
+{}
 
 void
 Prefetcher::observe(Addr addr, bool miss, std::vector<Addr> &out)
 {
-    if (params_.kind == PrefetchKind::None)
-        return;
-    if (!miss && !params_.trainOnHit)
+    if (params_.kind == PrefetchKind::None || !miss)
         return;
 
     const Addr line = lineAlign(addr);
     ++stats_.trained;
-    switch (params_.kind) {
-      case PrefetchKind::NextLine:
-        for (unsigned d = 1; d <= params_.degree; ++d)
-            out.push_back(line + static_cast<Addr>(d) * kLineBytes);
-        break;
-      case PrefetchKind::Stride:
-        observeStride(line, out);
-        break;
-      case PrefetchKind::None:
-        break;
-    }
-}
-
-void
-Prefetcher::observeStride(Addr line, std::vector<Addr> &out)
-{
-    ++clock_;
-    const Addr page = pageOf(line);
-
-    Stream *stream = nullptr;
-    for (Stream &s : streams_) {
-        if (s.page == page) {
-            stream = &s;
-            break;
-        }
-    }
-    if (!stream) {
-        // Allocate the LRU entry to the new stream.
-        stream = &streams_.front();
-        for (Stream &s : streams_) {
-            if (s.page == kAddrInvalid) {
-                stream = &s;
-                break;
-            }
-            if (s.lastUsed < stream->lastUsed)
-                stream = &s;
-        }
-        *stream = Stream{};
-        stream->page = page;
-        stream->lastLine = line;
-        stream->lastUsed = clock_;
-        return;
-    }
-
-    stream->lastUsed = clock_;
-    const std::int64_t delta = static_cast<std::int64_t>(line) -
-                               static_cast<std::int64_t>(stream->lastLine);
-    if (delta == 0)
-        return;
-    if (delta == stream->stride) {
-        // Second sighting of the same delta: the stride is confirmed
-        // and stays confirmed while the stream keeps matching.
-        stream->confirmed = true;
-    } else {
-        stream->stride = delta;
-        stream->confirmed = false;
-    }
-    stream->lastLine = line;
-    if (stream->confirmed) {
-        for (unsigned d = 1; d <= params_.degree; ++d) {
-            const std::int64_t target =
-                static_cast<std::int64_t>(line) +
-                stream->stride * static_cast<std::int64_t>(d);
-            if (target >= 0)
-                out.push_back(static_cast<Addr>(target));
-        }
-    }
-}
-
-void
-Prefetcher::reset()
-{
-    std::fill(streams_.begin(), streams_.end(), Stream{});
-    clock_ = 0;
-    stats_ = PrefetchStats{};
+    for (unsigned d = 1; d <= params_.degree; ++d)
+        out.push_back(line + static_cast<Addr>(d) * kLineBytes);
 }
 
 } // namespace specint

@@ -1,18 +1,13 @@
 /**
  * @file
- * Pluggable per-core hardware prefetcher layer.
+ * Per-core next-line hardware prefetcher.
  *
  * The prefetcher observes the demand stream of one core's private
  * hierarchy and proposes prefetch candidates; the Hierarchy turns the
  * candidates into real Prefetch transactions that walk the shared
  * levels (filling L2 and the LLC, occupying slice ports and shared
- * MSHRs) exactly like demand traffic. Two classic designs are
- * modelled:
- *
- *  - NextLine: a private miss on line X prefetches X+1..X+degree.
- *  - Stride: a per-page stream table; two consecutive accesses to a
- *    page with the same line delta confirm a stride and prefetch
- *    degree lines ahead of the stream.
+ * MSHRs) exactly like demand traffic. A demand access to line X that
+ * misses the private levels trains it and prefetches X+1..X+degree.
  *
  * Why this is an attack surface (the paper's argument, lifted to
  * prefetching): *training is a side effect of making a request*.
@@ -46,10 +41,7 @@ enum class PrefetchKind : std::uint8_t
 {
     None,     ///< no prefetcher (the pre-refactor behaviour)
     NextLine, ///< sequential next-line(s) on a private miss
-    Stride,   ///< per-page stride detection with confirmation
 };
-
-const char *prefetchKindName(PrefetchKind k);
 
 /** Prefetcher parameters (HierarchyConfig::prefetch). */
 struct PrefetchParams
@@ -57,11 +49,6 @@ struct PrefetchParams
     PrefetchKind kind = PrefetchKind::None;
     /** Lines prefetched ahead per trigger. */
     unsigned degree = 1;
-    /** Stride streams tracked per core (Stride kind). */
-    unsigned streamTableSize = 8;
-    /** Train on private hits too (default: misses only, as on most
-     *  L2-adjacent hardware prefetchers). */
-    bool trainOnHit = false;
 };
 
 /** Per-core prefetcher counters. */
@@ -96,29 +83,14 @@ class Prefetcher
      */
     void observe(Addr addr, bool miss, std::vector<Addr> &out);
 
-    /** Drop all training state and zero the stats (power-on reset). */
-    void reset();
+    /** Zero the stats (power-on reset). */
+    void reset() { stats_ = PrefetchStats{}; }
 
     PrefetchStats &stats() { return stats_; }
     const PrefetchStats &stats() const { return stats_; }
 
   private:
-    /** One tracked stream of the Stride kind. */
-    struct Stream
-    {
-        Addr page = kAddrInvalid;
-        Addr lastLine = 0;
-        std::int64_t stride = 0;
-        bool confirmed = false;
-        /** LRU clock for replacement. */
-        std::uint64_t lastUsed = 0;
-    };
-
-    void observeStride(Addr line, std::vector<Addr> &out);
-
     PrefetchParams params_;
-    std::vector<Stream> streams_;
-    std::uint64_t clock_ = 0;
     PrefetchStats stats_;
 };
 

@@ -19,7 +19,7 @@
  *    fresh-vs-reused differentials in tests/test_golden_traces.cc and
  *    tests/test_experiment.cc enforce this end to end;
  *  - fixtures are thread_local, so no locking and no cross-worker
- *    sharing; the work-stealing runner's workers each warm their own.
+ *    sharing; the runner's workers each warm their own.
  *
  * setFixtureReuse(false) restores literal construct-per-trial
  * behaviour (used by the differential tests as the reference side).

@@ -1,7 +1,7 @@
 /**
  * @file
  * ExperimentRunner implementation: inline serial path plus the
- * work-stealing pool, with order-independent result assembly.
+ * worker pool, with order-independent result assembly.
  */
 
 #include "sim/experiment/runner.hh"
@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <ctime>
 #include <exception>
 #include <mutex>
@@ -50,33 +49,6 @@ threadCpuUs()
 #endif
     return elapsedUs(Clock::time_point{});
 }
-
-/** One worker's stealable run queue of point indices. */
-struct WorkerQueue
-{
-    std::mutex mutex;
-    std::deque<std::size_t> tasks;
-
-    bool popBack(std::size_t &out)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (tasks.empty())
-            return false;
-        out = tasks.back();
-        tasks.pop_back();
-        return true;
-    }
-
-    bool stealFront(std::size_t &out)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (tasks.empty())
-            return false;
-        out = tasks.front();
-        tasks.pop_front();
-        return true;
-    }
-};
 
 } // namespace
 
@@ -206,26 +178,19 @@ ExperimentRunner::run(const Scenario &scenario,
         return report;
     }
 
-    // Deal the grid round-robin so every worker starts with a spread
-    // of the sweep; imbalance (one heavyweight point) is absorbed by
-    // stealing below.
-    std::vector<WorkerQueue> queues(workers);
-    for (std::size_t i = 0; i < points.size(); ++i)
-        queues[i % workers].tasks.push_back(i);
-
+    // Each free worker takes the next unstarted point in grid order,
+    // so one heavyweight point never holds back the rest of the grid.
+    std::atomic<std::size_t> next_point{0};
     std::atomic<bool> failed{false};
     std::exception_ptr first_error;
     std::mutex error_mutex;
 
-    auto workerLoop = [&](unsigned self) {
-        std::size_t task;
+    auto workerLoop = [&] {
         while (!failed.load(std::memory_order_relaxed) &&
                !cancelled()) {
-            bool got = queues[self].popBack(task);
-            for (unsigned v = 1; !got && v < workers; ++v)
-                got = queues[(self + v) % workers].stealFront(task);
-            if (!got)
-                return; // every queue drained
+            const std::size_t task = next_point++;
+            if (task >= points.size())
+                return; // every point started
             try {
                 executePoint(task);
             } catch (...) {
@@ -240,7 +205,7 @@ ExperimentRunner::run(const Scenario &scenario,
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (unsigned w = 0; w < workers; ++w)
-        pool.emplace_back(workerLoop, w);
+        pool.emplace_back(workerLoop);
     for (std::thread &t : pool)
         t.join();
 

@@ -4,11 +4,10 @@
  * order-independent result assembly.
  *
  * The runner expands a scenario's sweep grid and executes the points
- * on a work-stealing thread pool: each worker owns a deque of point
- * indices (dealt round-robin), pops work from its own back, and steals
- * from the front of a victim's deque when it runs dry — so a worker
- * stuck on one heavyweight point (e.g. a full workload-suite run)
- * never leaves the rest of the grid idle.
+ * on a thread pool whose workers share one counter of the next
+ * unstarted point: each free worker takes the next point in grid
+ * order, so a worker stuck on one heavyweight point (e.g. a full
+ * workload-suite run) never leaves the rest of the grid idle.
  *
  * Determinism: point results land in a pre-sized slot vector indexed
  * by grid position, and every point draws only from seeds split from

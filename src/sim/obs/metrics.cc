@@ -1,7 +1,7 @@
 /**
  * @file
- * MetricRegistry implementation: path-keyed storage, snapshot export
- * (JSON/CSV) and snapshot diffing.
+ * MetricRegistry implementation: path-keyed storage and JSON snapshot
+ * export.
  */
 
 #include "sim/obs/metrics.hh"
@@ -29,7 +29,6 @@ metricKindName(MetricKind kind)
 {
     switch (kind) {
       case MetricKind::Counter: return "counter";
-      case MetricKind::Gauge: return "gauge";
       case MetricKind::Distribution: return "distribution";
     }
     return "?";
@@ -50,27 +49,11 @@ MetricRegistry::getOrCreate(const std::string &path, MetricKind kind)
     return it->second;
 }
 
-bool
-MetricRegistry::declare(const std::string &path, MetricKind kind)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t before = metrics_.size();
-    getOrCreate(path, kind);
-    return metrics_.size() != before;
-}
-
 void
 MetricRegistry::counterAdd(const std::string &path, std::uint64_t delta)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     getOrCreate(path, MetricKind::Counter).count += delta;
-}
-
-void
-MetricRegistry::gaugeSet(const std::string &path, double value)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    getOrCreate(path, MetricKind::Gauge).value = value;
 }
 
 void
@@ -101,9 +84,6 @@ MetricRegistry::snapshot() const
         switch (m.kind) {
           case MetricKind::Counter:
             s.count = m.count;
-            break;
-          case MetricKind::Gauge:
-            s.value = m.value;
             break;
           case MetricKind::Distribution:
             s.count = m.dist.count();
@@ -168,9 +148,6 @@ MetricsSnapshot::renderJson() const
           case MetricKind::Counter:
             out += ", \"value\": " + std::to_string(s.count);
             break;
-          case MetricKind::Gauge:
-            out += ", \"value\": " + num(s.value);
-            break;
           case MetricKind::Distribution:
             out += ", \"count\": " + std::to_string(s.count) +
                    ", \"sum\": " + num(s.sum) +
@@ -185,64 +162,6 @@ MetricsSnapshot::renderJson() const
     }
     out += "  ]\n}\n";
     return out;
-}
-
-std::string
-MetricsSnapshot::renderCsv() const
-{
-    std::string out = "path,kind,count,value,sum,min,max,mean,p50,p95\n";
-    for (const MetricSample &s : entries) {
-        out += s.path;
-        out += ',';
-        out += metricKindName(s.kind);
-        out += ',' + std::to_string(s.count);
-        out += ',' + fmtDouble(s.value, 6);
-        out += ',' + fmtDouble(s.sum, 6);
-        out += ',' + fmtDouble(s.min, 6);
-        out += ',' + fmtDouble(s.max, 6);
-        out += ',' + fmtDouble(s.mean, 6);
-        out += ',' + fmtDouble(s.p50, 6);
-        out += ',' + fmtDouble(s.p95, 6);
-        out += '\n';
-    }
-    return out;
-}
-
-std::vector<MetricDelta>
-MetricsSnapshot::diff(const MetricsSnapshot &before,
-                      const MetricsSnapshot &after)
-{
-    std::vector<MetricDelta> deltas;
-    // Both entry lists are path-sorted: a single merge walk suffices.
-    std::size_t bi = 0;
-    for (const MetricSample &a : after.entries) {
-        while (bi < before.entries.size() &&
-               before.entries[bi].path < a.path) {
-            ++bi;
-        }
-        const MetricSample *b =
-            (bi < before.entries.size() &&
-             before.entries[bi].path == a.path)
-                ? &before.entries[bi]
-                : nullptr;
-
-        MetricDelta d;
-        d.path = a.path;
-        d.kind = a.kind;
-        d.added = b == nullptr;
-        const double after_v = a.kind == MetricKind::Gauge
-                                   ? a.value
-                                   : static_cast<double>(a.count);
-        const double before_v =
-            b ? (b->kind == MetricKind::Gauge
-                     ? b->value
-                     : static_cast<double>(b->count))
-              : 0.0;
-        d.delta = after_v - before_v;
-        if (d.added || d.delta != 0.0)
-            deltas.push_back(std::move(d));
-    }
-    return deltas;
 }
 
 } // namespace specint::obs

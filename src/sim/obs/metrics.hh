@@ -6,14 +6,11 @@
  *
  * Metrics are keyed by dotted path (`core0.thread0.retired`,
  * `llc.slice2.occupancy`, `channel.dcache.bitErrors`) and come in
- * three kinds:
+ * two kinds:
  *
  *  - Counter: monotonically accumulated u64. Additions commute, so
  *    parallel sweep workers publishing into the global registry
  *    produce the same snapshot regardless of execution order.
- *  - Gauge: last-written double. Order-sensitive by nature — the
- *    auto-publication paths never use gauges for exactly that reason;
- *    they exist for single-writer instrumentation.
  *  - Distribution: a SampleStat (count/sum/min/max/percentiles). The
  *    summary is order-independent after the snapshot sorts samples.
  *
@@ -21,7 +18,7 @@
  * when off: components guard their publish calls with
  * `obs::metricsEnabled()`. The experiment driver flips the flag when
  * `--metrics-out` is given, runs the sweep, and exports
- * `MetricRegistry::global().snapshot()` as JSON or CSV.
+ * `MetricRegistry::global().snapshot()` as JSON.
  */
 
 #ifndef SPECINT_SIM_OBS_METRICS_HH
@@ -39,7 +36,7 @@
 namespace specint::obs
 {
 
-enum class MetricKind : std::uint8_t { Counter, Gauge, Distribution };
+enum class MetricKind : std::uint8_t { Counter, Distribution };
 
 const char *metricKindName(MetricKind kind);
 
@@ -50,9 +47,7 @@ struct MetricSample
     MetricKind kind = MetricKind::Counter;
     /** Counter value, or distribution sample count. */
     std::uint64_t count = 0;
-    /** Gauge value (meaningless for the other kinds). */
-    double value = 0.0;
-    /** @name Distribution summary (zero for the other kinds). */
+    /** @name Distribution summary (zero for counters). */
     /// @{
     double sum = 0.0;
     double min = 0.0;
@@ -61,17 +56,6 @@ struct MetricSample
     double p50 = 0.0;
     double p95 = 0.0;
     /// @}
-};
-
-/** One entry of a snapshot diff. */
-struct MetricDelta
-{
-    std::string path;
-    MetricKind kind = MetricKind::Counter;
-    /** Counter/distribution-count change, or gauge value change. */
-    double delta = 0.0;
-    /** The path exists only in the newer snapshot. */
-    bool added = false;
 };
 
 /** Point-in-time export of a registry, entries sorted by path. */
@@ -83,16 +67,6 @@ struct MetricsSnapshot
     const MetricSample *find(const std::string &path) const;
 
     std::string renderJson() const;
-    /** Header line + one row per metric. */
-    std::string renderCsv() const;
-
-    /**
-     * Changed/added entries going from @p before to @p after, sorted
-     * by path. Unchanged metrics are omitted; a metric only in
-     * @p after appears with its full value and added=true.
-     */
-    static std::vector<MetricDelta> diff(const MetricsSnapshot &before,
-                                         const MetricsSnapshot &after);
 };
 
 /**
@@ -104,16 +78,7 @@ struct MetricsSnapshot
 class MetricRegistry
 {
   public:
-    /**
-     * Pre-register @p path with @p kind.
-     * @return true if newly created, false if it already existed with
-     * the same kind.
-     * @throws std::logic_error on a kind conflict.
-     */
-    bool declare(const std::string &path, MetricKind kind);
-
     void counterAdd(const std::string &path, std::uint64_t delta = 1);
-    void gaugeSet(const std::string &path, double value);
     void sampleAdd(const std::string &path, double x);
 
     std::size_t size() const;
@@ -128,7 +93,6 @@ class MetricRegistry
     {
         MetricKind kind = MetricKind::Counter;
         std::uint64_t count = 0;
-        double value = 0.0;
         SampleStat dist{/*keep_samples=*/true};
     };
 

@@ -27,12 +27,6 @@ setTraceProcess(std::uint32_t pid)
     t_traceProcess = pid;
 }
 
-std::uint32_t
-traceProcess()
-{
-    return t_traceProcess;
-}
-
 EventTracer::EventTracer(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity)
 {}

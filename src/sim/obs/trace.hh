@@ -148,7 +148,6 @@ tracingEnabled()
  * execution-order-independent. Single runs leave the default 0. */
 /// @{
 void setTraceProcess(std::uint32_t pid);
-std::uint32_t traceProcess();
 /// @}
 
 } // namespace specint::obs

@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "sim/experiment/value.hh"
+
 namespace specint::service
 {
 
@@ -151,41 +153,6 @@ Json::getStr(const std::string &key, std::string fallback) const
 }
 
 std::string
-jsonQuote(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    return out;
-}
-
-std::string
 Json::dump() const
 {
     switch (kind_) {
@@ -206,7 +173,7 @@ Json::dump() const
         return buf;
       }
       case Kind::Str:
-        return jsonQuote(s_);
+        return experiment::jsonEscape(s_);
       case Kind::Arr: {
         std::string out = "[";
         for (std::size_t i = 0; i < arr_.size(); ++i) {
@@ -224,7 +191,7 @@ Json::dump() const
             if (!first)
                 out += ',';
             first = false;
-            out += jsonQuote(k) + ":" + v.dump();
+            out += experiment::jsonEscape(k) + ":" + v.dump();
         }
         out += '}';
         return out;

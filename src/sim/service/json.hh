@@ -56,7 +56,6 @@ class Json
     static Json object();
 
     Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
     bool isBool() const { return kind_ == Kind::Bool; }
     bool isNumber() const
     {
@@ -111,9 +110,6 @@ class Json
     std::vector<Json> arr_;
     std::map<std::string, Json> obj_;
 };
-
-/** Escape @p s as a JSON string literal, quotes included. */
-std::string jsonQuote(const std::string &s);
 
 } // namespace specint::service
 

@@ -15,7 +15,7 @@ namespace
 CacheGeometry
 smallGeo(ReplKind kind = ReplKind::Lru)
 {
-    return {"test", 4, 2, kind, QlruVariant::h11m1r0u0()};
+    return {"test", 4, 2, kind};
 }
 
 Addr
@@ -110,7 +110,7 @@ TEST(CacheArray, DeferredTouchOnEvictedLineIsNoop)
 
 TEST(CacheArray, SnapshotReportsAges)
 {
-    CacheArray c({"q", 2, 4, ReplKind::Qlru, QlruVariant::h11m1r0u0()});
+    CacheArray c({"q", 2, 4, ReplKind::Qlru});
     const Addr a = addrFor(0, 0, 2);
     c.fill(a);
     const auto snap = c.snapshotSet(0);
@@ -138,6 +138,12 @@ TEST(CacheArray, ResetClearsEverything)
     c.reset();
     EXPECT_FALSE(c.contains(addrFor(0, 0)));
     EXPECT_EQ(c.stats().fills, 0u);
+}
+
+TEST(CacheArrayDeathTest, RejectsMoreWaysThanTheVictimScanCovers)
+{
+    EXPECT_DEATH(CacheArray({"wide", 4, kMaxCacheWays + 1}),
+                 "exceed kMaxCacheWays");
 }
 
 TEST(CacheArray, SetIndexWrapsOnLineNumber)

@@ -271,23 +271,6 @@ TEST(PrefetcherTest, PrefetchTransactionsAppearInTheLlcTrace)
     EXPECT_TRUE(saw_prefetch);
 }
 
-TEST(PrefetcherTest, StrideConfirmationRequired)
-{
-    HierarchyConfig cfg = HierarchyConfig::small();
-    cfg.prefetch.kind = PrefetchKind::Stride;
-    cfg.prefetch.degree = 1;
-    Hierarchy hier(cfg);
-
-    // Stride of 2 lines within one page: the third access confirms.
-    const Addr base = 0x10000;
-    hier.access(0, base, AccessType::Data, 0);
-    hier.access(0, base + 128, AccessType::Data, 1);
-    EXPECT_EQ(hier.prefetchStats(0).issued, 0u); // unconfirmed
-    hier.access(0, base + 256, AccessType::Data, 2);
-    EXPECT_EQ(hier.prefetchStats(0).issued, 1u);
-    EXPECT_TRUE(hier.llcContains(base + 384));
-}
-
 TEST(PrefetcherTest, InvisibleAccessTrainsOnlyWhenAsked)
 {
     HierarchyConfig cfg = HierarchyConfig::small();

@@ -505,7 +505,7 @@ TEST(RegisteredScenarios, Table1FixtureReuseIsByteIdentical)
     // The per-worker pooled fixture (attack/trial_fixture.hh) must be
     // invisible in the results: a sweep over reused fixtures emits
     // exactly the bytes a construct-per-cell sweep does, for both the
-    // serial and the work-stealing parallel paths.
+    // serial and the parallel paths.
     const Scenario *sc = scenarios::all().find("table1");
     ASSERT_NE(sc, nullptr);
 

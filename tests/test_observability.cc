@@ -1,7 +1,7 @@
 /**
  * @file
  * Observability layer tests: metric registry semantics (path
- * uniqueness, kind conflicts, snapshot/diff), event tracer ring and
+ * uniqueness, kind conflicts, snapshots), event tracer ring and
  * rendering (schema shape, determinism across --jobs), host profiler,
  * log-level parsing, and the off-by-default guarantees (no events, no
  * metrics, no perturbation of simulation results).
@@ -56,70 +56,42 @@ class ObservabilityTest : public ::testing::Test
 // MetricRegistry
 // ---------------------------------------------------------------------
 
-TEST_F(ObservabilityTest, DeclareIsIdempotentPerKind)
-{
-    obs::MetricRegistry reg;
-    EXPECT_TRUE(reg.declare("core0.retired", obs::MetricKind::Counter));
-    EXPECT_FALSE(reg.declare("core0.retired", obs::MetricKind::Counter));
-    EXPECT_EQ(reg.size(), 1u);
-}
-
 TEST_F(ObservabilityTest, KindConflictThrows)
 {
     obs::MetricRegistry reg;
-    reg.declare("llc.occupancy", obs::MetricKind::Distribution);
-    EXPECT_THROW(reg.counterAdd("llc.occupancy"), std::logic_error);
-    EXPECT_THROW(reg.gaugeSet("llc.occupancy", 1.0), std::logic_error);
-    EXPECT_THROW(reg.declare("llc.occupancy", obs::MetricKind::Gauge),
-                 std::logic_error);
-    // The original registration is untouched by the failed mutations.
+    reg.counterAdd("core0.retired", 2);
     reg.sampleAdd("llc.occupancy", 3.0);
+    EXPECT_THROW(reg.sampleAdd("core0.retired", 1.0), std::logic_error);
+    EXPECT_THROW(reg.counterAdd("llc.occupancy"), std::logic_error);
+    // The original registrations are untouched by the failed mutations.
     const obs::MetricsSnapshot snap = reg.snapshot();
-    ASSERT_NE(snap.find("llc.occupancy"), nullptr);
-    EXPECT_EQ(snap.find("llc.occupancy")->count, 1u);
+    const obs::MetricSample *counter = snap.find("core0.retired");
+    const obs::MetricSample *dist = snap.find("llc.occupancy");
+    ASSERT_NE(counter, nullptr);
+    ASSERT_NE(dist, nullptr);
+    EXPECT_EQ(counter->kind, obs::MetricKind::Counter);
+    EXPECT_EQ(counter->count, 2u);
+    EXPECT_EQ(dist->kind, obs::MetricKind::Distribution);
+    EXPECT_EQ(dist->count, 1u);
 }
 
 TEST_F(ObservabilityTest, SnapshotSortedAndComplete)
 {
     obs::MetricRegistry reg;
-    reg.counterAdd("b.counter", 7);
-    reg.gaugeSet("a.gauge", 2.5);
     reg.sampleAdd("c.dist", 1.0);
+    reg.counterAdd("b.counter", 7);
     reg.sampleAdd("c.dist", 3.0);
 
     const obs::MetricsSnapshot snap = reg.snapshot();
-    ASSERT_EQ(snap.entries.size(), 3u);
-    EXPECT_EQ(snap.entries[0].path, "a.gauge");
-    EXPECT_EQ(snap.entries[1].path, "b.counter");
-    EXPECT_EQ(snap.entries[2].path, "c.dist");
-    EXPECT_DOUBLE_EQ(snap.entries[0].value, 2.5);
-    EXPECT_EQ(snap.entries[1].count, 7u);
-    EXPECT_EQ(snap.entries[2].count, 2u);
-    EXPECT_DOUBLE_EQ(snap.entries[2].mean, 2.0);
-    EXPECT_DOUBLE_EQ(snap.entries[2].min, 1.0);
-    EXPECT_DOUBLE_EQ(snap.entries[2].max, 3.0);
+    ASSERT_EQ(snap.entries.size(), 2u);
+    EXPECT_EQ(snap.entries[0].path, "b.counter");
+    EXPECT_EQ(snap.entries[1].path, "c.dist");
+    EXPECT_EQ(snap.entries[0].count, 7u);
+    EXPECT_EQ(snap.entries[1].count, 2u);
+    EXPECT_DOUBLE_EQ(snap.entries[1].mean, 2.0);
+    EXPECT_DOUBLE_EQ(snap.entries[1].min, 1.0);
+    EXPECT_DOUBLE_EQ(snap.entries[1].max, 3.0);
     EXPECT_EQ(snap.find("nope"), nullptr);
-}
-
-TEST_F(ObservabilityTest, SnapshotDiffReportsChangesOnly)
-{
-    obs::MetricRegistry reg;
-    reg.counterAdd("stable", 5);
-    reg.counterAdd("grows", 1);
-    const obs::MetricsSnapshot before = reg.snapshot();
-
-    reg.counterAdd("grows", 3);
-    reg.counterAdd("fresh", 2);
-    const obs::MetricsSnapshot after = reg.snapshot();
-
-    const auto deltas = obs::MetricsSnapshot::diff(before, after);
-    ASSERT_EQ(deltas.size(), 2u);
-    EXPECT_EQ(deltas[0].path, "fresh");
-    EXPECT_TRUE(deltas[0].added);
-    EXPECT_DOUBLE_EQ(deltas[0].delta, 2.0);
-    EXPECT_EQ(deltas[1].path, "grows");
-    EXPECT_FALSE(deltas[1].added);
-    EXPECT_DOUBLE_EQ(deltas[1].delta, 3.0);
 }
 
 TEST_F(ObservabilityTest, RenderersIncludeEveryPath)
@@ -133,10 +105,6 @@ TEST_F(ObservabilityTest, RenderersIncludeEveryPath)
     EXPECT_NE(json.find("\"x.count\""), std::string::npos);
     EXPECT_NE(json.find("\"y.dist\""), std::string::npos);
     EXPECT_NE(json.find("\"metrics\""), std::string::npos);
-
-    const std::string csv = snap.renderCsv();
-    EXPECT_EQ(csv.find("path,kind,count"), 0u);
-    EXPECT_NE(csv.find("x.count,counter,4"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

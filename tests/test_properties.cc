@@ -7,15 +7,12 @@
  *    small test hierarchy and the full Kaby Lake geometry, and across
  *    ROB/issue-width variations.
  *  - Defenses block it under every configuration.
- *  - QLRU insertion-age variants remain order-decodable with the same
- *    receiver protocol.
  *  - Channel runs are bit-for-bit deterministic for a fixed seed.
  */
 
 #include <gtest/gtest.h>
 
 #include "attack/channel.hh"
-#include "attack/receiver.hh"
 #include "attack/sender.hh"
 #include "cpu/core.hh"
 
@@ -119,38 +116,6 @@ INSTANTIATE_TEST_SUITE_P(
     Variants, AcrossMachines,
     ::testing::Range(0u, static_cast<unsigned>(variants().size())),
     [](const auto &info) { return variants()[info.param].name; });
-
-/** The receiver protocol survives QLRU insertion-age variants. */
-class QlruVariants : public ::testing::TestWithParam<unsigned>
-{};
-
-TEST_P(QlruVariants, ReceiverStillDecodesOrder)
-{
-    const std::uint8_t insert_age =
-        static_cast<std::uint8_t>(GetParam());
-    HierarchyConfig cfg = HierarchyConfig::small();
-    cfg.llcSlice.qlru.insertAge = insert_age;
-    Hierarchy hier(cfg);
-    AttackerAgent attacker(hier, 1);
-    const Addr a = 0x01000040;
-    const Addr b = findCongruentAddr(hier, a, 0x40000000);
-    QlruReceiver recv(hier, attacker, a, b);
-
-    for (const bool ab : {true, false}) {
-        recv.prime();
-        hier.access(0, ab ? a : b, AccessType::Data, 0);
-        hier.access(0, ab ? b : a, AccessType::Data, 0);
-        EXPECT_EQ(recv.decode(),
-                  ab ? OrderDecode::AB : OrderDecode::BA)
-            << "insertAge=" << int(insert_age) << " ab=" << ab;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(InsertAges, QlruVariants,
-                         ::testing::Values(1u, 2u),
-                         [](const auto &info) {
-                             return "M" + std::to_string(info.param);
-                         });
 
 TEST(Determinism, ChannelResultsAreReproducible)
 {

@@ -1,16 +1,20 @@
 /**
  * @file
- * Replacement policy tests.
+ * Replacement rule tests.
  *
  * The QLRU_H11_M1_R0_U0 tests validate exactly the policy semantics
  * the paper's receiver relies on (§4.2.2), including the full Fig. 8
- * state walk driven through a CacheArray.
+ * state walk driven through a CacheArray; true LRU is checked against
+ * a reference model over random touch/fill/invalidate sequences.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "memory/cache.hh"
 #include "memory/replacement.hh"
+#include "sim/rng.hh"
 
 namespace specint
 {
@@ -26,61 +30,46 @@ lineAddrInSet(unsigned sets, unsigned set, unsigned k)
 
 TEST(Qlru, InsertUsesAgeOne)
 {
-    QlruPolicy p;
-    SetReplState s(4);
-    p.onInsert(s, 2);
-    EXPECT_EQ(s.age[2], 1);
+    std::uint64_t age[4] = {};
+    std::uint64_t clock = 0;
+    replInsert(ReplKind::Qlru, age, 2, clock);
+    EXPECT_EQ(age[2], 1u);
 }
 
 TEST(Qlru, HitPromotionH11)
 {
-    QlruPolicy p;
-    SetReplState s(4);
-    s.age = {0, 1, 2, 3};
+    std::uint64_t age[4] = {0, 1, 2, 3};
+    std::uint64_t clock = 0;
     for (unsigned w = 0; w < 4; ++w)
-        p.onHit(s, w);
+        replHit(ReplKind::Qlru, age, w, clock);
     // 0->0, 1->0, 2->1, 3->1
-    EXPECT_EQ(s.age[0], 0);
-    EXPECT_EQ(s.age[1], 0);
-    EXPECT_EQ(s.age[2], 1);
-    EXPECT_EQ(s.age[3], 1);
+    EXPECT_EQ(age[0], 0u);
+    EXPECT_EQ(age[1], 0u);
+    EXPECT_EQ(age[2], 1u);
+    EXPECT_EQ(age[3], 1u);
 }
 
 TEST(Qlru, VictimPicksLeftmostAgeThree)
 {
-    QlruPolicy p;
-    SetReplState s(4);
-    s.age = {2, 3, 1, 3};
-    EXPECT_EQ(p.victim(s), 1u);
+    std::uint64_t age[4] = {2, 3, 1, 3};
+    EXPECT_EQ(replVictim(ReplKind::Qlru, age, 4), 1u);
 }
 
 TEST(Qlru, VictimAgesOnDemandU0)
 {
-    QlruPolicy p;
-    SetReplState s(4);
-    s.age = {0, 1, 2, 1};
-    EXPECT_EQ(p.victim(s), 2u); // ages become {1,2,3,2}
-    EXPECT_EQ(s.age[0], 1);
-    EXPECT_EQ(s.age[1], 2);
-    EXPECT_EQ(s.age[3], 2);
+    std::uint64_t age[4] = {0, 1, 2, 1};
+    EXPECT_EQ(replVictim(ReplKind::Qlru, age, 4), 2u); // ages {1,2,3,2}
+    EXPECT_EQ(age[0], 1u);
+    EXPECT_EQ(age[1], 2u);
+    EXPECT_EQ(age[3], 2u);
 }
 
 TEST(Qlru, AgingStopsAtFirstCandidate)
 {
-    QlruPolicy p;
-    SetReplState s(3);
-    s.age = {1, 2, 0};
-    p.victim(s); // one round: {2,3,1}
-    EXPECT_EQ(s.age[0], 2);
-    EXPECT_EQ(s.age[2], 1);
-}
-
-TEST(Qlru, VariantNames)
-{
-    EXPECT_EQ(QlruPolicy(QlruVariant::h11m1r0u0()).name(),
-              "qlru_h11_m1_r0_u0");
-    EXPECT_EQ(QlruPolicy(QlruVariant::h00m1r0u0()).name(),
-              "qlru_h00_m1_r0_u0");
+    std::uint64_t age[3] = {1, 2, 0};
+    replVictim(ReplKind::Qlru, age, 3); // one round: {2,3,1}
+    EXPECT_EQ(age[0], 2u);
+    EXPECT_EQ(age[2], 1u);
 }
 
 /**
@@ -96,8 +85,7 @@ class QlruFig8 : public ::testing::TestWithParam<bool>
 
     CacheGeometry geo()
     {
-        return {"llc", kSets, kWays, ReplKind::Qlru,
-                QlruVariant::h11m1r0u0()};
+        return {"llc", kSets, kWays, ReplKind::Qlru};
     }
 
     void access(CacheArray &c, Addr a)
@@ -161,50 +149,84 @@ INSTANTIATE_TEST_SUITE_P(BothOrders, QlruFig8, ::testing::Bool(),
 
 TEST(Lru, EvictsLeastRecentlyUsed)
 {
-    LruPolicy p;
-    SetReplState s(4);
+    std::uint64_t stamp[4] = {};
+    std::uint64_t clock = 0;
     for (unsigned w = 0; w < 4; ++w)
-        p.onInsert(s, w);
-    p.onHit(s, 0);
-    EXPECT_EQ(p.victim(s), 1u);
+        replInsert(ReplKind::Lru, stamp, w, clock);
+    replHit(ReplKind::Lru, stamp, 0, clock);
+    EXPECT_EQ(replVictim(ReplKind::Lru, stamp, 4), 1u);
 }
 
-TEST(Srrip, InsertAtTwoHitToZero)
+/**
+ * Random touch/fill/invalidate steps through an LRU CacheArray against
+ * a per-set model: a fill takes the leftmost invalid way, or else the
+ * way touched longest ago, and every touch or fill refreshes its way.
+ */
+TEST(Lru, EvictsTheLeastRecentlyTouchedWay)
 {
-    SrripPolicy p;
-    SetReplState s(4);
-    p.onInsert(s, 1);
-    EXPECT_EQ(s.age[1], 2);
-    p.onHit(s, 1);
-    EXPECT_EQ(s.age[1], 0);
-}
+    constexpr unsigned kSets = 2, kWays = 8, kLinesPerSet = 16;
+    struct ModelWay
+    {
+        bool valid = false;
+        Addr line = kAddrInvalid;
+        std::uint64_t stamp = 0;
+    };
+    std::array<std::array<ModelWay, kWays>, kSets> model{};
+    std::uint64_t now = 0;
+    CacheArray cache({"lru", kSets, kWays, ReplKind::Lru});
+    Rng rng(2024);
 
-TEST(Nru, VictimIsFirstNotRecentlyUsed)
-{
-    NruPolicy p;
-    SetReplState s(4);
-    for (unsigned w = 0; w < 4; ++w)
-        p.onInsert(s, w); // all use-bit 0
-    // No NRU candidate: all bits flip to 1, way 0 chosen.
-    EXPECT_EQ(p.victim(s), 0u);
-    p.onHit(s, 0);
-    EXPECT_EQ(p.victim(s), 1u);
-}
+    auto find = [&](unsigned set, Addr a) -> ModelWay * {
+        for (ModelWay &w : model[set])
+            if (w.valid && w.line == a)
+                return &w;
+        return nullptr;
+    };
 
-TEST(TreePlru, VictimAvoidsMostRecent)
-{
-    TreePlruPolicy p;
-    SetReplState s(4);
-    for (unsigned w = 0; w < 4; ++w)
-        p.onInsert(s, w);
-    // Last touch was way 3: the victim must not be way 3.
-    EXPECT_NE(p.victim(s), 3u);
+    unsigned evictions = 0;
+    for (unsigned step = 0; step < 20000; ++step) {
+        const unsigned set = static_cast<unsigned>(rng.below(kSets));
+        const Addr a = lineAddrInSet(
+            kSets, set, static_cast<unsigned>(rng.below(kLinesPerSet)));
+        ModelWay *way = find(set, a);
+        const auto op = rng.below(4);
+        if (op == 3) { // invalidate
+            ASSERT_EQ(cache.invalidate(a), way != nullptr)
+                << "step " << step;
+            if (way)
+                way->valid = false;
+        } else if (op == 0 || way) { // touch (also a fill of a resident line)
+            ASSERT_EQ(cache.touch(a), way != nullptr) << "step " << step;
+            if (way)
+                way->stamp = ++now;
+        } else { // fill
+            ModelWay *victim = nullptr;
+            for (ModelWay &w : model[set]) {
+                if (!w.valid) {
+                    victim = &w;
+                    break;
+                }
+            }
+            Addr expected = kAddrInvalid;
+            if (!victim) {
+                victim = &model[set][0];
+                for (ModelWay &w : model[set])
+                    if (w.stamp < victim->stamp)
+                        victim = &w;
+                expected = victim->line;
+                ++evictions;
+            }
+            ASSERT_EQ(cache.fill(a), expected) << "step " << step;
+            *victim = {true, a, ++now};
+        }
+    }
+    EXPECT_GT(evictions, 1000u);
 }
 
 /**
  * Property: the paper's order-to-state conversion (§3.3) requires a
- * non-commutative policy. Check which policies distinguish A-B from
- * B-A with the receiver's prime/probe protocol.
+ * non-commutative policy. Both modelled rules must distinguish A-B
+ * from B-A with the receiver's prime/probe protocol.
  */
 class OrderSensitivity
     : public ::testing::TestWithParam<ReplKind>
@@ -215,8 +237,7 @@ TEST_P(OrderSensitivity, DistinguishesOrderIffOrderSensitive)
     const ReplKind kind = GetParam();
     const unsigned sets = 4, ways = 8;
     auto run = [&](bool ab) {
-        CacheArray cache(
-            {"c", sets, ways, kind, QlruVariant::h11m1r0u0()});
+        CacheArray cache({"c", sets, ways, kind});
         auto access = [&](Addr a) {
             if (!cache.touch(a))
                 cache.fill(a);
@@ -239,20 +260,15 @@ TEST_P(OrderSensitivity, DistinguishesOrderIffOrderSensitive)
             access(lineAddrInSet(sets, 1, 2 + ways - 1 + k));
         return std::make_pair(cache.contains(A), cache.contains(B));
     };
-    const auto ab = run(true);
-    const auto ba = run(false);
-    if (kind == ReplKind::Qlru || kind == ReplKind::Lru) {
-        // Strongly order-sensitive: outcomes differ.
-        EXPECT_NE(ab, ba);
-    }
-    // Random and the others may or may not distinguish; no assertion.
+    EXPECT_NE(run(true), run(false));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, OrderSensitivity,
-    ::testing::Values(ReplKind::Qlru, ReplKind::Lru, ReplKind::TreePlru,
-                      ReplKind::Nru, ReplKind::Srrip, ReplKind::Random),
-    [](const auto &info) { return replKindName(info.param); });
+    ::testing::Values(ReplKind::Qlru, ReplKind::Lru),
+    [](const auto &info) {
+        return info.param == ReplKind::Qlru ? "qlru" : "lru";
+    });
 
 } // namespace
 } // namespace specint
