@@ -22,6 +22,7 @@
 
 #include "attack/receiver.hh"
 #include "attack/sender.hh"
+#include "attack/smt_probe.hh"
 #include "attack/trial_fixture.hh"
 #include "cpu/core.hh"
 #include "cpu/pipeline/engine.hh"
@@ -132,6 +133,11 @@ benchHierarchyColdAccess(unsigned trials)
             for (std::uint64_t i = 0; i < n; ++i) {
                 keep(hier.access(0, a, AccessType::Data, now++));
                 a += 64;
+                // Every access appends to the visible LLC trace; clear
+                // it so the row times the access, not the trace
+                // vector's growth.
+                if (now % 1024 == 0)
+                    hier.clearLlcTrace();
             }
             return std::uint64_t{0};
         },
@@ -205,6 +211,31 @@ benchSmtCoreSimulation(unsigned trials, unsigned instructions,
                     mem.write(a, v);
                 PipelineEngine core(CoreConfig{}, SmtConfig{}, 0, hier, mem);
                 cycles += core.run({&wl0.prog, &wl1.prog}).cycles;
+            }
+            return cycles;
+        },
+        trials);
+}
+
+/** The SMT port channel's trials (attack/smt_probe.hh): a victim whose
+ *  mis-speculated VSQRTPD chain holds the non-pipelined port-0 unit iff
+ *  the secret is 1, beside a probe thread streaming its own VSQRTPDs —
+ *  the port-0 queue of the G^D_NPEU gadget, which the default
+ *  SmtCoreSimulation workloads (no sqrt ops) never build. */
+KernelResult
+benchSmtPortChannel(unsigned trials)
+{
+    SmtAttackParams params;
+    params.kind = SmtChannelKind::Port;
+    SmtProbeHarness harness(buildSmtAttack(params),
+                            SchemeKind::InvisiSpecSpectre);
+    unsigned secret = 0;
+    return measure(
+        [&](std::uint64_t n) {
+            std::uint64_t cycles = 0;
+            for (std::uint64_t i = 0; i < n; ++i) {
+                harness.prepare(secret ^= 1);
+                cycles += harness.runTrial().cycles;
             }
             return cycles;
         },
@@ -361,6 +392,7 @@ const Kernel kKernels[] = {
      [](unsigned t) { return benchSmtCoreSimulation(t, 4000); }},
     {"SmtCoreSimulation/4000/memstall",
      [](unsigned t) { return benchSmtCoreSimulation(t, 4000, true); }},
+    {"SmtCoreSimulation/port-channel", benchSmtPortChannel},
     {"SystemSimulation/1000",
      [](unsigned t) { return benchSystemSimulation(t, 1000); }},
     {"SystemSimulation/4000",

@@ -70,6 +70,8 @@ CommitUnit::retire(std::vector<std::unique_ptr<ThreadContext>> &threads,
                 }
                 th.pendingVisibility.erase(th.rob.slotOf(h));
             }
+            if (!opTraits(h.op).pipelined)
+                th.nonPipelined.erase(th.rob.slotOf(h));
             if (h.ifetchExposureLine() != kAddrInvalid) {
                 hier_.access(id_, h.ifetchExposureLine(), AccessType::Instr,
                              now);

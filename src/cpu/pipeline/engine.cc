@@ -229,21 +229,10 @@ EngineRunResult
 PipelineEngine::run(const std::vector<const Program *> &progs)
 {
     beginRun(progs);
-    // Skipping is optional — any dead cycle not skipped simply ticks
-    // normally with identical results — so after a failed attempt
-    // (nothing skippable: the pipeline is busy) the predicate backs
-    // off for a few ticks instead of rescanning the ROB every cycle of
-    // a busy stretch. Long stalls (memory misses) still collapse; at
-    // most the first few cycles of a dead region are ticked.
-    unsigned backoff = 0;
-    while (step()) {
-        if (backoff > 0) {
-            --backoff;
-            continue;
-        }
-        if (fastForward(cfg_.maxCycles) == 0)
-            backoff = 3;
-    }
+    // Probe for a dead span after every tick, as System::run() does; a
+    // busy cycle pays one probe that finds a transition due.
+    while (step())
+        fastForward(cfg_.maxCycles);
     return finishRun();
 }
 
@@ -334,10 +323,20 @@ PipelineEngine::nextTransitionAt(FfProbe &probe) const
             }
         }
 
-        // Issue: the ready set's candidates.
+        // Issue: the ready set's candidates. After the first
+        // non-pipelined candidate found waiting for port 0, the rest of
+        // the thread's nonPipelined set is skipped, as the issue stage
+        // skips it: none of them can preempt (preemptibility is
+        // monotone in age) or issue while the port is busy, so each is
+        // denied with the same portContended flag. One whose readyAt
+        // falls inside the busy span would only be denied from then
+        // on, so leaving its readyAt out of the bound is exact too; the
+        // span cannot end early without a squash, which is a writeback
+        // bounded above.
+        const SlotSet *skip = nullptr;
         for (std::size_t age = th.readySet.nextByAge(head, 0);
              age != SlotSet::kNone;
-             age = th.readySet.nextByAge(head, age + 1)) {
+             age = th.readySet.nextByAge(head, age + 1, skip)) {
             const DynInst &inst = *th.rob.at(age);
             // Gated candidates: the issue stage skips them with no
             // state change, and they can only unblock after an event
@@ -367,6 +366,8 @@ PipelineEngine::nextTransitionAt(FfProbe &probe) const
             next = std::min(next, free_at);
             if (ports_.opContendedByOther(inst.op, th.tid, now_))
                 probe.portContended |= 1u << th.tid;
+            if (!opTraits(inst.op).pipelined)
+                skip = &th.nonPipelined;
         }
 
         // Dispatch: possible iff the front of the decode queue can
@@ -517,7 +518,8 @@ PipelineEngine::checkInvariants() const
         // the ROB in one pass.
         const std::size_t slots = th.rob.capacity();
         SlotSet ready(slots), issued(slots), branches(slots), loads(slots),
-            stores(slots), visibility(slots), all_stores(slots);
+            stores(slots), visibility(slots), all_stores(slots),
+            non_pipelined(slots);
         unsigned rs_held = 0;
         for (const DynInst &inst : th.rob) {
             const std::size_t s = th.rob.slotOf(inst);
@@ -537,6 +539,8 @@ PipelineEngine::checkInvariants() const
                 visibility.insert(s);
             if (inst.isStore())
                 all_stores.insert(s);
+            if (!opTraits(inst.op).pipelined)
+                non_pipelined.insert(s);
         }
 
         // Compare word for word; only a mismatch pays for naming it.
@@ -553,6 +557,7 @@ PipelineEngine::checkInvariants() const
             {"incompleteStores", th.incompleteStores, stores},
             {"pendingVisibility", th.pendingVisibility, visibility},
             {"stores", th.stores, all_stores},
+            {"nonPipelined", th.nonPipelined, non_pipelined},
         };
         for (const auto &set : sets) {
             if (set.kept == set.rebuilt)

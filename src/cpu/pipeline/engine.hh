@@ -211,17 +211,17 @@ class PipelineEngine
     /// @}
 
     /**
-     * Check each thread's seven per-slot sets (ThreadContext: readySet,
+     * Check each thread's eight per-slot sets (ThreadContext: readySet,
      * issued, unresolvedBranches, incompleteLoads, incompleteStores,
-     * pendingVisibility, stores) against the ROB: each set is rebuilt
-     * from the live entries in one pass and compared word for word, so
-     * a member in a dead slot fails too. The same pass counts the
-     * entries holding an RS slot, which must equal the thread's RS
-     * share; the shares must sum to the RS occupancy. @return a
-     * description of the first violation (set and seq, or the RS
-     * counts), empty when all hold. A full-window scan for tests
-     * (tests/literal_loop.hh runs it after every cycle); run() never
-     * calls it.
+     * pendingVisibility, stores, nonPipelined) against the ROB: each
+     * set is rebuilt from the live entries in one pass and compared
+     * word for word, so a member in a dead slot fails too. The same
+     * pass counts the entries holding an RS slot, which must equal the
+     * thread's RS share; the shares must sum to the RS occupancy.
+     * @return a description of the first violation (set and seq, or
+     * the RS counts), empty when all hold. A full-window scan for
+     * tests (tests/literal_loop.hh runs it after every cycle); run()
+     * never calls it.
      */
     std::string checkInvariants() const;
 

@@ -103,6 +103,8 @@ FrontUnit::dispatch(std::vector<std::unique_ptr<ThreadContext>> &threads,
         } else if (stored.isStore()) {
             th->incompleteStores.insert(slot);
             th->stores.insert(slot);
+        } else if (!opTraits(stored.op).pipelined) {
+            th->nonPipelined.insert(slot);
         }
         ++th->nextSeq;
         ++nextStamp_;

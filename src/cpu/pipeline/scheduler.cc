@@ -17,6 +17,21 @@
 namespace specint
 {
 
+namespace
+{
+
+/** The per-op memo bits (Scheduler::opBit) of every non-pipelined op
+ *  class. */
+constexpr std::uint16_t kNonPipelinedOps = [] {
+    std::uint16_t bits = 0;
+    for (unsigned o = 0; o < kNumOps; ++o)
+        if (!kOpTraits[o].pipelined)
+            bits |= static_cast<std::uint16_t>(1u << o);
+    return bits;
+}();
+
+} // namespace
+
 void
 Scheduler::safety(std::vector<std::unique_ptr<ThreadContext>> &threads,
                   Tick now)
@@ -116,11 +131,18 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
     // thread's op class is "settled" once one of its candidates has
     // been denied a port: any later candidate of that (thread, op)
     // would repeat the same denial and set the same contention flag,
-    // so it is skipped before its (pure) issue gates. Candidates that
-    // may preempt (strictAgePriority on a non-pipelined op) never
-    // settle: whether a preemption succeeds also depends on the
-    // candidate's own seq, which this port-state argument does not
-    // cover.
+    // so it is skipped before its (pure) issue gates.
+    //
+    // Non-pipelined candidates are skipped as a class: they all issue
+    // on port 0 alone, so once one of a thread's is denied, the
+    // thread's nonPipelined members are left out of the rest of its
+    // walk word by word. Candidates that may preempt (strictAgePriority)
+    // settle and are skipped too, because preemptibility is monotone
+    // in age: PortSet::preemptible() needs a holder younger than the
+    // requester, the walk visits a thread's candidates oldest first,
+    // and a preemption by another thread installs a holder of that
+    // thread. A denied preemptor's younger siblings cannot preempt
+    // either.
     blockedOps_ = 0;
     std::fill(settledOps_.begin(), settledOps_.end(), 0);
 
@@ -134,28 +156,27 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
         Run &run = runs_[k];
         ThreadContext &th = *run.th;
         DynInst &inst = *run.inst;
-        const std::size_t age = run.age;
-        // Copied: advancing a finished run overwrites it.
-        const Frontiers f = run.f;
-        const std::size_t safe = run.safe;
 
-        // Advance this run past the candidate before acting on it.
-        run.age = th.readySet.nextByAge(th.rob.headSlot(), run.age + 1);
+        if (inst.readyAt <= now &&
+            !(settledOps_[th.tid] & opBit(inst.op)) &&
+            !th.issueGated(inst, run.age, run.f, run.safe) &&
+            tryIssue(th, inst, run.age, run.f, run.age <= run.safe, now,
+                     noise)) {
+            ++issued;
+        }
+
+        // Advance this run past the candidate.
+        const SlotSet *skip = (settledOps_[th.tid] & kNonPipelinedOps)
+                                  ? &th.nonPipelined
+                                  : nullptr;
+        run.age = th.readySet.nextByAge(th.rob.headSlot(), run.age + 1,
+                                        skip);
         if (run.age == SlotSet::kNone) {
             runs_[k] = runs_.back();
             runs_.pop_back();
         } else {
             run.inst = th.rob.at(run.age);
         }
-
-        if (inst.readyAt > now)
-            continue;
-        if (settledOps_[th.tid] & opBit(inst.op))
-            continue;
-        if (th.issueGated(inst, age, f, safe))
-            continue;
-        if (tryIssue(th, inst, age, f, age <= safe, now, noise))
-            ++issued;
     }
 }
 
@@ -200,8 +221,7 @@ Scheduler::tryIssue(ThreadContext &th, DynInst &inst, std::size_t age,
     }
     if (port < 0) {
         blockedOps_ |= opBit(op);
-        if (!may_preempt)
-            settledOps_[th.tid] |= opBit(op);
+        settledOps_[th.tid] |= opBit(op);
         // The per-cycle observable of the SMT port-contention channel:
         // a ready instruction denied a port a sibling occupies.
         if (smt_.numThreads > 1 &&
@@ -281,17 +301,24 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
     const Addr line = lineAlign(inst.effAddr());
     const SchedFlags flags = th.scheme.schedFlags();
 
-    auto need_mshr = [&](bool l1_hit) -> bool { return !l1_hit; };
-    auto acquire_mshr = [&](Tick ready_at, bool spec_alloc) -> bool {
-        if (mshr_.hasEntry(line, now) ||
-            mshr_.allocate(line, now, ready_at, inst.seq, spec_alloc,
-                           th.tid)) {
+    // An L1 miss needs an MSHR entry: it merges into the entry for its
+    // line, takes a free one, or — the advanced defense, for a
+    // non-speculative load — frees its thread's youngest speculative
+    // entry. Only a new entry needs the miss's ready time, a pure
+    // latency peek (no bandwidth consumed) made before any cache state
+    // is touched. A load that gets no entry retries when the earliest
+    // entry frees.
+    auto acquire_mshr = [&](bool spec_alloc) -> bool {
+        if (mshr_.hasEntry(line, now))
             return true;
-        }
-        if (flags.preemptSpecMshr && !spec_alloc &&
-            mshr_.preemptYoungestSpeculative(now, th.tid)) {
-            return mshr_.allocate(line, now, ready_at, inst.seq,
-                                  spec_alloc, th.tid);
+        if (!mshr_.full(now) ||
+            (flags.preemptSpecMshr && !spec_alloc &&
+             mshr_.preemptYoungestSpeculative(now, th.tid))) {
+            const MemAccessResult probe = hier_.peekLatency(
+                id_, inst.effAddr(), AccessType::Data);
+            mshr_.allocate(line, now, now + probe.latency + jitter,
+                           inst.seq, spec_alloc, th.tid);
+            return true;
         }
         // The MSHR-contention observable: denied while a sibling
         // thread holds entries in the shared file.
@@ -299,26 +326,17 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
             mshr_.inUseByOther(th.tid, now) > 0) {
             th.mshrContended = true;
         }
+        const Tick earliest = mshr_.earliestReady(now);
+        inst.readyAt = earliest == kTickMax ? now + 1 : earliest;
+        inst.loadPhase = LoadPhase::WaitMshr;
         return false;
     };
 
     switch (policy) {
       case SpecLoadPolicy::Visible: {
-        const bool l1_hit = hier_.l1Probe(id_, inst.effAddr(),
-                                          AccessType::Data);
-        if (need_mshr(l1_hit)) {
-            // Reserve the MSHR before touching any cache state; the
-            // latency peek is a pure query (no bandwidth consumed).
-            const MemAccessResult probe = hier_.peekLatency(
-                id_, inst.effAddr(), AccessType::Data);
-            if (!acquire_mshr(now + probe.latency + jitter,
-                              speculative)) {
-                const Tick earliest = mshr_.earliestReady(now);
-                inst.readyAt =
-                    earliest == kTickMax ? now + 1 : earliest;
-                inst.loadPhase = LoadPhase::WaitMshr;
-                return false;
-            }
+        if (!hier_.l1Probe(id_, inst.effAddr(), AccessType::Data) &&
+            !acquire_mshr(speculative)) {
+            return false;
         }
         // A safe load always trains the prefetcher; a speculative one
         // only under schemes whose requests leave the core.
@@ -367,24 +385,16 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
             inst.loadPhase = LoadPhase::InFlight;
             return true;
         }
-        // Reserve the core MSHR before the request leaves the core:
-        // the ready-time estimate is a pure peek, and the real
+        // Invisible speculative misses still occupy MSHRs — the
+        // pressure point G^D_MSHR exploits (Fig. 4), per-core and,
+        // through the shared-LLC model, across cores. The core MSHR is
+        // reserved before the request leaves the core: the real
         // (bandwidth-consuming) invisible request only happens once
         // the load actually goes out — a denied load must not charge
         // shared-level occupancy on every retry.
-        const MemAccessResult probe =
-            hier_.peekLatency(id_, inst.effAddr(), AccessType::Data);
-        if (need_mshr(probe.l1Hit)) {
-            // Invisible speculative misses still occupy MSHRs — the
-            // pressure point G^D_MSHR exploits (Fig. 4), per-core and,
-            // through the shared-LLC model, across cores.
-            if (!acquire_mshr(now + probe.latency + jitter, true)) {
-                const Tick earliest = mshr_.earliestReady(now);
-                inst.readyAt =
-                    earliest == kTickMax ? now + 1 : earliest;
-                inst.loadPhase = LoadPhase::WaitMshr;
-                return false;
-            }
+        if (!hier_.l1Probe(id_, inst.effAddr(), AccessType::Data) &&
+            !acquire_mshr(true)) {
+            return false;
         }
         // The invisible request leaves the core: whether it trains
         // the prefetcher is the scheme's declaration (it does for

@@ -108,7 +108,7 @@ class Scheduler
      *  Bit opBit(op) of blockedOps_: every port of the op class is
      *  unavailable this cycle. Bit opBit(op) of settledOps_[tid]: a
      *  candidate of thread tid and this op class was denied a port
-     *  this cycle and could not preempt. */
+     *  this cycle. */
     /// @{
     std::uint16_t blockedOps_ = 0;
     std::vector<std::uint16_t> settledOps_;

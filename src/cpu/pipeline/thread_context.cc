@@ -15,7 +15,7 @@ ThreadContext::ThreadContext(const CoreConfig &cfg, ThreadId t)
       rob(cfg.robSize), readySet(cfg.robSize), issued(cfg.robSize),
       unresolvedBranches(cfg.robSize), incompleteLoads(cfg.robSize),
       incompleteStores(cfg.robSize), pendingVisibility(cfg.robSize),
-      stores(cfg.robSize)
+      stores(cfg.robSize), nonPipelined(cfg.robSize)
 {
     renameMap.fill(kSeqNumInvalid);
 }
@@ -38,7 +38,7 @@ ThreadContext::resetRun(const Program *p)
     minWbAt = 0;
     for (SlotSet *set : {&readySet, &issued, &unresolvedBranches,
                          &incompleteLoads, &incompleteStores,
-                         &pendingVisibility, &stores})
+                         &pendingVisibility, &stores, &nonPipelined})
         set->clear();
     filter.clear();
 }
@@ -48,7 +48,7 @@ ThreadContext::forgetSlot(std::size_t slot)
 {
     for (SlotSet *set : {&readySet, &issued, &unresolvedBranches,
                          &incompleteLoads, &incompleteStores,
-                         &pendingVisibility, &stores})
+                         &pendingVisibility, &stores, &nonPipelined})
         set->erase(slot);
 }
 

@@ -121,6 +121,22 @@ safeUpTo(const Frontiers &f, SafePoint sp)
     panic("safeUpTo: unknown SafePoint");
 }
 
+/** Every non-pipelined op class issues on port 0 alone, so one denial
+ *  of port 0 answers for all of them: ThreadContext keeps a single
+ *  nonPipelined set, not one per op class. */
+constexpr bool
+nonPipelinedOpsUsePort0Only()
+{
+    for (const OpTraits &t : kOpTraits) {
+        if (!t.pipelined && (t.ports.size() != 1 || t.ports[0] != 0))
+            return false;
+    }
+    return true;
+}
+static_assert(nonPipelinedOpsUsePort0Only(),
+              "the nonPipelined slot set assumes every non-pipelined op "
+              "issues on port 0 only");
+
 /** Does @p inst, at age @p age, wait for memory disambiguation: is it
  *  a load with an older store not written back (address unknown)? */
 inline bool
@@ -176,7 +192,7 @@ struct ThreadContext
      *  head (SlotSet::nextByAge) yields them oldest first, and the
      *  first member is the oldest: no scan, lookup, revalidation or
      *  sort. Every transition into or out of a set's condition updates
-     *  it; a squash clears the squashed slots from all seven
+     *  it; a squash clears the squashed slots from all eight
      *  (forgetSlot). PipelineEngine::checkInvariants() rebuilds each
      *  set from the ROB and compares. */
     /// @{
@@ -203,6 +219,12 @@ struct ThreadContext
     /** Every store: set at dispatch, cleared at retirement; store-to-load
      *  forwarding walks it (Lsq::forwardingStore). */
     SlotSet stores;
+    /** Every non-pipelined op (FpSqrt, FpDiv): set at dispatch, cleared
+     *  at retirement. Once one of them is denied port 0 in a cycle, the
+     *  issue stage leaves the thread's younger members out of the rest
+     *  of that cycle's walk, and nextTransitionAt() leaves them out of
+     *  its bound (see Scheduler::issue()). */
+    SlotSet nonPipelined;
     /// @}
 
     /** Reset all run state and start executing @p p from its entry. */

@@ -338,23 +338,25 @@ class SlotSet
 
     /**
      * The smallest age >= @p age whose slot, counted from @p head with
-     * wrap-around, is a member; kNone if there is none.
+     * wrap-around, is a member and not a member of @p exclude (when
+     * given, a set over the same slots); kNone if there is none.
      */
     std::size_t
-    nextByAge(std::size_t head, std::size_t age) const
+    nextByAge(std::size_t head, std::size_t age,
+              const SlotSet *exclude = nullptr) const
     {
         if (age >= slots_)
             return kNone;
         const std::size_t slot = head + age;
         if (slot < slots_) {
             // Still in the [head, end) segment: search it, then wrap.
-            const std::size_t s = findIn(slot, slots_);
+            const std::size_t s = findIn(slot, slots_, exclude);
             if (s < slots_)
                 return s - head;
-            const std::size_t w = findIn(0, head);
+            const std::size_t w = findIn(0, head, exclude);
             return w < head ? w + slots_ - head : kNone;
         }
-        const std::size_t w = findIn(slot - slots_, head);
+        const std::size_t w = findIn(slot - slots_, head, exclude);
         return w < head ? w + slots_ - head : kNone;
     }
 
@@ -367,15 +369,18 @@ class SlotSet
         return std::uint64_t{1} << (slot & 63);
     }
 
-    /** First member in [from, limit), or @p limit. */
+    /** First member in [from, limit) outside @p exclude, or @p limit. */
     std::size_t
-    findIn(std::size_t from, std::size_t limit) const
+    findIn(std::size_t from, std::size_t limit, const SlotSet *exclude) const
     {
         if (from >= limit)
             return limit;
+        const auto word = [this, exclude](std::size_t w) {
+            return exclude ? words_[w] & ~exclude->words_[w] : words_[w];
+        };
         std::size_t w = from >> 6;
         const std::size_t last = (limit - 1) >> 6;
-        std::uint64_t bits = words_[w] & (~std::uint64_t{0} << (from & 63));
+        std::uint64_t bits = word(w) & (~std::uint64_t{0} << (from & 63));
         for (;;) {
             if (bits != 0) {
                 const std::size_t s =
@@ -384,7 +389,7 @@ class SlotSet
             }
             if (w == last)
                 return limit;
-            bits = words_[++w];
+            bits = word(++w);
         }
     }
 

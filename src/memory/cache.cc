@@ -26,12 +26,16 @@ CacheArray::CacheArray(CacheGeometry geo)
               " ways exceed kMaxCacheWays (" +
               std::to_string(kMaxCacheWays) + ")");
     }
+    if ((geo_.sets & (geo_.sets - 1)) != 0) {
+        panic("CacheArray " + geo_.name + ": " + std::to_string(geo_.sets) +
+              " sets is not a power of two");
+    }
 }
 
 unsigned
 CacheArray::setIndex(Addr addr) const
 {
-    return static_cast<unsigned>(lineNumber(addr) % geo_.sets);
+    return static_cast<unsigned>(lineNumber(addr) & (geo_.sets - 1));
 }
 
 int

@@ -57,9 +57,11 @@ struct CacheArrayStats
  * One set-associative tag array.
  *
  * Addresses handed in are full byte addresses; the array internally
- * works on line numbers. Set index = lineNumber % sets (callers that
- * slice the LLC hash the slice bits out before constructing the
- * per-slice line number — see Hierarchy).
+ * works on line numbers. The set count is a power of two (the
+ * constructor panics otherwise), so the set index is the line number's
+ * low bits: lineNumber & (sets - 1). An LLC slice is indexed the same
+ * way; Hierarchy picks the slice by a hash of the whole line number
+ * (Hierarchy::llcSliceIndex).
  */
 class CacheArray
 {

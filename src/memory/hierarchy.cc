@@ -45,6 +45,10 @@ HierarchyConfig::validate() const
                    " ways; at most " + std::to_string(kMaxCacheWays) +
                    " are supported";
         }
+        if ((g->sets & (g->sets - 1)) != 0) {
+            return g->name + " geometry has " + std::to_string(g->sets) +
+                   " sets; the set count must be a power of two";
+        }
     }
     if (llcSlices == 0 || (llcSlices & (llcSlices - 1)) != 0)
         return "llcSlices must be a nonzero power of two";

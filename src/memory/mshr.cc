@@ -1,13 +1,14 @@
 /**
  * @file
  * MSHR file implementation: fixed-capacity allocation in issue
- * order with same-line merging, expiry at miss completion, and the
- * squash / speculative-preemption hooks.
+ * order, the same-line lookup a merging miss uses, expiry at miss
+ * completion, and the squash / speculative-preemption hooks.
  */
 
 #include "memory/mshr.hh"
 
 #include <algorithm>
+#include <cassert>
 
 namespace specint
 {
@@ -15,11 +16,16 @@ namespace specint
 void
 MshrFile::expire(Tick now)
 {
+    if (now < earliest_)
+        return; // no entry's data has returned yet
     live_.erase(std::remove_if(live_.begin(), live_.end(),
                                [now](const MshrEntry &e) {
                                    return e.readyAt <= now;
                                }),
                 live_.end());
+    earliest_ = kTickMax;
+    for (const auto &e : live_)
+        earliest_ = std::min(earliest_, e.readyAt);
 }
 
 unsigned
@@ -51,29 +57,21 @@ MshrFile::inUseBy(ThreadId tid, Tick now)
     return n;
 }
 
-bool
+void
 MshrFile::allocate(Addr addr, Tick now, Tick ready_at, SeqNum seq,
                    bool speculative, ThreadId tid)
 {
     expire(now);
-    const Addr line = lineAlign(addr);
-    for (auto &e : live_) {
-        if (e.lineAddr == line) {
-            ++e.targets;
-            return true;
-        }
-    }
-    if (live_.size() >= entries_)
-        return false;
+    assert(live_.size() < entries_);
+    assert(!hasEntry(addr, now));
     MshrEntry e;
-    e.lineAddr = line;
+    e.lineAddr = lineAlign(addr);
     e.readyAt = ready_at;
-    e.targets = 1;
     e.allocSeq = seq;
     e.speculative = speculative;
     e.tid = tid;
     live_.push_back(e);
-    return true;
+    earliest_ = std::min(earliest_, ready_at);
 }
 
 Tick

@@ -28,8 +28,6 @@ struct MshrEntry
     Addr lineAddr = kAddrInvalid;
     /** Cycle at which the miss data returns and the entry frees. */
     Tick readyAt = kTickMax;
-    /** Number of requests merged into this entry. */
-    unsigned targets = 0;
     /** Sequence number of the (youngest) speculative allocator, used
      *  by AdvancedDefense to preempt speculative holders. */
     SeqNum allocSeq = kSeqNumInvalid;
@@ -90,14 +88,14 @@ class MshrFile
     bool hasEntry(Addr addr, Tick now);
 
     /**
-     * Allocate an entry (or merge into an existing one) for a miss on
-     * @p addr completing at @p ready_at. The MSHR file is fully shared
-     * between SMT threads; @p tid only tags the entry for accounting
-     * and thread-local squash.
-     * @return true on success; false if the file is full and no merge
-     *         is possible (the load must retry later).
+     * Append a new entry for a miss on @p addr completing at
+     * @p ready_at. A miss whose line already has an entry merges into
+     * it and takes none (hasEntry), and the file must not be full:
+     * both are asserted. The MSHR file is fully shared between SMT
+     * threads; @p tid only tags the entry for accounting and
+     * thread-local squash.
      */
-    bool allocate(Addr addr, Tick now, Tick ready_at,
+    void allocate(Addr addr, Tick now, Tick ready_at,
                   SeqNum seq = kSeqNumInvalid, bool speculative = false,
                   ThreadId tid = 0);
 
@@ -129,14 +127,25 @@ class MshrFile
     void squashThread(ThreadId tid, SeqNum bound);
 
     /** Drop everything. */
-    void reset() { live_.clear(); }
+    void
+    reset()
+    {
+        live_.clear();
+        earliest_ = kTickMax;
+    }
 
   private:
-    /** Remove entries whose data has returned. */
+    /** Remove entries whose data has returned. Every query calls it,
+     *  so it sweeps only once @p now reaches earliest_. */
     void expire(Tick now);
 
     unsigned entries_;
     std::vector<MshrEntry> live_;
+    /** Lower bound on the live entries' readyAt (kTickMax: none):
+     *  lowered by allocate(), recomputed by a sweep. Squash and
+     *  preemption only remove entries, so they can leave it stale-low,
+     *  which costs one sweep that removes nothing. */
+    Tick earliest_ = kTickMax;
 };
 
 } // namespace specint

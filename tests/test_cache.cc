@@ -146,6 +146,12 @@ TEST(CacheArrayDeathTest, RejectsMoreWaysThanTheVictimScanCovers)
                  "exceed kMaxCacheWays");
 }
 
+TEST(CacheArrayDeathTest, RejectsASetCountTheIndexMaskCannotCover)
+{
+    // The set index is the line number masked with sets - 1.
+    EXPECT_DEATH(CacheArray({"odd", 48, 4}), "48 sets is not a power of two");
+}
+
 TEST(CacheArray, SetIndexWrapsOnLineNumber)
 {
     CacheArray c(smallGeo());

@@ -555,7 +555,7 @@ TEST(RegisteredScenarios, SweepSizesMatchLegacyGrids)
         {"fig12", 12},   {"ablation_advanced", 5},
         {"ablation_mshr", 7}, {"ablation_rs", 6},
         {"ablation_smt", 72}, {"ablation_cross_core", 24},
-        {"microbench", 17},
+        {"microbench", 18},
     };
     for (const auto &e : expected) {
         const Scenario *sc = reg.find(e.name);
@@ -577,7 +577,7 @@ TEST(RegisteredScenarios, MicrobenchSimOnlyFiltersToSimulationRows)
     opts.trials = sc->defaultTrials;
     opts.extra["sim-only"] = 1;
     const SweepSpec spec = sc->sweep(opts);
-    EXPECT_EQ(spec.size(), 12u); // 10 simulation + 2 trial-setup rows
+    EXPECT_EQ(spec.size(), 13u); // 11 simulation + 2 trial-setup rows
     for (const SweepPoint &pt : spec.expand()) {
         const std::string &name = pt.at("bench");
         EXPECT_TRUE(name.find("Simulation") != std::string::npos ||

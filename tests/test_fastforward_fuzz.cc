@@ -327,32 +327,69 @@ skippedCycles(Body body)
     return m ? m->count : 0;
 }
 
-/** run() and the literal loop on fresh single-thread cores, each over
- *  a fresh hierarchy prepared by @p prepare; the two must agree.
+/** run() and the literal loop on fresh engines with one thread per
+ *  program in @p progs (a single-thread core, or two threads sharing
+ *  the default SmtConfig), each over a fresh hierarchy prepared by
+ *  @p prepare; thread 0 runs under @p scheme. The two must agree.
  *  @return the run() variant's skipped cycles. */
 template <typename Prepare>
 std::uint64_t
-expectRunMatchesLiteral(const Program &prog, SchemeKind scheme,
-                        Prepare prepare)
+expectRunMatchesLiteral(const std::vector<const Program *> &progs,
+                        SchemeKind scheme, Prepare prepare)
 {
+    SmtConfig smt;
+    if (progs.size() == 1)
+        smt = SmtConfig::singleThread();
     RunDigest got[2];
     std::uint64_t skipped = 0;
     for (const bool literal : {true, false}) {
         Hierarchy hier(HierarchyConfig::small());
         MainMemory mem;
-        Core core(CoreConfig{}, 0, hier, mem);
-        core.setScheme(makeScheme(scheme));
+        PipelineEngine eng(CoreConfig{}, smt, 0, hier, mem);
+        eng.setScheme(0, makeScheme(scheme));
         prepare(hier, mem);
-        PipelineEngine &eng = core.engine();
         if (literal)
-            got[literal] = digestOf(literalRun(eng, {&prog}), eng);
+            got[literal] = digestOf(literalRun(eng, progs), eng);
         else
             skipped = skippedCycles(
-                [&] { got[literal] = digestOf(eng.run({&prog}), eng); });
+                [&] { got[literal] = digestOf(eng.run(progs), eng); });
     }
     EXPECT_TRUE(got[true].finished);
     expectDigestsEqual(got[false], got[true], schemeName(scheme));
     return skipped;
+}
+
+/** Warm every code line of @p progs into core 0's L1-I. */
+void
+warmCode(Hierarchy &hier, const std::vector<const Program *> &progs)
+{
+    for (const Program *p : progs)
+        for (unsigned pc = 0; pc < p->size(); ++pc)
+            hier.access(0, p->instLine(pc), AccessType::Instr, 0);
+}
+
+/** @p ops independent VSQRTPD ops, then Halt. */
+Program
+sqrtStream(unsigned ops)
+{
+    Program prog;
+    prog.setReg(1, 9);
+    for (unsigned k = 0; k < ops; ++k)
+        prog.sqrt(static_cast<RegId>(16 + k % 16), 1);
+    prog.halt();
+    return prog;
+}
+
+/** A sibling thread's short ALU program, in its own code region. */
+Program
+shortAluProgram()
+{
+    Program prog(0x500000);
+    prog.movi(1, 3);
+    for (unsigned k = 0; k < 8; ++k)
+        prog.alu(static_cast<RegId>(2 + k % 4), 1, 1);
+    prog.halt();
+    return prog;
 }
 
 TEST(FastForwardRuleTest, PortBlockedSqrtStreamIsSkipped)
@@ -361,25 +398,70 @@ TEST(FastForwardRuleTest, PortBlockedSqrtStreamIsSkipped)
     // unit: every cycle but the one each op issues in, the next op is
     // a ready candidate denied the busy port. Under a scheme without
     // squashable EUs the denial changes nothing, so the probe bounds
-    // the wait by the port's free time instead of ticking it.
+    // the wait by the port's free time instead of ticking it, however
+    // many younger sqrts queue behind the first. Alone and beside a
+    // sibling's short ALU program.
     constexpr unsigned kOps = 24;
+    const Program stream = sqrtStream(kOps);
+    const Program sibling = shortAluProgram();
+    for (const std::vector<const Program *> &progs :
+         {std::vector<const Program *>{&stream},
+          std::vector<const Program *>{&stream, &sibling}}) {
+        SCOPED_TRACE(std::to_string(progs.size()) + " thread(s)");
+        // Warm the code so the only stall left is the port queue.
+        auto warm_code = [&progs](Hierarchy &hier, MainMemory &) {
+            warmCode(hier, progs);
+        };
+        const std::uint64_t skipped =
+            expectRunMatchesLiteral(progs, SchemeKind::Unsafe, warm_code);
+        // Each op holds the port for its full latency. run() probes
+        // after every tick, so per op only the cycles around its issue
+        // and retirement are ticked; the rest of the wait is skipped.
+        const Tick latency = opTraits(Op::FpSqrt).latency;
+        EXPECT_GE(skipped, kOps * (latency - 3)) << skipped;
+    }
+}
+
+TEST(FastForwardRuleTest, SqrtWokenInsidePortBusySpanMatchesLiteralLoop)
+{
+    // A holds port 0 and B queues behind it. C's source is an L1-hit
+    // load that writes back while A still holds the port, so C becomes
+    // ready inside the busy span, younger than the port-blocked B; D
+    // queues from the start. Once B is denied, the issue stage and the
+    // probe skip C and D with the rest of the thread's non-pipelined
+    // ops, and the load's writeback bounds every probe until it
+    // happens. All four are speculative (behind a branch on a cold
+    // load), so under the advanced defense each denied sqrt first
+    // tries to preempt A, which is older than all of them.
+    constexpr Addr kCold = 0x80000;
+    constexpr Addr kWarm = 0xa0000;
     Program prog;
     prog.setReg(1, 9);
-    for (unsigned k = 0; k < kOps; ++k)
-        prog.sqrt(static_cast<RegId>(16 + k % 16), 1);
-    prog.halt();
-    // Warm the code so the only stall left is the port queue.
-    auto warm_code = [&prog](Hierarchy &hier, MainMemory &) {
-        for (unsigned pc = 0; pc < prog.size(); ++pc)
-            hier.access(0, prog.instLine(pc), AccessType::Instr, 0);
-    };
-    const std::uint64_t skipped =
-        expectRunMatchesLiteral(prog, SchemeKind::Unsafe, warm_code);
-    // Each op holds the port for its full latency. The cycles around
-    // each issue are ticked (plus run()'s short back-off after a probe
-    // that finds work), the rest of the wait is skipped.
-    const Tick latency = opTraits(Op::FpSqrt).latency;
-    EXPECT_GE(skipped, kOps * latency / 2) << skipped;
+    prog.load(6, kNoReg, static_cast<std::int64_t>(kCold), 1, "head");
+    // Not taken (r6 = 7, r5 = 0), as the cold predictor predicts.
+    const unsigned br = prog.branch(BranchCond::EQ, 6, 5, 0, "branch");
+    prog.load(4, kNoReg, static_cast<std::int64_t>(kWarm), 1, "load");
+    prog.sqrt(2, 1, "A");
+    prog.sqrt(3, 1, "B");
+    prog.sqrt(7, 4, "C");
+    prog.sqrt(8, 1, "D");
+    const unsigned end = prog.halt();
+    prog.setBranchTarget(br, end);
+    const Program sibling = shortAluProgram();
+    for (const SchemeKind scheme :
+         {SchemeKind::Unsafe, SchemeKind::AdvancedDefense}) {
+        for (const std::vector<const Program *> &progs :
+             {std::vector<const Program *>{&prog},
+              std::vector<const Program *>{&prog, &sibling}}) {
+            SCOPED_TRACE(std::to_string(progs.size()) + " thread(s)");
+            expectRunMatchesLiteral(
+                progs, scheme, [&progs](Hierarchy &hier, MainMemory &mem) {
+                    mem.write(kCold, 7);
+                    hier.access(0, kWarm, AccessType::Data, 0);
+                    warmCode(hier, progs);
+                });
+        }
+    }
 }
 
 TEST(FastForwardRuleTest, LoadBehindUnknownStoreAddressIsSkipped)
@@ -409,7 +491,7 @@ TEST(FastForwardRuleTest, LoadBehindUnknownStoreAddressIsSkipped)
             hier.access(0, prog.instLine(pc), AccessType::Instr, 0);
     };
     const std::uint64_t skipped =
-        expectRunMatchesLiteral(prog, SchemeKind::Unsafe, warm);
+        expectRunMatchesLiteral({&prog}, SchemeKind::Unsafe, warm);
     EXPECT_GE(skipped, 100u) << skipped;
 }
 
@@ -421,10 +503,8 @@ TEST(FastForwardRuleTest, PreemptingOlderSqrtIsNeverSkipped)
     // ready; skipping to the holder's free time instead would delay it
     // and diverge from the literal loop. Nothing else transitions in
     // that cycle: the sqrt's producer is an LLC hit behind a cold load
-    // at the ROB head, which also feeds the branch. A one-core System
-    // runs it because the System probes after every tick — run()'s
-    // short back-off after each transition would tick that cycle
-    // anyway.
+    // at the ROB head, which also feeds the branch. Both run() and a
+    // one-core System probe after every tick, so each is checked.
     constexpr Addr kCold = 0x80000;
     constexpr Addr kWarm = 0xa0000;
     constexpr unsigned kChain = 24;
@@ -452,7 +532,7 @@ TEST(FastForwardRuleTest, PreemptingOlderSqrtIsNeverSkipped)
     for (const SchemeKind scheme :
          {SchemeKind::AdvancedDefense, SchemeKind::DomNonTso}) {
         SCOPED_TRACE(schemeName(scheme));
-        expectRunMatchesLiteral(prog, scheme, init);
+        expectRunMatchesLiteral({&prog}, scheme, init);
 
         RunDigest got[2];
         for (const bool literal : {true, false}) {

@@ -214,6 +214,23 @@ TEST(HierarchyConfigValidate, RejectsWaysAboveTheInlineCapacity)
     EXPECT_NE(cfg.validate().find("l1d"), std::string::npos);
 }
 
+TEST(HierarchyConfigValidate, RejectsNonPowerOfTwoSetCounts)
+{
+    // Every cache array indexes its sets with a mask (sets - 1).
+    for (CacheGeometry HierarchyConfig::*geo :
+         {&HierarchyConfig::l1i, &HierarchyConfig::l1d, &HierarchyConfig::l2,
+          &HierarchyConfig::llcSlice}) {
+        HierarchyConfig cfg = HierarchyConfig::small();
+        CacheGeometry &g = cfg.*geo;
+        g.sets = 48;
+        EXPECT_NE(cfg.validate().find(g.name + " geometry has 48 sets"),
+                  std::string::npos)
+            << cfg.validate();
+        g.sets = 32;
+        EXPECT_EQ(cfg.validate(), "") << g.name;
+    }
+}
+
 TEST(HierarchyConfigValidate, RejectsNonPowerOfTwoSliceCount)
 {
     HierarchyConfig cfg;

