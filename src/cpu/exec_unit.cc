@@ -3,7 +3,7 @@
  * Issue-port / functional-unit occupancy implementation:
  * pipelined vs non-pipelined busy accounting, the preempt() hook for
  * the advanced defense's squashable EUs, and the per-thread holder
- * tagging the SMT layer uses for sibling-contention accounting and
+ * tagging the SMT layer uses for the sibling port-0 integral and
  * thread-local squash.
  */
 
@@ -20,7 +20,6 @@ PortSet::reset()
     holder_.fill(kSeqNumInvalid);
     holderSpec_.fill(false);
     holderTid_.fill(0);
-    lastIssueTid_.fill(0);
 }
 
 bool
@@ -47,7 +46,6 @@ PortSet::issue(std::uint8_t port, Op op, Tick now, Tick busy_until,
                SeqNum holder, bool holder_speculative, ThreadId tid)
 {
     lastIssueCycle_[port] = now;
-    lastIssueTid_[port] = tid;
     if (!opTraits(op).pipelined) {
         busyUntil_[port] = busy_until;
         holder_[port] = holder;
@@ -94,27 +92,6 @@ PortSet::preempt(std::uint8_t port, SeqNum requester, ThreadId tid)
     holderSpec_[port] = false;
     holderTid_[port] = 0;
     return h;
-}
-
-bool
-PortSet::contendedByOther(std::uint8_t port, ThreadId tid, Tick now) const
-{
-    if (busyUntil_[port] > now && holder_[port] != kSeqNumInvalid &&
-        holderTid_[port] != tid) {
-        return true;
-    }
-    if (lastIssueCycle_[port] == now && lastIssueTid_[port] != tid)
-        return true;
-    return false;
-}
-
-bool
-PortSet::opContendedByOther(Op op, ThreadId tid, Tick now) const
-{
-    for (std::uint8_t p : opTraits(op).ports)
-        if (contendedByOther(p, tid, now))
-            return true;
-    return false;
 }
 
 } // namespace specint

@@ -52,10 +52,6 @@ class PortSet
      *  SeqNums are per-thread, so the owner thread must match. */
     void releaseIfHeldBy(SeqNum holder, ThreadId tid = 0);
 
-    /** Free units held by squashed (younger) instructions of thread 0
-     *  (single-thread core path). */
-    void squashYoungerThan(SeqNum bound) { squashThread(0, bound); }
-
     /** Per-thread squash: free only units held by squashed (younger)
      *  instructions of @p tid — a sibling thread's mispredict must
      *  never release this thread's units. */
@@ -84,15 +80,6 @@ class PortSet
     /** SMT thread of the current holder of @p port. */
     ThreadId holderTid(std::uint8_t port) const { return holderTid_[port]; }
 
-    /** Is @p port unusable for thread @p tid this cycle *because of
-     *  another thread* (busy non-pipelined unit held by a sibling, or
-     *  this cycle's issue slot consumed by a sibling)? The per-cycle
-     *  observable the SMT port-contention channel integrates. */
-    bool contendedByOther(std::uint8_t port, ThreadId tid, Tick now) const;
-
-    /** Any of @p op's candidate ports contended by another thread? */
-    bool opContendedByOther(Op op, ThreadId tid, Tick now) const;
-
     /** Is the non-pipelined unit on @p port busy at @p now? */
     bool busy(std::uint8_t port, Tick now) const
     {
@@ -110,7 +97,6 @@ class PortSet
     std::array<SeqNum, kNumPorts> holder_;
     std::array<bool, kNumPorts> holderSpec_;
     std::array<ThreadId, kNumPorts> holderTid_;
-    std::array<ThreadId, kNumPorts> lastIssueTid_;
 };
 
 } // namespace specint

@@ -4,9 +4,9 @@
  * loop and per-cycle orchestration. Stages run in reverse pipeline
  * order inside tick() — retire, writeback, safety (scheme exposures /
  * deferred updates), issue, dispatch, fetch — so producers wake
- * consumers with a one-cycle boundary; the cross-thread contention
- * counters close the cycle. Fast-forward (nextTransitionAt /
- * fastForwardTo) skips the cycles in which none of that can happen.
+ * consumers with a one-cycle boundary; the sibling-occupancy integrals
+ * close the cycle. Fast-forward (nextTransitionAt / fastForwardTo)
+ * skips the cycles in which none of that can happen.
  */
 
 #include "cpu/pipeline/engine.hh"
@@ -29,7 +29,7 @@ PipelineEngine::PipelineEngine(CoreConfig cfg, SmtConfig smt, CoreId id,
       rs_(cfg.rsSize, smt.numThreads, smt.rsPolicy),
       lsq_(cfg.lqSize, cfg.sqSize, smt.numThreads, smt.lqPolicy,
            smt.sqPolicy),
-      mshr_(cfg.mshrs), arbiter_(smt.fetchPolicy, smt.numThreads),
+      mshr_(cfg.mshrs), arbiter_(smt.fetchPolicy),
       commit_(cfg_, id_, rs_, lsq_, ports_, mshr_, hier, mem),
       sched_(cfg_, smt_, id_, rs_, lsq_, ports_, mshr_, hier, mem),
       front_(cfg_, smt_, id_, rs_, lsq_, hier, arbiter_)
@@ -198,19 +198,6 @@ PipelineEngine::publishMetrics()
         reg.counterAdd(t + "loads", s.loads);
         reg.counterAdd(t + "load_l1_hits", s.loadL1Hits);
         reg.counterAdd(t + "fetch_grants", s.fetchGrants);
-        reg.counterAdd(t + "stalls.port_contended",
-                       s.portContendedCycles);
-        reg.counterAdd(t + "stalls.mshr_contended",
-                       s.mshrContendedCycles);
-        reg.counterAdd(t + "stalls.rs_blocked", s.rsBlockedCycles);
-        // SoA-bank usage: allocations this run and peak occupancy
-        // against the bank's fixed capacity (reuse pressure).
-        const Rob &rob = tp->rob;
-        reg.counterAdd(t + "pool.rob.pushes", rob.pushes());
-        reg.sampleAdd(t + "pool.rob.high_water",
-                      static_cast<double>(rob.highWater()));
-        reg.sampleAdd(t + "pool.rob.capacity",
-                      static_cast<double>(rob.capacity()));
     }
     reg.counterAdd(core + "ff.probes", ffProbes_);
     reg.counterAdd(core + "ff.skips", ffSkips_);
@@ -243,8 +230,8 @@ PipelineEngine::run(const std::vector<const Program *> &progs)
 Tick
 PipelineEngine::nextTransitionAt() const
 {
-    FfProbe probe;
-    return nextTransitionAt(probe);
+    FfGate gate = FfGate::Retire;
+    return nextTransitionAt(gate);
 }
 
 Tick
@@ -254,8 +241,7 @@ PipelineEngine::portsFreeAt(const ThreadContext &th,
     // Mirrors Scheduler::tryIssue. No port was issued to yet this
     // cycle, so a port is unavailable iff its non-pipelined unit is
     // busy; a denied candidate then only tries to preempt (advanced
-    // defense), and otherwise sets the per-cycle memo and its thread's
-    // portContended flag.
+    // defense), and otherwise sets the per-cycle memo.
     const OpTraits &traits = opTraits(inst.op);
     const bool may_preempt =
         th.scheme.schedFlags().strictAgePriority && !traits.pipelined;
@@ -271,9 +257,8 @@ PipelineEngine::portsFreeAt(const ThreadContext &th,
 }
 
 Tick
-PipelineEngine::nextTransitionAt(FfProbe &probe) const
+PipelineEngine::nextTransitionAt(FfGate &gate) const
 {
-    FfGate &gate = probe.gate;
     // A timed action runs at the start of its cycle, ahead of every
     // stage; a probe it blocks counts under the first gate.
     if (actionAt_ <= now_) {
@@ -327,12 +312,12 @@ PipelineEngine::nextTransitionAt(FfProbe &probe) const
         // non-pipelined candidate found waiting for port 0, the rest of
         // the thread's nonPipelined set is skipped, as the issue stage
         // skips it: none of them can preempt (preemptibility is
-        // monotone in age) or issue while the port is busy, so each is
-        // denied with the same portContended flag. One whose readyAt
-        // falls inside the busy span would only be denied from then
-        // on, so leaving its readyAt out of the bound is exact too; the
-        // span cannot end early without a squash, which is a writeback
-        // bounded above.
+        // monotone in age) or issue while the port is busy, so each
+        // would repeat the same denial. One whose readyAt falls inside
+        // the busy span would only be denied from then on, so leaving
+        // its readyAt out of the bound is exact too; the span cannot
+        // end early without a squash, which is a writeback bounded
+        // above.
         const SlotSet *skip = nullptr;
         for (std::size_t age = th.readySet.nextByAge(head, 0);
              age != SlotSet::kNone;
@@ -348,10 +333,9 @@ PipelineEngine::nextTransitionAt(FfProbe &probe) const
             // it can preempt an EU or wait on an MSHR. The exceptions
             // are a load waiting on an older store that is offered a
             // port (it changes nothing), and a port denial that cannot
-            // preempt: it repeats unchanged, setting only the thread's
-            // portContended flag, until one of the busy ports frees.
-            // The port holders cannot change without a transition, so
-            // the flag is constant over the span.
+            // preempt: it repeats unchanged until one of the busy ports
+            // frees, and the port holders cannot change without a
+            // transition.
             if (inst.readyAt > now_) {
                 next = std::min(next, inst.readyAt);
                 continue;
@@ -364,8 +348,6 @@ PipelineEngine::nextTransitionAt(FfProbe &probe) const
                 return now_;
             }
             next = std::min(next, free_at);
-            if (ports_.opContendedByOther(inst.op, th.tid, now_))
-                probe.portContended |= 1u << th.tid;
             if (!opTraits(inst.op).pipelined)
                 skip = &th.nonPipelined;
         }
@@ -407,16 +389,8 @@ PipelineEngine::fastForwardTo(Tick target)
     const Tick skipped = target - now_;
     ++ffSkips_;
     ffSkippedCycles_ += skipped;
-    // The per-cycle stats that accrue during dead cycles; their
-    // conditions cannot change while no stage transitions. The only
-    // issue attempts are port denials that cannot preempt, whose
-    // portContended flag the probe recorded; no load requests an MSHR.
-    for (const auto &tp : threads_) {
-        if (!tp->frontend.queueEmpty() && rs_.full(tp->tid))
-            tp->stats.rsBlockedCycles += skipped;
-        if (ffPortContended_ & (1u << tp->tid))
-            tp->stats.portContendedCycles += skipped;
-    }
+    // The one statistic that accrues during dead cycles: what siblings
+    // hold cannot change while no stage transitions.
     accrueSiblingHoldings(target);
     // The skipped region is by construction transition-free, so the
     // trace records it as one arithmetic stall span instead of the
@@ -437,12 +411,11 @@ Tick
 PipelineEngine::probeTransition()
 {
     ++ffProbes_;
-    FfProbe probe;
-    const Tick next = nextTransitionAt(probe);
+    FfGate gate = FfGate::Retire;
+    const Tick next = nextTransitionAt(gate);
     if (next <= now_ && obs::metricsEnabled())
-        ++ffBlocked_[static_cast<unsigned>(probe.gate)];
+        ++ffBlocked_[static_cast<unsigned>(gate)];
     ffProbeAt_ = now_;
-    ffPortContended_ = probe.portContended;
     return next;
 }
 
@@ -471,18 +444,12 @@ PipelineEngine::tick()
         scheduleAction(kTickMax, nullptr);
         fn();
     }
-    for (auto &tp : threads_)
-        tp->portContended = tp->mshrContended = false;
     commit_.retire(threads_, now_);
     commit_.writeback(threads_, now_);
     sched_.safety(threads_, now_);
     sched_.issue(threads_, now_, noise_);
     front_.dispatch(threads_, now_);
     front_.fetch(threads_, now_);
-    for (auto &tp : threads_) {
-        tp->stats.portContendedCycles += tp->portContended;
-        tp->stats.mshrContendedCycles += tp->mshrContended;
-    }
     accrueSiblingHoldings(now_ + 1);
     ++now_;
 }

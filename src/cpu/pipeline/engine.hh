@@ -170,10 +170,9 @@ class PipelineEngine
      * transitions in between — see docs/architecture.md for the
      * invariant and tests/test_golden_traces.cc /
      * tests/test_fastforward_fuzz.cc for the differential proof
-     * against the literal step() loop. Every run is eligible: the
-     * per-cycle counters that accrue in a dead span (RS-blocked
-     * dispatch, port denials, sibling occupancy) are added
-     * arithmetically for the whole span.
+     * against the literal step() loop. Every run is eligible: the one
+     * statistic that accrues in a dead span, the sibling-occupancy
+     * integrals, is added arithmetically for the whole span.
      */
     /// @{
     /**
@@ -188,16 +187,15 @@ class PipelineEngine
      *  fast-forward probe (core<N>.ff.probes). While metrics are
      *  armed, a probe that finds a transition due now is also counted
      *  under the first stage, in tick order, that has one
-     *  (core<N>.ff.blocked.*). The probe also records which threads'
-     *  port denials repeat over the span, for fastForwardTo(). */
+     *  (core<N>.ff.blocked.*). */
     Tick probeTransition();
     /** Skip dead cycles up to @p bound. @return cycles skipped. */
     Tick fastForward(Tick bound);
-    /** Advance the clock to @p target (clamped to maxCycles),
-     *  accounting the per-cycle stats that accrue while stalled; a
-     *  move counts as one skip (core<N>.ff.skips). The caller asserts
-     *  the skipped range is dead: @p target is at most what
-     *  probeTransition() returned at this now(). */
+    /** Advance the clock to @p target (clamped to maxCycles), adding
+     *  the span to the sibling-occupancy integrals; a move counts as
+     *  one skip (core<N>.ff.skips). The caller asserts the skipped
+     *  range is dead: @p target is at most what probeTransition()
+     *  returned at this now(). */
     void fastForwardTo(Tick target);
     /// @}
 
@@ -225,12 +223,6 @@ class PipelineEngine
      */
     std::string checkInvariants() const;
 
-    /** Fetch-stage grants per thread over the last run (fairness). */
-    const std::vector<std::uint64_t> &fetchGrants() const
-    {
-        return arbiter_.grants();
-    }
-
   private:
     /** The nextTransitionAt() stage gates, in the order it checks
      *  them (core<N>.ff.blocked.<gate> names them). */
@@ -245,19 +237,10 @@ class PipelineEngine
     };
     static constexpr unsigned kNumFfGates = 6;
 
-    /** What a nextTransitionAt() probe finds besides the time. */
-    struct FfProbe
-    {
-        /** The first stage gate, in tick order, with a transition due
-         *  now() (left untouched when the result is in the future). */
-        FfGate gate = FfGate::Retire;
-        /** Bit t: thread t has an issue candidate denied a port a
-         *  sibling holds, so its portContended flag is set on every
-         *  cycle of the span. */
-        std::uint32_t portContended = 0;
-    };
-
-    Tick nextTransitionAt(FfProbe &probe) const;
+    /** nextTransitionAt() that also sets @p gate to the first stage
+     *  gate, in tick order, with a transition due now() (left untouched
+     *  when the result is in the future). */
+    Tick nextTransitionAt(FfGate &gate) const;
     /** For a ready issue candidate of @p th: if the issue stage would
      *  deny @p inst a port and change nothing else — every port of its
      *  op class busy, none preemptible by it — the first cycle one of
@@ -309,9 +292,8 @@ class PipelineEngine
     /** Probes that found a transition due now, per FfGate (recorded
      *  only while metrics are armed). */
     std::array<std::uint64_t, kNumFfGates> ffBlocked_{};
-    /** The last probeTransition(): its cycle and port-denial mask. */
+    /** The cycle of the last probeTransition(). */
     Tick ffProbeAt_ = kTickMax;
-    std::uint32_t ffPortContended_ = 0;
 };
 
 } // namespace specint

@@ -112,13 +112,6 @@ FrontUnit::dispatch(std::vector<std::unique_ptr<ThreadContext>> &threads,
         --slots;
         dispatchRR_ = (static_cast<unsigned>(th->tid) + 1) % n;
     }
-
-    // Dispatch back-pressure stat: instructions waiting behind a full
-    // RS share (the G^I_RS congestion observable, per thread).
-    for (auto &tp : threads) {
-        if (!tp->frontend.queueEmpty() && rs_.full(tp->tid))
-            ++tp->stats.rsBlockedCycles;
-    }
 }
 
 void

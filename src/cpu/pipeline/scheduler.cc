@@ -126,12 +126,10 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
     // its port straight to the preempting instruction, so the port
     // stays unavailable to everyone else), so availability only ever
     // shrinks within the cycle: an op class found with every port
-    // unavailable stays blocked, and since none of its ports can then
-    // change hands, opContendedByOther() for it is fixed too. A
-    // thread's op class is "settled" once one of its candidates has
-    // been denied a port: any later candidate of that (thread, op)
-    // would repeat the same denial and set the same contention flag,
-    // so it is skipped before its (pure) issue gates.
+    // unavailable stays blocked. A thread's op class is "settled" once
+    // one of its candidates has been denied a port: a later candidate
+    // of that (thread, op) would repeat the same denial, so it is
+    // skipped before its (pure) issue gates.
     //
     // Non-pipelined candidates are skipped as a class: they all issue
     // on port 0 alone, so once one of a thread's is denied, the
@@ -222,17 +220,9 @@ Scheduler::tryIssue(ThreadContext &th, DynInst &inst, std::size_t age,
     if (port < 0) {
         blockedOps_ |= opBit(op);
         settledOps_[th.tid] |= opBit(op);
-        // The per-cycle observable of the SMT port-contention channel:
-        // a ready instruction denied a port a sibling occupies.
-        if (smt_.numThreads > 1 &&
-            ports_.opContendedByOther(op, th.tid, now)) {
-            th.portContended = true;
-        }
         return false;
     }
     // A load waiting on an older store leaves the port it was offered.
-    // Checked after the port request: a waiting load denied a port
-    // still sets portContended, the SMT port channel's observable.
     if (waitsOnStore(inst, age, f))
         return false;
 
@@ -319,12 +309,6 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
             mshr_.allocate(line, now, now + probe.latency + jitter,
                            inst.seq, spec_alloc, th.tid);
             return true;
-        }
-        // The MSHR-contention observable: denied while a sibling
-        // thread holds entries in the shared file.
-        if (smt_.numThreads > 1 &&
-            mshr_.inUseByOther(th.tid, now) > 0) {
-            th.mshrContended = true;
         }
         const Tick earliest = mshr_.earliestReady(now);
         inst.readyAt = earliest == kTickMax ? now + 1 : earliest;

@@ -44,8 +44,8 @@ class Scheduler
     Scheduler(const CoreConfig &cfg, const SmtConfig &smt, CoreId id,
               ReservationStation &rs, Lsq &lsq, PortSet &ports,
               MshrFile &mshr, Hierarchy &hier, MainMemory &mem)
-        : cfg_(cfg), smt_(smt), id_(id), rs_(rs), lsq_(lsq),
-          ports_(ports), mshr_(mshr), hier_(hier), mem_(mem),
+        : cfg_(cfg), id_(id), rs_(rs), lsq_(lsq), ports_(ports),
+          mshr_(mshr), hier_(hier), mem_(mem),
           settledOps_(smt.numThreads, 0)
     {}
 
@@ -93,7 +93,6 @@ class Scheduler
     static std::uint64_t execute(const DynInst &inst);
 
     const CoreConfig &cfg_;
-    const SmtConfig &smt_;
     CoreId id_;
     ReservationStation &rs_;
     Lsq &lsq_;

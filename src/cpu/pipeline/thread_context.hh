@@ -50,30 +50,18 @@ struct ThreadStats
     std::uint64_t loads = 0;
     std::uint64_t loadL1Hits = 0;
     bool finished = false;
-
-    /** @name Cross-thread contention counters (the SMT channel)
-     *  Per-cycle conditions counted over every cycle of the run: a
-     *  fast-forwarded span adds its length for each condition that
-     *  holds across it (a port denial that repeats, a full RS). */
-    /// @{
-    /** Cycles the fetch arbiter granted this thread the fetch stage. */
+    /** Cycles the fetch arbiter granted this thread the fetch stage
+     *  (fairness). A grant is a fetch transition, so no skipped cycle
+     *  has one. */
     std::uint64_t fetchGrants = 0;
-    /** Cycles a ready instruction of this thread was denied an issue
-     *  port that a sibling thread held or had consumed. */
-    std::uint64_t portContendedCycles = 0;
-    /** Cycles a load of this thread was denied an MSHR while sibling
-     *  threads held at least one entry. */
-    std::uint64_t mshrContendedCycles = 0;
-    /** Cycles dispatch stalled on a full RS share. */
-    std::uint64_t rsBlockedCycles = 0;
-    /// @}
 
     /** @name Sibling-occupancy integrals (the SMT probe's score)
      *  What a sibling thread holds, whether or not this thread asks
      *  for it; always zero on a 1-thread engine. Both are integrals
      *  over every cycle of the run, ticked or skipped: a skipped span
      *  adds them arithmetically, since nothing can allocate, free or
-     *  re-hold either resource inside it. */
+     *  re-hold either resource inside it. They are the only statistics
+     *  that accrue in a dead cycle. */
     /// @{
     /** Cycles port 0's non-pipelined unit was busy with a sibling's
      *  op. */
@@ -171,12 +159,9 @@ struct ThreadContext
     ThreadStats stats;
     std::vector<InstTraceEntry> trace;
 
-    /** @name Per-cycle flags */
-    /// @{
+    /** Dispatch found this thread's LQ/SQ share exhausted this cycle
+     *  (FrontUnit::dispatch skips it for the cycle's remaining slots). */
     bool dispatchBlocked = false;
-    bool portContended = false;
-    bool mshrContended = false;
-    /// @}
 
     /** Conservative lower bound on the next cycle any of this
      *  thread's Issued instructions can write back: the writeback

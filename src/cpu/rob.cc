@@ -32,9 +32,6 @@ Rob::allocTail(SeqNum seq)
     DynInst &rec = resetSlot(wrap(head_ + count_));
     rec.seq = seq;
     ++count_;
-    ++pushes_;
-    if (count_ > highWater_)
-        highWater_ = count_;
     return rec;
 }
 
@@ -50,9 +47,6 @@ Rob::push(const DynInst &inst)
     rec = inst;
     rec.cold_ = bank;
     ++count_;
-    ++pushes_;
-    if (count_ > highWater_)
-        highWater_ = count_;
     return rec;
 }
 
@@ -97,8 +91,6 @@ Rob::clear()
 {
     head_ = 0;
     count_ = 0;
-    pushes_ = 0;
-    highWater_ = 0;
 }
 
 } // namespace specint

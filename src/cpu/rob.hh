@@ -560,14 +560,6 @@ class Rob
 
     void clear();
 
-    /** @name SoA-bank usage counters (core<N>.pool.rob.* metrics) */
-    /// @{
-    /** Slots allocated since the last clear() (run boundary). */
-    std::uint64_t pushes() const { return pushes_; }
-    /** Peak occupancy since the last clear(). */
-    std::size_t highWater() const { return highWater_; }
-    /// @}
-
   private:
     std::size_t
     wrap(std::size_t i) const
@@ -583,8 +575,6 @@ class Rob
     std::vector<DynInstCold> cold_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
-    std::uint64_t pushes_ = 0;
-    std::size_t highWater_ = 0;
 };
 
 } // namespace specint

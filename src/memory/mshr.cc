@@ -46,17 +46,6 @@ MshrFile::hasEntry(Addr addr, Tick now)
     return false;
 }
 
-unsigned
-MshrFile::inUseBy(ThreadId tid, Tick now)
-{
-    expire(now);
-    unsigned n = 0;
-    for (const auto &e : live_)
-        if (e.tid == tid)
-            ++n;
-    return n;
-}
-
 void
 MshrFile::allocate(Addr addr, Tick now, Tick ready_at, SeqNum seq,
                    bool speculative, ThreadId tid)
@@ -72,17 +61,6 @@ MshrFile::allocate(Addr addr, Tick now, Tick ready_at, SeqNum seq,
     e.tid = tid;
     live_.push_back(e);
     earliest_ = std::min(earliest_, ready_at);
-}
-
-Tick
-MshrFile::readyAt(Addr addr, Tick now)
-{
-    expire(now);
-    const Addr line = lineAlign(addr);
-    for (const auto &e : live_)
-        if (e.lineAddr == line)
-            return e.readyAt;
-    return kTickMax;
 }
 
 Tick

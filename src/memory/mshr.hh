@@ -45,19 +45,8 @@ class MshrFile
   public:
     explicit MshrFile(unsigned entries = 10) : entries_(entries) {}
 
-    unsigned capacity() const { return entries_; }
-
     /** Entries currently allocated at time @p now (after expiry). */
     unsigned inUse(Tick now);
-
-    /** Entries currently held by thread @p tid (SMT accounting). */
-    unsigned inUseBy(ThreadId tid, Tick now);
-
-    /** Entries held by threads other than @p tid at @p now. */
-    unsigned inUseByOther(ThreadId tid, Tick now)
-    {
-        return inUse(now) - inUseBy(tid, now);
-    }
 
     /**
      * Entry-cycles each thread holds over [@p from, @p to) if no entry
@@ -100,11 +89,6 @@ class MshrFile
                   ThreadId tid = 0);
 
     /**
-     * Completion time of the entry covering @p addr (kTickMax if none).
-     */
-    Tick readyAt(Addr addr, Tick now);
-
-    /**
      * Earliest completion time over all live entries (kTickMax if the
      * file is empty) — when a blocked load should retry.
      */
@@ -117,10 +101,6 @@ class MshrFile
      * @return true if one was freed.
      */
     bool preemptYoungestSpeculative(Tick now, ThreadId tid = 0);
-
-    /** Drop thread-0 entries allocated by squashed instructions
-     *  (single-thread core path). */
-    void squashYoungerThan(SeqNum bound) { squashThread(0, bound); }
 
     /** Per-thread squash: drop speculative entries of @p tid with
      *  seq > bound. A sibling thread's entries are untouched. */

@@ -6,17 +6,8 @@
 
 #include "smt/fetch_arbiter.hh"
 
-#include <algorithm>
-
 namespace specint
 {
-
-void
-FetchArbiter::reset()
-{
-    rrNext_ = 0;
-    std::fill(grants_.begin(), grants_.end(), 0u);
-}
 
 int
 FetchArbiter::pick(const std::vector<Candidate> &candidates)
@@ -47,10 +38,8 @@ FetchArbiter::pick(const std::vector<Candidate> &candidates)
         }
     }
 
-    if (winner >= 0) {
-        ++grants_[static_cast<unsigned>(winner)];
+    if (winner >= 0)
         rrNext_ = (static_cast<unsigned>(winner) + 1) % n;
-    }
     return winner;
 }
 

@@ -13,7 +13,6 @@
 #ifndef SPECINT_SMT_FETCH_ARBITER_HH
 #define SPECINT_SMT_FETCH_ARBITER_HH
 
-#include <cstdint>
 #include <vector>
 
 #include "smt/policy.hh"
@@ -33,9 +32,7 @@ class FetchArbiter
         unsigned icount = 0;
     };
 
-    FetchArbiter(FetchPolicy policy, unsigned num_threads)
-        : policy_(policy), grants_(num_threads, 0)
-    {}
+    explicit FetchArbiter(FetchPolicy policy) : policy_(policy) {}
 
     /**
      * Pick the thread that fetches this cycle, or -1 if no thread is
@@ -45,15 +42,11 @@ class FetchArbiter
      */
     int pick(const std::vector<Candidate> &candidates);
 
-    /** Cycles each thread won the fetch stage (fairness stat). */
-    const std::vector<std::uint64_t> &grants() const { return grants_; }
-
-    void reset();
+    void reset() { rrNext_ = 0; }
 
   private:
     FetchPolicy policy_;
     unsigned rrNext_ = 0;
-    std::vector<std::uint64_t> grants_;
 };
 
 } // namespace specint

@@ -61,9 +61,9 @@ TEST(PortSet, SquashFreesYoungerHolders)
 {
     PortSet ps;
     ps.issue(0, Op::FpSqrt, 0, 50, 20, true);
-    ps.squashYoungerThan(25); // 20 <= 25: survives
+    ps.squashThread(0, 25); // 20 <= 25: survives
     EXPECT_TRUE(ps.busy(0, 10));
-    ps.squashYoungerThan(10); // 20 > 10: squashed
+    ps.squashThread(0, 10); // 20 > 10: squashed
     EXPECT_FALSE(ps.busy(0, 10));
 }
 

@@ -133,9 +133,6 @@ expectDigestsEqual(const RunDigest &ff, const RunDigest &base,
         EXPECT_EQ(a.loadL1Hits, b.loadL1Hits) << at;
         EXPECT_EQ(a.finished, b.finished) << at;
         EXPECT_EQ(a.fetchGrants, b.fetchGrants) << at;
-        EXPECT_EQ(a.portContendedCycles, b.portContendedCycles) << at;
-        EXPECT_EQ(a.mshrContendedCycles, b.mshrContendedCycles) << at;
-        EXPECT_EQ(a.rsBlockedCycles, b.rsBlockedCycles) << at;
         EXPECT_EQ(a.siblingPort0Cycles, b.siblingPort0Cycles) << at;
         EXPECT_EQ(a.siblingMshrCycles, b.siblingMshrCycles) << at;
         EXPECT_EQ(ff.regHashes[i], base.regHashes[i])

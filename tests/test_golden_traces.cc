@@ -245,7 +245,6 @@ struct SmtThreadGolden
 {
     Tick cycles;
     std::uint64_t issued, retired;
-    std::uint64_t portContended, mshrContended, rsBlocked;
     std::uint64_t siblingPort0, siblingMshr;
 };
 
@@ -271,29 +270,29 @@ PrintTo(const SmtGolden &g, std::ostream *os)
 
 constexpr SmtGolden kSmtGoldens[] = {
     {SchemeKind::Unsafe, SharingPolicy::Shared,
-     {{13698, 1396, 882, 13, 81, 0, 608, 49456},
-      {15422, 1527, 888, 30, 109, 0, 410, 50197}}},
+     {{13698, 1396, 882, 608, 49456},
+      {15422, 1527, 888, 410, 50197}}},
     {SchemeKind::Unsafe, SharingPolicy::Partitioned,
-     {{13698, 1396, 882, 13, 81, 0, 608, 49456},
-      {15422, 1527, 888, 30, 109, 0, 410, 50197}}},
+     {{13698, 1396, 882, 608, 49456},
+      {15422, 1527, 888, 410, 50197}}},
     {SchemeKind::DomNonTso, SharingPolicy::Shared,
-     {{22377, 2924, 882, 78, 21, 7692, 517, 46811},
-      {15329, 1461, 888, 49, 25, 4191, 1157, 60504}}},
+     {{22377, 2924, 882, 517, 46811},
+      {15329, 1461, 888, 1157, 60504}}},
     {SchemeKind::DomNonTso, SharingPolicy::Partitioned,
-     {{22785, 2590, 882, 83, 18, 9003, 511, 45234},
-      {15319, 1471, 888, 37, 42, 0, 1006, 60544}}},
+     {{22785, 2590, 882, 511, 45234},
+      {15319, 1471, 888, 1006, 60544}}},
     {SchemeKind::InvisiSpecSpectre, SharingPolicy::Shared,
-     {{16799, 2307, 882, 71, 473, 0, 690, 52904},
-      {16241, 1666, 888, 115, 278, 0, 787, 92972}}},
+     {{16799, 2307, 882, 690, 52904},
+      {16241, 1666, 888, 787, 92972}}},
     {SchemeKind::InvisiSpecSpectre, SharingPolicy::Partitioned,
-     {{16799, 2305, 882, 68, 477, 1650, 704, 52905},
-      {16241, 1679, 888, 107, 281, 0, 787, 92970}}},
+     {{16799, 2305, 882, 704, 52905},
+      {16241, 1679, 888, 787, 92970}}},
     {SchemeKind::AdvancedDefense, SharingPolicy::Shared,
-     {{22373, 2480, 882, 118, 14, 14942, 506, 46832},
-      {16889, 1418, 888, 89, 31, 9399, 1022, 60560}}},
+     {{22373, 2480, 882, 506, 46832},
+      {16889, 1418, 888, 1022, 60560}}},
     {SchemeKind::AdvancedDefense, SharingPolicy::Partitioned,
-     {{23205, 1808, 882, 48, 21, 14732, 529, 44546},
-      {15224, 1434, 888, 29, 30, 0, 695, 60440}}},
+     {{23205, 1808, 882, 529, 44546},
+      {15224, 1434, 888, 695, 60440}}},
 };
 
 /** The fuzz workload of @p seed, placed in disjoint per-thread code
@@ -334,17 +333,11 @@ TEST_P(SmtGoldenTest, TwoThreadRunMatchesGoldenUnderEveryVariant)
         for (unsigned t = 0; t < 2; ++t) {
             const ThreadStats &s = run.threads[t];
             const SmtThreadGolden &want = g.t[t];
-            char got[160];
-            std::snprintf(got, sizeof(got),
-                          "{%llu, %llu, %llu, %llu, %llu, %llu, %llu, %llu}",
+            char got[128];
+            std::snprintf(got, sizeof(got), "{%llu, %llu, %llu, %llu, %llu}",
                           static_cast<unsigned long long>(s.cycles),
                           static_cast<unsigned long long>(s.issued),
                           static_cast<unsigned long long>(s.retired),
-                          static_cast<unsigned long long>(
-                              s.portContendedCycles),
-                          static_cast<unsigned long long>(
-                              s.mshrContendedCycles),
-                          static_cast<unsigned long long>(s.rsBlockedCycles),
                           static_cast<unsigned long long>(
                               s.siblingPort0Cycles),
                           static_cast<unsigned long long>(
@@ -354,9 +347,6 @@ TEST_P(SmtGoldenTest, TwoThreadRunMatchesGoldenUnderEveryVariant)
             EXPECT_EQ(s.cycles, want.cycles) << what;
             EXPECT_EQ(s.issued, want.issued) << what;
             EXPECT_EQ(s.retired, want.retired) << what;
-            EXPECT_EQ(s.portContendedCycles, want.portContended) << what;
-            EXPECT_EQ(s.mshrContendedCycles, want.mshrContended) << what;
-            EXPECT_EQ(s.rsBlockedCycles, want.rsBlocked) << what;
             EXPECT_EQ(s.siblingPort0Cycles, want.siblingPort0) << what;
             EXPECT_EQ(s.siblingMshrCycles, want.siblingMshr) << what;
         }
@@ -391,9 +381,6 @@ expectThreadStatsEqual(const ThreadStats &a, const ThreadStats &b,
     EXPECT_EQ(a.loadL1Hits, b.loadL1Hits) << what;
     EXPECT_EQ(a.finished, b.finished) << what;
     EXPECT_EQ(a.fetchGrants, b.fetchGrants) << what;
-    EXPECT_EQ(a.portContendedCycles, b.portContendedCycles) << what;
-    EXPECT_EQ(a.mshrContendedCycles, b.mshrContendedCycles) << what;
-    EXPECT_EQ(a.rsBlockedCycles, b.rsBlockedCycles) << what;
     EXPECT_EQ(a.siblingPort0Cycles, b.siblingPort0Cycles) << what;
     EXPECT_EQ(a.siblingMshrCycles, b.siblingMshrCycles) << what;
 }

@@ -50,8 +50,6 @@ TEST(Mshr, ReadyAtQueries)
 {
     MshrFile m(2);
     m.allocate(0x000, 0, 70);
-    EXPECT_EQ(m.readyAt(0x020, 0), 70u); // same line
-    EXPECT_EQ(m.readyAt(0x040, 0), kTickMax);
     EXPECT_EQ(m.earliestReady(0), 70u);
 }
 
@@ -67,7 +65,7 @@ TEST(Mshr, SquashDropsSpeculativeYounger)
     m.allocate(0x000, 0, 100, 5, true);
     m.allocate(0x040, 0, 100, 9, true);
     m.allocate(0x080, 0, 100, 2, false); // non-speculative survives
-    m.squashYoungerThan(5);
+    m.squashThread(0, 5);
     EXPECT_EQ(m.inUse(0), 2u);
     EXPECT_TRUE(m.hasEntry(0x000, 0));
     EXPECT_FALSE(m.hasEntry(0x040, 0));

@@ -11,6 +11,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "cpu/core.hh"
 #include "cpu/pipeline/engine.hh"
@@ -263,6 +264,19 @@ TEST_F(ObservabilityTest, CoreRunPublishesMetricsWhenEnabled)
     EXPECT_NE(snap.find("core0.pipeline.cycles"), nullptr);
     EXPECT_NE(snap.find("core0.t0.loads"), nullptr);
     EXPECT_NE(snap.find("llc.visible_accesses"), nullptr);
+
+    // The per-thread keys are exactly docs/observability.md's list: a
+    // counter that nothing reads is not published.
+    const std::string thread_prefix = "core0.t0.";
+    std::vector<std::string> thread_keys;
+    for (const obs::MetricSample &m : snap.entries) {
+        if (m.path.compare(0, thread_prefix.size(), thread_prefix) == 0)
+            thread_keys.push_back(m.path.substr(thread_prefix.size()));
+    }
+    const std::vector<std::string> documented = {
+        "branches",     "fetch_grants", "issued",  "load_l1_hits",
+        "loads",        "mispredicts",  "retired", "squashes"};
+    EXPECT_EQ(thread_keys, documented); // snapshot entries sort by path
 }
 
 TEST_F(ObservabilityTest, CoreRunEmitsTraceEventsWhenEnabled)

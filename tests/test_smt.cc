@@ -9,6 +9,8 @@
  * where it also checks run() against the literal tick loop.)
  */
 
+#include <array>
+
 #include <gtest/gtest.h>
 
 #include "attack/smt_probe.hh"
@@ -197,11 +199,6 @@ TEST(SmtUnitTest, PortSquashIsThreadLocal)
     EXPECT_EQ(ports.holder(0), 7u);
     ports.squashThread(0, 0); // thread 0 squash frees it
     EXPECT_FALSE(ports.busy(0, 20));
-
-    // Cross-thread contention is visible to the sibling only.
-    ports.issue(0, Op::FpSqrt, 11, 40, 8, true, 0);
-    EXPECT_TRUE(ports.contendedByOther(0, /*tid=*/1, 12));
-    EXPECT_FALSE(ports.contendedByOther(0, /*tid=*/0, 12));
 }
 
 TEST(SmtUnitTest, MshrSquashAndAccountingAreThreadLocal)
@@ -211,14 +208,19 @@ TEST(SmtUnitTest, MshrSquashAndAccountingAreThreadLocal)
     mshr.allocate(0x2000, 0, 100, 6, true, /*tid=*/0);
     mshr.allocate(0x3000, 0, 100, 5, true, /*tid=*/1);
     EXPECT_EQ(mshr.inUse(0), 3u);
-    EXPECT_EQ(mshr.inUseBy(0, 0), 2u);
-    EXPECT_EQ(mshr.inUseBy(1, 0), 1u);
-    EXPECT_EQ(mshr.inUseByOther(1, 0), 2u);
+    // Over one cycle, heldCycles() is inUse() split by thread.
+    std::array<Tick, kMaxSmtThreads> held{};
+    EXPECT_EQ(mshr.heldCycles(0, 1, held), 3u);
+    EXPECT_EQ(held[0], 2u);
+    EXPECT_EQ(held[1], 1u);
 
     // Thread 0 squash at bound 4 drops both tid-0 entries, not tid-1's.
     mshr.squashThread(0, 4);
     EXPECT_EQ(mshr.inUse(0), 1u);
-    EXPECT_EQ(mshr.inUseBy(1, 0), 1u);
+    held = {};
+    EXPECT_EQ(mshr.heldCycles(0, 1, held), 1u);
+    EXPECT_EQ(held[0], 0u);
+    EXPECT_EQ(held[1], 1u);
 
     // Same-thread-only speculative preemption.
     EXPECT_FALSE(mshr.preemptYoungestSpeculative(0, /*tid=*/0));
@@ -349,7 +351,7 @@ TEST(SmtCoreTest, PartitionedRsProtectsSiblingFromCongestion)
 
 TEST(SmtUnitTest, FetchArbiterRoundRobinAlternates)
 {
-    FetchArbiter arb(FetchPolicy::RoundRobin, 2);
+    FetchArbiter arb(FetchPolicy::RoundRobin);
     std::vector<FetchArbiter::Candidate> c(2);
     c[0] = {true, 0};
     c[1] = {true, 0};
@@ -367,7 +369,7 @@ TEST(SmtUnitTest, FetchArbiterRoundRobinAlternates)
 
 TEST(SmtUnitTest, FetchArbiterICountPrefersEmptierThread)
 {
-    FetchArbiter arb(FetchPolicy::ICount, 2);
+    FetchArbiter arb(FetchPolicy::ICount);
     std::vector<FetchArbiter::Candidate> c(2);
     c[0] = {true, 30};
     c[1] = {true, 4};
