@@ -39,17 +39,9 @@ class ReservationStation
           used_(num_threads == 0 ? 1 : num_threads, 0)
     {}
 
-    unsigned capacity() const { return capacity_; }
     unsigned occupancy() const;
     unsigned occupancy(ThreadId tid) const { return used_[tid]; }
-    /** Entries held by threads other than @p tid. */
-    unsigned occupancyOther(ThreadId tid) const
-    {
-        return occupancy() - used_[tid];
-    }
 
-    /** May thread 0 allocate? (single-thread core path) */
-    bool full() const { return full(0); }
     /** May thread @p tid not allocate another entry right now? */
     bool full(ThreadId tid) const;
 

@@ -35,21 +35,6 @@ Rob::allocTail(SeqNum seq)
     return rec;
 }
 
-DynInst &
-Rob::push(const DynInst &inst)
-{
-    assert(!full());
-    assert(empty() || inst.seq == at(count_ - 1)->seq + 1);
-    assert(inst.cold_ != nullptr);
-    DynInst &rec = hot_[wrap(head_ + count_)];
-    DynInstCold *bank = rec.cold_;
-    *bank = *inst.cold_;
-    rec = inst;
-    rec.cold_ = bank;
-    ++count_;
-    return rec;
-}
-
 DynInst *
 Rob::find(SeqNum seq)
 {

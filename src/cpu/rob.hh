@@ -430,10 +430,6 @@ class Rob
      *  in place (hot and cold). @return reference to the record. */
     DynInst &allocTail(SeqNum seq);
 
-    /** Append a copy of a standalone record (tests). Copies the hot
-     *  fields and @p inst's cold bank into the tail slot. */
-    DynInst &push(const DynInst &inst);
-
     /** O(1) lookup; nullptr if the seq is not in the ROB. */
     DynInst *find(SeqNum seq);
     const DynInst *find(SeqNum seq) const;

@@ -8,8 +8,6 @@
 #include <cerrno>
 #include <cstdlib>
 
-#include "sim/log.hh"
-
 namespace specint::experiment
 {
 
@@ -98,19 +96,6 @@ CliArgs::parse(int argc, char **argv) const
                 return res;
             }
             opt.cacheDir = argv[++i];
-        } else if (arg == "--log-level") {
-            if (i + 1 >= argc) {
-                res.error = "--log-level requires a value";
-                return res;
-            }
-            LogLevel level;
-            if (!logLevelFromString(argv[++i], level)) {
-                res.error = std::string("--log-level: '") + argv[i] +
-                            "' is not silent|warn|info|debug|trace "
-                            "or 0-4";
-                return res;
-            }
-            opt.logLevel = argv[i];
         } else if (arg == "--trials") {
             std::uint64_t v;
             if (!value(v))
@@ -161,8 +146,7 @@ CliArgs::usage() const
                     " [--trials N] [--seed S] [--jobs J]"
                     " [--csv | --json] [--out FILE]"
                     " [--metrics-out FILE] [--trace-out FILE]"
-                    " [--profile] [--log-level L]"
-                    " [--cache-dir DIR]";
+                    " [--profile] [--cache-dir DIR]";
     for (const ExtraFlag &f : extraFlags_)
         u += " [--" + f.name + " N]";
     u += "\n";
@@ -183,8 +167,6 @@ CliArgs::usage() const
          "stderr\n";
     u += "  --cache-dir DIR     memoize point results in a "
          "content-addressed on-disk cache\n";
-    u += "  --log-level L       silent|warn|info|debug|trace or 0-4 "
-         "(overrides $SPECSIM_LOG)\n";
     for (const ExtraFlag &f : extraFlags_) {
         u += "  --" + f.name;
         u.append(f.name.size() < 9 ? 9 - f.name.size() : 1, ' ');

@@ -60,9 +60,6 @@ struct RunOptions
      *  results are memoized on disk and reused when (scenario, flags,
      *  seed, point, build fingerprint) all match. */
     std::string cacheDir;
-    /** Log level override ("" = keep env/default). Validated at
-     *  parse time against sim/log.hh's names. */
-    std::string logLevel;
     /** Resolved scenario-specific flags, keyed by flag name. */
     std::map<std::string, std::uint64_t> extra;
 

@@ -6,13 +6,10 @@
 
 #include "sim/experiment/driver.hh"
 
-#include <algorithm>
-#include <csignal>
 #include <cstdio>
 #include <memory>
 
 #include "sim/experiment/runner.hh"
-#include "sim/log.hh"
 #include "sim/obs/metrics.hh"
 #include "sim/obs/profile.hh"
 #include "sim/obs/trace.hh"
@@ -26,148 +23,14 @@ namespace specint::experiment
 namespace
 {
 
-/** Last SIGINT/SIGTERM received (0 = none). */
-volatile std::sig_atomic_t g_signal = 0;
-
-extern "C" void
-driverSignalHandler(int sig)
-{
-    g_signal = sig;
-    // Restore the default disposition so a second ^C kills the
-    // process immediately instead of re-requesting a graceful stop.
-    std::signal(sig, SIG_DFL);
-}
-
 /**
- * Arm cooperative SIGINT/SIGTERM: the first signal sets a flag the
- * run loop polls (finish in-flight points, flush partial results,
- * exit 128+sig); the second one terminates. The flag is polled
- * between points, so no blocked system call has to wake for it.
- */
-void
-installSignalHandlers()
-{
-    g_signal = 0;
-    struct sigaction sa = {};
-    sa.sa_handler = driverSignalHandler;
-    sigemptyset(&sa.sa_mask);
-    sa.sa_flags = 0;
-    ::sigaction(SIGINT, &sa, nullptr);
-    ::sigaction(SIGTERM, &sa, nullptr);
-}
-
-/**
- * Streaming CSV emitter: writes rows as completed points cross the
- * grid-order frontier, fflushing per point, so an interrupted sweep
- * leaves a valid prefix of exactly the bytes renderCsv() would have
- * produced. Opens lazily on the first point (a run that fails before
- * producing anything writes nothing); finalize() writes the header
- * even for a zero-row run so a successful stream always byte-matches
- * the buffered rendering.
- */
-class CsvStreamSink
-{
-  public:
-    ~CsvStreamSink()
-    {
-        if (file_ && !isStdout_)
-            std::fclose(file_);
-    }
-
-    void
-    arm(const std::vector<std::string> &columns,
-        const std::string &path)
-    {
-        columns_ = &columns;
-        path_ = path;
-        armed_ = true;
-    }
-
-    bool armed() const { return armed_; }
-
-    void
-    emit(const ReportPoint &p)
-    {
-        if (!ensureOpen())
-            return;
-        std::string text;
-        for (const Row &row : p.rows) {
-            for (std::size_t i = 0; i < row.size(); ++i) {
-                if (i)
-                    text += ',';
-                text += row[i].text();
-            }
-            text += '\n';
-        }
-        if (std::fwrite(text.data(), 1, text.size(), file_) !=
-            text.size())
-            failed_ = true;
-        std::fflush(file_);
-    }
-
-    /**
-     * Close the stream; @p force_header opens an untouched sink so a
-     * completed zero-row sweep still gets its header line (false for
-     * interrupted runs: a header-only file would masquerade as an
-     * empty result). Returns false if any write failed.
-     */
-    bool
-    finalize(bool force_header)
-    {
-        if (!armed_)
-            return true;
-        if (force_header)
-            ensureOpen();
-        if (file_ && !isStdout_) {
-            std::fclose(file_);
-            file_ = nullptr;
-        }
-        return !failed_;
-    }
-
-  private:
-    bool
-    ensureOpen()
-    {
-        if (file_)
-            return true;
-        if (failed_)
-            return false;
-        file_ = openOutStream(path_, isStdout_);
-        if (!file_) {
-            failed_ = true;
-            return false;
-        }
-        std::string header;
-        for (std::size_t i = 0; i < columns_->size(); ++i) {
-            if (i)
-                header += ',';
-            header += (*columns_)[i];
-        }
-        header += '\n';
-        if (std::fwrite(header.data(), 1, header.size(), file_) !=
-            header.size())
-            failed_ = true;
-        return !failed_;
-    }
-
-    const std::vector<std::string> *columns_ = nullptr;
-    std::string path_;
-    std::FILE *file_ = nullptr;
-    bool isStdout_ = false;
-    bool armed_ = false;
-    bool failed_ = false;
-};
-
-/**
- * Render the scenario's legacy output into a buffer and return its
- * exit code. (Scenarios render to a FILE*, so a pipe-less tmpfile is
- * the capture mechanism.) @p text may be null when only the verdict
- * is wanted. Returns 1 on I/O failure.
+ * Render the scenario's legacy output into @p text and return its exit
+ * code. (Scenarios render to a FILE*, so a pipe-less tmpfile is the
+ * capture mechanism.) Returns 1 on I/O failure.
  */
 int
 renderLegacyToString(const Scenario &scenario, const Report &report,
-                     const RunOptions &options, std::string *text)
+                     const RunOptions &options, std::string &text)
 {
     std::FILE *tmp = std::tmpfile();
     if (!tmp) {
@@ -178,65 +41,41 @@ renderLegacyToString(const Scenario &scenario, const Report &report,
         scenario.renderLegacy
             ? scenario.renderLegacy(report, options, tmp)
             : (std::fputs(report.renderTable().c_str(), tmp), 0);
-    if (text) {
-        std::fflush(tmp);
-        std::rewind(tmp);
-        char buf[4096];
-        std::size_t n;
-        while ((n = std::fread(buf, 1, sizeof(buf), tmp)) > 0)
-            text->append(buf, n);
-    }
+    std::fflush(tmp);
+    std::rewind(tmp);
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), tmp)) > 0)
+        text.append(buf, n);
     std::fclose(tmp);
     return code;
 }
 
-/** Emit the report in the requested format; returns the exit code.
- *  @p csv_streamed: the CSV bytes already went out through the
- *  streaming sink, so only the verdict is computed here. */
+/**
+ * Emit the report in the requested format; returns the exit code. The
+ * legacy text is rendered in every format because the scenario's
+ * verdict (shape checks, paper agreement) is the exit code: a CI job
+ * collecting CSV artifacts must not mask a broken reproduction.
+ */
 int
 emitReport(const Scenario &scenario, const Report &report,
-           const RunOptions &options, bool csv_streamed)
+           const RunOptions &options)
 {
-    if (options.format != OutputFormat::Legacy) {
-        if (!csv_streamed) {
-            const std::string out =
-                options.format == OutputFormat::Csv
-                    ? report.renderCsv()
-                    : report.renderJson();
-            if (!writeOut(options.outPath, out))
-                return 1;
-        }
-        // The scenario's verdict (shape checks, paper agreement) is
-        // still the exit code: a CI job collecting CSV artifacts must
-        // not mask a broken reproduction.
-        return renderLegacyToString(scenario, report, options,
-                                    nullptr);
-    }
-
-    if (!options.outPath.empty()) {
-        std::string text;
-        const int code =
-            renderLegacyToString(scenario, report, options, &text);
-        if (!writeOut(options.outPath, text))
-            return 1;
-        return code;
-    }
-
-    if (scenario.renderLegacy)
-        return scenario.renderLegacy(report, options, stdout);
-    std::fputs(report.renderTable().c_str(), stdout);
-    return 0;
+    std::string legacy;
+    const int code =
+        renderLegacyToString(scenario, report, options, legacy);
+    const std::string out =
+        options.format == OutputFormat::Csv    ? report.renderCsv()
+        : options.format == OutputFormat::Json ? report.renderJson()
+                                               : legacy;
+    if (!writeOut(options.outPath, out))
+        return 1;
+    return code;
 }
 
 int
 runResolved(const Scenario &scenario, const RunOptions &options)
 {
-    if (!options.logLevel.empty()) {
-        LogLevel level;
-        if (logLevelFromString(options.logLevel, level))
-            setLogLevel(level); // validated at parse time
-    }
-
     // Arm the opt-in observability sinks before any point executes.
     // Each starts from a clean slate so one CLI run exports exactly
     // its own events/metrics/phases.
@@ -255,22 +94,6 @@ runResolved(const Scenario &scenario, const RunOptions &options)
         obs::setProfilingEnabled(true);
     }
 
-    installSignalHandlers();
-
-    // CSV streams point-by-point so an interrupted sweep still
-    // flushes every completed row; the bytes are identical to the
-    // buffered renderCsv() path.
-    CsvStreamSink csv;
-    if (options.format == OutputFormat::Csv)
-        csv.arm(scenario.columns, options.outPath);
-
-    RunHooks hooks;
-    hooks.cancelled = [] { return g_signal != 0; };
-    if (csv.armed())
-        hooks.onOrdered = [&csv](std::size_t, const ReportPoint &p) {
-            csv.emit(p);
-        };
-
     const char *fingerprint = service::buildFingerprint();
     std::unique_ptr<service::ResultCache> cache;
     if (!options.cacheDir.empty()) {
@@ -284,6 +107,7 @@ runResolved(const Scenario &scenario, const RunOptions &options)
                 options.cacheDir);
         }
     }
+    RunHooks hooks;
     if (cache && cache->enabled()) {
         const service::JobSpec spec =
             service::JobSpec::fromOptions(scenario.name, options);
@@ -372,26 +196,7 @@ runResolved(const Scenario &scenario, const RunOptions &options)
                      wall_ms > 0.0 ? cpu_ms / wall_ms : 0.0);
     }
 
-    if (report.interrupted) {
-        // Completed rows (CSV) and the cache index are already on
-        // disk; everything else is abandoned. 128+sig mirrors what
-        // the default disposition would have reported.
-        csv.finalize(false);
-        std::size_t done = 0;
-        for (const ReportPoint &p : report.points)
-            done += p.done ? 1 : 0;
-        std::fprintf(stderr,
-                     "[experiment] %s: interrupted after %zu/%zu "
-                     "points; partial results flushed\n",
-                     scenario.name.c_str(), done,
-                     report.points.size());
-        return 128 + static_cast<int>(g_signal);
-    }
-
-    const bool csv_ok = csv.finalize(true);
-    int code = emitReport(scenario, report, options, csv.armed());
-    if (!csv_ok)
-        code = std::max(code, 1);
+    const int code = emitReport(scenario, report, options);
     return code != 0 ? code : obs_code;
 }
 
@@ -401,7 +206,6 @@ int
 runScenarioCli(const ScenarioRegistry &registry,
                const std::string &scenario_name, int argc, char **argv)
 {
-    initLogLevelFromEnv();
     const Scenario *scenario = registry.find(scenario_name);
     if (!scenario) {
         std::fprintf(stderr, "error: unknown scenario '%s'\n",

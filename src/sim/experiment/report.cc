@@ -173,42 +173,34 @@ Report::renderProfile() const
     return out;
 }
 
-std::FILE *
-openOutStream(const std::string &path, bool &is_stdout)
-{
-    is_stdout = path.empty() || path == "-";
-    if (is_stdout)
-        return stdout;
-    // Create missing parent directories up front: an --out into a
-    // fresh results/ tree must not fail *after* a full sweep has
-    // already run.
-    const std::filesystem::path parent =
-        std::filesystem::path(path).parent_path();
-    if (!parent.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(parent, ec);
-        if (ec) {
-            std::fprintf(stderr,
-                         "error: cannot create directory '%s': %s\n",
-                         parent.string().c_str(),
-                         ec.message().c_str());
-            return nullptr;
-        }
-    }
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                     path.c_str());
-    return f;
-}
-
 bool
 writeOut(const std::string &path, const std::string &text)
 {
-    bool is_stdout = false;
-    std::FILE *f = openOutStream(path, is_stdout);
-    if (!f)
-        return false;
+    const bool is_stdout = path.empty() || path == "-";
+    std::FILE *f = stdout;
+    if (!is_stdout) {
+        // Create missing parent directories: an --out into a fresh
+        // results/ tree must not fail after a full sweep has run.
+        const std::filesystem::path parent =
+            std::filesystem::path(path).parent_path();
+        if (!parent.empty()) {
+            std::error_code ec;
+            std::filesystem::create_directories(parent, ec);
+            if (ec) {
+                std::fprintf(stderr,
+                             "error: cannot create directory '%s': %s\n",
+                             parent.string().c_str(),
+                             ec.message().c_str());
+                return false;
+            }
+        }
+        f = std::fopen(path.c_str(), "w");
+        if (!f) {
+            std::fprintf(stderr, "error: cannot open '%s' for writing\n",
+                         path.c_str());
+            return false;
+        }
+    }
     const bool ok =
         std::fwrite(text.data(), 1, text.size(), f) == text.size();
     if (!is_stdout)

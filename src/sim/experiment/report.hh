@@ -32,8 +32,8 @@ struct ReportPoint
      *  the sum estimates the serial cost even when workers
      *  oversubscribe the machine). */
     std::uint64_t durationUs = 0;
-    /** Set once the point completed (false only in interrupted
-     *  runs). */
+    /** Set once the point completed; a returned Report has every
+     *  point done. */
     bool done = false;
 };
 
@@ -59,9 +59,9 @@ struct Report
     std::uint64_t seed = 0;
     /** Wall time of the whole sweep, microseconds. */
     std::uint64_t wallUs = 0;
-    /** True when the run was cancelled (SIGINT/SIGTERM) before every
-     *  point completed; the assembled points up to each worker's stop
-     *  are still valid. */
+    /** Never set: the runner completes every point or rethrows a
+     *  point's exception. Kept because perfbench's sweep_replay checks
+     *  it. */
     bool interrupted = false;
     /** Result-cache accounting (--cache-dir runs only;
      *  cacheEnabled=false keeps the JSON emitter byte-identical for
@@ -89,17 +89,10 @@ struct Report
     std::string renderProfile() const;
 };
 
-/** Write @p text to @p path ("" or "-" = stdout). Returns false and
- *  prints a diagnostic to stderr on I/O failure. */
+/** Write @p text to @p path ("" or "-" = stdout), creating missing
+ *  parent directories. Returns false and prints a diagnostic to stderr
+ *  on I/O failure. */
 bool writeOut(const std::string &path, const std::string &text);
-
-/**
- * Open @p path for writing ("" or "-" = stdout), creating missing
- * parent directories. Sets @p is_stdout so the caller knows not to
- * fclose. Returns nullptr (with a stderr diagnostic) on failure.
- * Streaming sinks use this directly; writeOut is built on it.
- */
-std::FILE *openOutStream(const std::string &path, bool &is_stdout);
 
 } // namespace specint::experiment
 

@@ -90,29 +90,6 @@ ExperimentRunner::run(const Scenario &scenario,
         return ctx;
     };
 
-    auto cancelled = [&] {
-        return hooks.cancelled && hooks.cancelled();
-    };
-
-    // Ordered streaming: completed slots are released to onOrdered
-    // strictly in grid order, whatever order workers finish in. Every
-    // done flag is written and read under order_mutex, which also
-    // sequences the sink's I/O and publishes the slot contents filled
-    // before the lock was taken.
-    std::mutex order_mutex;
-    std::size_t frontier = 0;
-    auto markDone = [&](std::size_t i) {
-        std::lock_guard<std::mutex> lock(order_mutex);
-        report.points[i].done = true;
-        if (!hooks.onOrdered)
-            return;
-        while (frontier < report.points.size() &&
-               report.points[frontier].done) {
-            hooks.onOrdered(frontier, report.points[frontier]);
-            ++frontier;
-        }
-    };
-
     // Execute point i and deposit the result into its grid slot: the
     // only write is to a distinct pre-sized element, so no worker ever
     // contends with another and assembly order cannot leak into the
@@ -142,7 +119,7 @@ ExperimentRunner::run(const Scenario &scenario,
         slot.rows = std::move(res.rows);
         slot.legacy = std::move(res.legacy);
         slot.durationUs = threadCpuUs() - cpu_start;
-        markDone(i);
+        slot.done = true;
     };
 
     const Clock::time_point wall_start = Clock::now();
@@ -167,13 +144,8 @@ ExperimentRunner::run(const Scenario &scenario,
         jobs_, points.empty() ? 1 : points.size()));
 
     if (workers <= 1) {
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (cancelled()) {
-                report.interrupted = true;
-                break;
-            }
+        for (std::size_t i = 0; i < points.size(); ++i)
             executePoint(i);
-        }
         finalize();
         return report;
     }
@@ -186,8 +158,7 @@ ExperimentRunner::run(const Scenario &scenario,
     std::mutex error_mutex;
 
     auto workerLoop = [&] {
-        while (!failed.load(std::memory_order_relaxed) &&
-               !cancelled()) {
+        while (!failed.load(std::memory_order_relaxed)) {
             const std::size_t task = next_point++;
             if (task >= points.size())
                 return; // every point started
@@ -212,8 +183,6 @@ ExperimentRunner::run(const Scenario &scenario,
     if (first_error)
         std::rethrow_exception(first_error);
 
-    if (cancelled())
-        report.interrupted = true;
     finalize();
     return report;
 }

@@ -29,18 +29,12 @@ namespace specint::experiment
 {
 
 /**
- * Point-level execution hooks. All default-constructed members are
- * no-ops, so `run(scenario, options)` behaves exactly as before.
+ * Point-level execution hooks. Default-constructed members are no-ops,
+ * so `run(scenario, options)` simply executes every point.
  *
  * tryFetch/onExecuted bracket the executor: a result cache satisfies
  * a point without simulating via tryFetch and persists fresh results
  * via onExecuted (both may run concurrently on worker threads).
- * onOrdered streams completed points *in grid order* — the runner
- * holds back out-of-order completions — so a sink can emit CSV rows
- * as points land and still produce byte-identical output. cancelled
- * is polled between points (cooperative SIGINT/SIGTERM): once it
- * returns true no new point starts, in-flight points finish, and the
- * Report comes back with interrupted=true.
  */
 struct RunHooks
 {
@@ -50,10 +44,6 @@ struct RunHooks
     /** Called with every freshly executed (non-fetched) result. */
     std::function<void(const PointContext &, const PointResult &)>
         onExecuted;
-    /** Called in grid order as the completion frontier advances. */
-    std::function<void(std::size_t, const ReportPoint &)> onOrdered;
-    /** Cooperative cancellation poll. */
-    std::function<bool()> cancelled;
 };
 
 /** Executes a scenario's sweep and assembles the Report. */

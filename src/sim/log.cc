@@ -1,80 +1,20 @@
 /**
  * @file
- * Logging implementation: leveled message sinks for
- * inform/warn/panic and the runtime-gated debug trace.
+ * Diagnostics implementation: warn/panic/fatal message sinks.
  */
 
 #include "sim/log.hh"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace specint
 {
 
-namespace
-{
-LogLevel g_level = LogLevel::Warn;
-} // namespace
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
 void
-setLogLevel(LogLevel level)
+warn(const std::string &msg)
 {
-    g_level = level;
-}
-
-const char *
-logLevelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Silent: return "silent";
-      case LogLevel::Warn: return "warn";
-      case LogLevel::Info: return "info";
-      case LogLevel::Debug: return "debug";
-      case LogLevel::Trace: return "trace";
-    }
-    return "?";
-}
-
-bool
-logLevelFromString(const std::string &text, LogLevel &out)
-{
-    for (LogLevel l : {LogLevel::Silent, LogLevel::Warn, LogLevel::Info,
-                       LogLevel::Debug, LogLevel::Trace}) {
-        if (text == logLevelName(l) ||
-            text == std::to_string(static_cast<int>(l))) {
-            out = l;
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-initLogLevelFromEnv()
-{
-    const char *env = std::getenv("SPECSIM_LOG");
-    if (!env || !*env)
-        return;
-    LogLevel level;
-    if (logLevelFromString(env, level)) {
-        g_level = level;
-    } else {
-        warn(std::string("SPECSIM_LOG='") + env +
-             "' is not a log level (expected "
-             "silent|warn|info|debug|trace or 0-4); keeping '" +
-             logLevelName(g_level) + "'");
-    }
-}
-
-void
-logMessage(LogLevel level, const std::string &msg)
-{
-    if (static_cast<int>(level) <= static_cast<int>(g_level))
-        std::fprintf(stderr, "%s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 void

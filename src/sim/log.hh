@@ -1,62 +1,20 @@
 /**
  * @file
- * Minimal leveled logging, modelled on gem5's inform()/warn()/panic()
- * message functions. Debug tracing is gated by a runtime level so the
- * hot simulation loop pays only a branch when tracing is off.
+ * Minimal diagnostics, modelled on gem5's warn()/panic()/fatal()
+ * message functions.
  */
 
 #ifndef SPECINT_SIM_LOG_HH
 #define SPECINT_SIM_LOG_HH
 
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
 #include <string>
 
 namespace specint
 {
 
-enum class LogLevel { Silent = 0, Warn = 1, Info = 2, Debug = 3, Trace = 4 };
-
-/** Global log verbosity (default: Warn). */
-LogLevel logLevel();
-void setLogLevel(LogLevel level);
-
-/** Canonical lowercase name of @p level ("warn", "debug", ...). */
-const char *logLevelName(LogLevel level);
-
-/**
- * Parse a level name ("silent", "warn", "info", "debug", "trace")
- * or its numeric value ("0".."4") into @p out.
- * @return false (out untouched) on anything else.
- */
-bool logLevelFromString(const std::string &text, LogLevel &out);
-
-/**
- * Initialise the global level from the SPECSIM_LOG environment
- * variable. Unset leaves the default; an unparsable value keeps the
- * default and emits a warning naming the accepted spellings. A CLI
- * --log-level flag overrides the environment (drivers apply it after
- * calling this).
- */
-void initLogLevelFromEnv();
-
-/** Emit a message if @p level is enabled. */
-void logMessage(LogLevel level, const std::string &msg);
-
-/** Informative message users should see at Info verbosity. */
-inline void
-inform(const std::string &msg)
-{
-    logMessage(LogLevel::Info, msg);
-}
-
-/** Something works but is suspicious; always worth flagging. */
-inline void
-warn(const std::string &msg)
-{
-    logMessage(LogLevel::Warn, "warn: " + msg);
-}
+/** Something works but is suspicious: prints "warn: <msg>" to
+ *  stderr. */
+void warn(const std::string &msg);
 
 /**
  * Unrecoverable internal invariant violation (simulator bug).

@@ -93,7 +93,7 @@ class MetricRegistry
     {
         MetricKind kind = MetricKind::Counter;
         std::uint64_t count = 0;
-        SampleStat dist{/*keep_samples=*/true};
+        SampleStat dist;
     };
 
     Metric &getOrCreate(const std::string &path, MetricKind kind);

@@ -19,12 +19,21 @@ std::atomic<bool> g_tracingEnabled{false};
 namespace
 {
 thread_local std::uint32_t t_traceProcess = 0;
+thread_local std::uint64_t t_traceSeq = 0;
+
+/** Heap order putting the smallest (pid, seq) at the front. */
+bool
+laterEvent(const TraceEvent &a, const TraceEvent &b)
+{
+    return a.pid != b.pid ? a.pid > b.pid : a.seq > b.seq;
+}
 } // namespace
 
 void
 setTraceProcess(std::uint32_t pid)
 {
     t_traceProcess = pid;
+    t_traceSeq = 0;
 }
 
 EventTracer::EventTracer(std::size_t capacity)
@@ -69,15 +78,19 @@ EventTracer::push(TraceEvent ev)
     std::lock_guard<std::mutex> lock(mutex_);
     if (!enabled_)
         return;
-    ev.seq = emitted_++;
+    ++emitted_;
+    ev.seq = t_traceSeq++;
     ev.pid = t_traceProcess;
-    if (ring_.size() < capacity_) {
-        ring_.push_back(ev);
+    if (ring_.size() == capacity_) {
+        // Full: the smallest (pid, seq) of the ring and @p ev goes.
+        if (!laterEvent(ev, ring_.front()))
+            return;
+        std::pop_heap(ring_.begin(), ring_.end(), laterEvent);
+        ring_.back() = ev;
     } else {
-        // Overwrite the oldest entry; head_ chases the ring.
-        ring_[head_] = ev;
-        head_ = (head_ + 1) % capacity_;
+        ring_.push_back(ev);
     }
+    std::push_heap(ring_.begin(), ring_.end(), laterEvent);
 }
 
 void
@@ -124,7 +137,6 @@ EventTracer::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ring_.clear();
-    head_ = 0;
     emitted_ = 0;
     trackNames_.clear();
     trackIds_.clear();
@@ -154,14 +166,15 @@ EventTracer::emitted() const
 std::vector<TraceEvent>
 EventTracer::events() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::vector<TraceEvent> out;
-    out.reserve(ring_.size());
-    // Oldest first: [head_, end) then [0, head_).
-    for (std::size_t i = head_; i < ring_.size(); ++i)
-        out.push_back(ring_[i]);
-    for (std::size_t i = 0; i < head_; ++i)
-        out.push_back(ring_[i]);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        out = ring_;
+    }
+    std::sort(out.begin(), out.end(),
+              [](const TraceEvent &a, const TraceEvent &b) {
+                  return laterEvent(b, a);
+              });
     return out;
 }
 
@@ -207,10 +220,11 @@ appendArgs(std::string &out, const TraceEvent &ev)
 std::string
 EventTracer::renderJson() const
 {
-    std::vector<TraceEvent> evs = events();
+    std::vector<TraceEvent> evs;
     std::vector<std::string> names;
     {
         std::lock_guard<std::mutex> lock(mutex_);
+        evs = ring_;
         names = trackNames_;
     }
 

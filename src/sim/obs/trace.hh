@@ -11,16 +11,19 @@
  *     so the microbench perf gate sees no regression with tracing
  *     disabled.
  *  2. Bounded memory when on. Events land in a fixed-capacity ring
- *     (default 256K); the oldest events are overwritten and counted in
- *     dropped(), never reallocated.
+ *     (default 256K); once it is full, the oldest event by (pid, seq)
+ *     is evicted and counted in dropped(), never reallocated.
  *  3. Deterministic output across `--jobs`. Sweep workers run points
  *     concurrently, so arrival order in the ring is racy. Each event
- *     records the *sweep point index* as its Perfetto pid (a
- *     thread-local set by the ExperimentRunner) plus a global sequence
- *     number; renderJson() sorts by (pid, track, ts, seq) and remaps
- *     track ids alphabetically, so the emitted JSON is a pure function
- *     of the simulated work. The seq is a tie-break only and never
- *     appears in the output.
+ *     records the *sweep point index* as its Perfetto pid and a
+ *     sequence number counted within that point (both thread-locals
+ *     that setTraceProcess() sets), so (pid, seq) orders events as a
+ *     serial run emits them. The ring is a min-heap on that key: it
+ *     keeps the same events whatever the interleaving, exactly those a
+ *     `--jobs 1` run keeps. renderJson() sorts by (pid, track, ts, seq)
+ *     and remaps track ids alphabetically, so the emitted JSON is a
+ *     pure function of the simulated work. The seq never appears in
+ *     the output.
  *
  * Timestamps are simulated cycles emitted in the format's microsecond
  * field: 1 cycle renders as 1 us in the Perfetto timeline. Tracks (one
@@ -58,7 +61,7 @@ struct TraceEvent
     /** Start cycle; for 'X' events dur is the span length. */
     std::uint64_t ts = 0;
     std::uint64_t dur = 0;
-    /** Global emission order, deterministic tie-break (not emitted). */
+    /** Emission order within the sweep point (not emitted). */
     std::uint64_t seq = 0;
     /** Sweep point index (Perfetto process id). */
     std::uint32_t pid = 0;
@@ -100,12 +103,13 @@ class EventTracer
 
     /** Events currently buffered. */
     std::size_t size() const;
-    /** Events overwritten because the ring was full. */
+    /** Events evicted (or refused) because the ring was full. */
     std::uint64_t dropped() const;
     /** Total events ever emitted (buffered + dropped). */
     std::uint64_t emitted() const;
 
-    /** Buffered events, oldest first (ring order, pre-sort). */
+    /** Buffered events in (pid, seq) order: oldest first for a
+     *  serial run (pre-sort). */
     std::vector<TraceEvent> events() const;
 
     /** Chrome trace-event JSON: {"traceEvents": [...]} with metadata
@@ -121,9 +125,8 @@ class EventTracer
     mutable std::mutex mutex_;
     bool enabled_ = false;
     std::size_t capacity_;
+    /** Min-heap on (pid, seq): the front is the next event to evict. */
     std::vector<TraceEvent> ring_;
-    /** Next ring slot to overwrite once full. */
-    std::size_t head_ = 0;
     std::uint64_t emitted_ = 0;
     std::vector<std::string> trackNames_;
     std::map<std::string, std::uint32_t> trackIds_;
@@ -145,7 +148,8 @@ tracingEnabled()
  * The ExperimentRunner tags each worker with the sweep point index it
  * is executing, so events from concurrently running points land in
  * distinct Perfetto processes and the sorted output is
- * execution-order-independent. Single runs leave the default 0. */
+ * execution-order-independent. Also restarts the thread's event
+ * sequence at 0. Single runs leave the default 0. */
 /// @{
 void setTraceProcess(std::uint32_t pid);
 /// @}

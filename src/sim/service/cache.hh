@@ -108,8 +108,8 @@ class ResultCache
     /**
      * Flush the human-readable index summary (index.json at the cache
      * root: fingerprint of the last writer plus cumulative counters).
-     * Called at end of run and from the SIGINT/SIGTERM path so an
-     * interrupted sweep still records what it cached.
+     * Called once at the end of a run; an interrupted run leaves the
+     * previous index, while its stored entries stay valid.
      */
     void flushIndex(const std::string &fingerprint);
 

@@ -27,10 +27,8 @@ SampleStat::add(double x)
     ++n_;
     sum_ += x;
     sumSq_ += x * x;
-    if (keepSamples_) {
-        samples_.push_back(x);
-        sorted_ = false;
-    }
+    samples_.push_back(x);
+    sorted_ = false;
 }
 
 double
@@ -52,10 +50,10 @@ SampleStat::stddev() const
 double
 SampleStat::percentile(double q) const
 {
-    // Defined on every state: without retained samples (keepSamples_
-    // off, or nothing added yet) there is no distribution to index,
-    // so return 0.0 like mean()/stddev() do instead of tripping UB.
-    if (!keepSamples_ || samples_.empty())
+    // Defined on every state: with nothing added yet there is no
+    // distribution to index, so return 0.0 like mean()/stddev() do
+    // instead of tripping UB.
+    if (samples_.empty())
         return 0.0;
     if (!sorted_) {
         std::sort(samples_.begin(), samples_.end());

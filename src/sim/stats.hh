@@ -17,16 +17,12 @@ namespace specint
 {
 
 /**
- * Online sample distribution: mean, variance, min/max, and optional
- * retention of raw samples for percentile queries.
+ * Sample distribution: mean, variance, min/max, and the raw samples
+ * for percentile queries.
  */
 class SampleStat
 {
   public:
-    explicit SampleStat(bool keep_samples = true)
-        : keepSamples_(keep_samples)
-    {}
-
     /** Record one sample. */
     void add(double x);
 
@@ -40,9 +36,9 @@ class SampleStat
 
     /**
      * q-th percentile (q in [0,1], linear interpolation) over the
-     * retained samples. Total like mean()/stddev(): returns 0.0 when
-     * samples were not kept or none were added, and the sample itself
-     * when only one was (no interpolation partner).
+     * samples. Total like mean()/stddev(): returns 0.0 when none were
+     * added, and the sample itself when only one was (no interpolation
+     * partner).
      */
     double percentile(double q) const;
 
@@ -51,7 +47,6 @@ class SampleStat
     void reset();
 
   private:
-    bool keepSamples_;
     std::uint64_t n_ = 0;
     double sum_ = 0.0;
     double sumSq_ = 0.0;

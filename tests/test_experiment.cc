@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -624,6 +625,75 @@ TEST(Report, WriteOutCreatesMissingParentDirectories)
     // A path whose "parent" is a file, not a directory, fails loudly.
     EXPECT_FALSE(
         writeOut((nested / "impossible.csv").string(), "x"));
+
+    std::error_code ec;
+    fs::remove_all(root, ec);
+}
+
+TEST(Driver, EveryFormatWritesItsRenderingAndExitsWithTheVerdict)
+{
+    // One emit path: the legacy text is rendered in every format, so
+    // the scenario's verdict is the exit code of --csv and --json runs
+    // too, and each format's --out file holds exactly its rendering.
+    namespace fs = std::filesystem;
+    Scenario sc = syntheticScenario();
+    sc.renderLegacy = [](const Report &report, const RunOptions &,
+                         std::FILE *out) {
+        for (const ReportPoint &p : report.points)
+            std::fputs(p.legacy.c_str(), out);
+        std::fputs("\nverdict: broken\n", out);
+        return 3;
+    };
+    ScenarioRegistry registry;
+    registry.add(sc);
+
+    RunOptions defaults;
+    defaults.trials = sc.defaultTrials;
+    defaults.seed = sc.defaultSeed;
+    const Report report = ExperimentRunner(1).run(sc, defaults);
+    std::string legacy;
+    for (const ReportPoint &p : report.points)
+        legacy += p.legacy;
+    legacy += "\nverdict: broken\n";
+    // The JSON from "columns" on: the header carries jobs and timings.
+    auto jsonRows = [](const std::string &json) {
+        const std::size_t at = json.find("\"columns\"");
+        return at == std::string::npos ? std::string() : json.substr(at);
+    };
+    auto readFile = [](const fs::path &path) {
+        std::ifstream in(path);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+
+    const fs::path root =
+        fs::temp_directory_path() /
+        ("specsim_emit_" + std::to_string(::getpid()));
+    for (const std::string jobs : {"1", "4"}) {
+        for (const std::string format : {"legacy", "csv", "json"}) {
+            SCOPED_TRACE(format + " --jobs " + jobs);
+            const fs::path out = root / (format + "-j" + jobs + ".out");
+            std::vector<std::string> args = {sc.name, "--out", out.string(),
+                                             "--jobs", jobs};
+            if (format != "legacy")
+                args.push_back("--" + format);
+            std::vector<char *> argv;
+            for (std::string &a : args)
+                argv.push_back(a.data());
+            EXPECT_EQ(runScenarioCli(registry, sc.name,
+                                     static_cast<int>(argv.size()),
+                                     argv.data()),
+                      3);
+            const std::string text = readFile(out);
+            if (format == "legacy")
+                EXPECT_EQ(text, legacy);
+            else if (format == "csv")
+                EXPECT_EQ(text, report.renderCsv());
+            else
+                EXPECT_EQ(jsonRows(text), jsonRows(report.renderJson()));
+        }
+    }
+    EXPECT_FALSE(jsonRows(report.renderJson()).empty());
 
     std::error_code ec;
     fs::remove_all(root, ec);

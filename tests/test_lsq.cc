@@ -38,36 +38,37 @@ storeSet(const Rob &rob)
     return stores;
 }
 
-OwnedDynInst
-makeInst(SeqNum seq, Op op, Addr addr = kAddrInvalid,
+/** Dispatch instruction @p seq into @p rob the way the front end does:
+ *  allocate the tail slot and fill the record in place. */
+DynInst &
+makeInst(Rob &rob, SeqNum seq, Op op, Addr addr = kAddrInvalid,
          bool writtenBack = false, std::uint64_t value = 0)
 {
-    OwnedDynInst o;
-    DynInst &d = o.inst;
-    d.seq = seq;
+    DynInst &d = rob.allocTail(seq);
     d.setStaticInst(&staticFor(op));
     d.effAddr() = addr;
     d.result() = value;
     d.state = writtenBack ? InstState::WrittenBack : InstState::Dispatched;
-    return o;
+    return d;
 }
 
 TEST(Lsq, OccupancyAndCapacity)
 {
     Lsq lsq(2, 1);
-    OwnedDynInst l1 = makeInst(0, Op::Load);
-    OwnedDynInst l2 = makeInst(1, Op::Load);
-    OwnedDynInst l3 = makeInst(2, Op::Load);
-    OwnedDynInst s1 = makeInst(3, Op::Store);
-    OwnedDynInst s2 = makeInst(4, Op::Store);
+    Rob rob;
+    DynInst &l1 = makeInst(rob, 0, Op::Load);
+    DynInst &l2 = makeInst(rob, 1, Op::Load);
+    DynInst &l3 = makeInst(rob, 2, Op::Load);
+    DynInst &s1 = makeInst(rob, 3, Op::Store);
+    DynInst &s2 = makeInst(rob, 4, Op::Store);
 
-    EXPECT_TRUE(lsq.allocate(l1.inst));
-    EXPECT_TRUE(lsq.allocate(l2.inst));
-    EXPECT_FALSE(lsq.allocate(l3.inst)); // LQ full
-    EXPECT_TRUE(lsq.allocate(s1.inst));
-    EXPECT_FALSE(lsq.allocate(s2.inst)); // SQ full
-    lsq.release(l1.inst);
-    EXPECT_TRUE(lsq.allocate(l3.inst));
+    EXPECT_TRUE(lsq.allocate(l1));
+    EXPECT_TRUE(lsq.allocate(l2));
+    EXPECT_FALSE(lsq.allocate(l3)); // LQ full
+    EXPECT_TRUE(lsq.allocate(s1));
+    EXPECT_FALSE(lsq.allocate(s2)); // SQ full
+    lsq.release(l1);
+    EXPECT_TRUE(lsq.allocate(l3));
     EXPECT_EQ(lsq.loads(), 2u);
     EXPECT_EQ(lsq.stores(), 1u);
 }
@@ -75,8 +76,8 @@ TEST(Lsq, OccupancyAndCapacity)
 TEST(Lsq, NonMemOpsDoNotConsumeEntries)
 {
     Lsq lsq(1, 1);
-    OwnedDynInst alu = makeInst(0, Op::IntAlu);
-    EXPECT_TRUE(lsq.allocate(alu.inst));
+    Rob rob;
+    EXPECT_TRUE(lsq.allocate(makeInst(rob, 0, Op::IntAlu)));
     EXPECT_EQ(lsq.loads(), 0u);
     EXPECT_EQ(lsq.stores(), 0u);
 }
@@ -85,8 +86,8 @@ TEST(Lsq, LoadForwardsFromMatchingOlderStore)
 {
     Lsq lsq;
     Rob rob;
-    rob.push(makeInst(0, Op::Store, 0x1000, true, 42).inst);
-    DynInst &load = rob.push(makeInst(1, Op::Load, 0x1000).inst);
+    makeInst(rob, 0, Op::Store, 0x1000, true, 42);
+    DynInst &load = makeInst(rob, 1, Op::Load, 0x1000);
 
     const DynInst *st = lsq.forwardingStore(load, rob, storeSet(rob));
     ASSERT_NE(st, nullptr);
@@ -97,9 +98,9 @@ TEST(Lsq, ForwardingMatchesWordGranularity)
 {
     Lsq lsq;
     Rob rob;
-    rob.push(makeInst(0, Op::Store, 0x1000, true, 42).inst);
-    DynInst &same_word = rob.push(makeInst(1, Op::Load, 0x1004).inst);
-    DynInst &next_word = rob.push(makeInst(2, Op::Load, 0x1008).inst);
+    makeInst(rob, 0, Op::Store, 0x1000, true, 42);
+    DynInst &same_word = makeInst(rob, 1, Op::Load, 0x1004);
+    DynInst &next_word = makeInst(rob, 2, Op::Load, 0x1008);
 
     EXPECT_NE(lsq.forwardingStore(same_word, rob, storeSet(rob)), nullptr);
     EXPECT_EQ(lsq.forwardingStore(next_word, rob, storeSet(rob)), nullptr);
@@ -109,9 +110,9 @@ TEST(Lsq, NearestOlderStoreWins)
 {
     Lsq lsq;
     Rob rob;
-    rob.push(makeInst(0, Op::Store, 0x1000, true, 1).inst);
-    rob.push(makeInst(1, Op::Store, 0x1000, true, 2).inst);
-    DynInst &load = rob.push(makeInst(2, Op::Load, 0x1000).inst);
+    makeInst(rob, 0, Op::Store, 0x1000, true, 1);
+    makeInst(rob, 1, Op::Store, 0x1000, true, 2);
+    DynInst &load = makeInst(rob, 2, Op::Load, 0x1000);
 
     const DynInst *st = lsq.forwardingStore(load, rob, storeSet(rob));
     ASSERT_NE(st, nullptr);
@@ -122,8 +123,8 @@ TEST(Lsq, YoungerStoresAreIgnored)
 {
     Lsq lsq;
     Rob rob;
-    DynInst &load = rob.push(makeInst(0, Op::Load, 0x1000).inst);
-    rob.push(makeInst(1, Op::Store, 0x1000, false).inst);
+    DynInst &load = makeInst(rob, 0, Op::Load, 0x1000);
+    makeInst(rob, 1, Op::Store, 0x1000, false);
 
     // The younger store is not written back: the walk must stop before
     // it (forwardingStore asserts every older store is).

@@ -3,14 +3,16 @@
  * Observability layer tests: metric registry semantics (path
  * uniqueness, kind conflicts, snapshots), event tracer ring and
  * rendering (schema shape, determinism across --jobs), host profiler,
- * log-level parsing, and the off-by-default guarantees (no events, no
- * metrics, no perturbation of simulation results).
+ * and the off-by-default guarantees (no events, no metrics, no
+ * perturbation of simulation results).
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cpu/core.hh"
@@ -18,7 +20,6 @@
 #include "memory/hierarchy.hh"
 #include "sim/experiment/report.hh"
 #include "sim/experiment/runner.hh"
-#include "sim/log.hh"
 #include "sim/obs/metrics.hh"
 #include "sim/obs/profile.hh"
 #include "sim/obs/trace.hh"
@@ -136,6 +137,49 @@ TEST_F(ObservabilityTest, RingOverwritesOldestAndCounts)
     // Oldest-first: timestamps 2..5 survive.
     EXPECT_EQ(events.front().ts, 2u);
     EXPECT_EQ(events.back().ts, 5u);
+}
+
+TEST_F(ObservabilityTest, FullRingKeepsTheSameEventsInAnyArrivalOrder)
+{
+    // Two sweep points emit 24 events into a ring that holds 8. The
+    // survivors, and so the JSON, must be those of a serial run
+    // whichever worker thread emits first.
+    auto feed = [](obs::EventTracer &tracer, std::uint32_t pid) {
+        obs::setTraceProcess(pid);
+        const std::uint32_t t = tracer.track("t" + std::to_string(pid));
+        for (std::uint64_t i = 0; i < 12; ++i)
+            tracer.instant(t, "e", "c", i, "i", i);
+        obs::setTraceProcess(0);
+    };
+    auto render = [](const std::function<void(obs::EventTracer &)> &run) {
+        obs::EventTracer tracer(/*capacity=*/8);
+        tracer.setEnabled(true);
+        run(tracer);
+        EXPECT_EQ(tracer.size(), 8u);
+        EXPECT_EQ(tracer.dropped(), 16u);
+        return tracer.renderJson();
+    };
+
+    const std::string serial = render([&](obs::EventTracer &tracer) {
+        feed(tracer, 1);
+        feed(tracer, 2);
+    });
+    EXPECT_NE(serial.find("\"pid\":2"), std::string::npos);
+    EXPECT_EQ(serial.find("\"pid\":1"), std::string::npos);
+    // Point 2's worker finishes before point 1's starts.
+    EXPECT_EQ(render([&](obs::EventTracer &tracer) {
+                  std::thread(feed, std::ref(tracer), 2).join();
+                  std::thread(feed, std::ref(tracer), 1).join();
+              }),
+              serial);
+    // Both workers at once.
+    EXPECT_EQ(render([&](obs::EventTracer &tracer) {
+                  std::thread a(feed, std::ref(tracer), 1);
+                  std::thread b(feed, std::ref(tracer), 2);
+                  a.join();
+                  b.join();
+              }),
+              serial);
 }
 
 TEST_F(ObservabilityTest, RenderJsonHasTraceEventSchema)
@@ -461,26 +505,6 @@ TEST_F(ObservabilityTest, ReportProfileRendering)
     EXPECT_NE(text.find("phase.a"), std::string::npos);
     EXPECT_NE(report.renderJson().find("\"profile\""),
               std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Log level plumbing
-// ---------------------------------------------------------------------
-
-TEST_F(ObservabilityTest, LogLevelParsing)
-{
-    LogLevel level = LogLevel::Silent;
-    EXPECT_TRUE(logLevelFromString("debug", level));
-    EXPECT_EQ(level, LogLevel::Debug);
-    EXPECT_TRUE(logLevelFromString("0", level));
-    EXPECT_EQ(level, LogLevel::Silent);
-    EXPECT_TRUE(logLevelFromString("4", level));
-    EXPECT_EQ(level, LogLevel::Trace);
-    EXPECT_FALSE(logLevelFromString("loud", level));
-    EXPECT_FALSE(logLevelFromString("", level));
-    EXPECT_FALSE(logLevelFromString("5", level));
-    EXPECT_EQ(level, LogLevel::Trace); // untouched on failure
-    EXPECT_STREQ(logLevelName(LogLevel::Warn), "warn");
 }
 
 } // namespace

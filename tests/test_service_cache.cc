@@ -482,7 +482,7 @@ TEST_P(CachedCli, CsvIsByteIdenticalUncachedColdAndWarmAtJobs1And4)
 {
     // Six runs per scenario: {no cache, cold, warm} x {--jobs 1, 4}.
     // At --jobs 4 points finish out of order, so this also covers the
-    // grid-order CSV streaming of cached and computed points alike.
+    // grid-order assembly of cached and computed points alike.
     const std::string name = GetParam();
     const std::uint64_t points = defaultPointCount(name);
     TempDir tmp;

@@ -249,7 +249,7 @@ TEST(SmtUnitTest, ReservationStationPartitionedVsShared)
     EXPECT_TRUE(part.full(0));  // thread 0 exhausted its 8/2 share
     EXPECT_FALSE(part.full(1)); // thread 1's share untouched
     EXPECT_EQ(part.occupancy(), 4u);
-    EXPECT_EQ(part.occupancyOther(1), 4u);
+    EXPECT_EQ(part.occupancy() - part.occupancy(1), 4u);
 
     ReservationStation shared(8, 2, SharingPolicy::Shared);
     std::vector<OwnedDynInst> insts2;

@@ -58,16 +58,6 @@ TEST(SampleStat, SingleSampleIsItsOwnPercentile)
     EXPECT_DOUBLE_EQ(s.mean(), 7.0);
 }
 
-TEST(SampleStat, PercentileWithoutKeptSamplesIsZero)
-{
-    SampleStat s(/*keep_samples=*/false);
-    s.add(3.0);
-    s.add(5.0);
-    // No retained distribution to index: defined zero, not UB.
-    EXPECT_DOUBLE_EQ(s.percentile(0.5), 0.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-}
-
 TEST(SampleStat, PercentileClampsQuantile)
 {
     SampleStat s;
