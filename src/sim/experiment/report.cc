@@ -201,13 +201,16 @@ writeOut(const std::string &path, const std::string &text)
             return false;
         }
     }
-    const bool ok =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    if (!is_stdout)
-        std::fclose(f);
+    bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    // A buffered write can fail only when it is flushed (a full disk,
+    // a closed pipe), so the flush's result is the write's result.
+    if (is_stdout)
+        ok = std::fflush(stdout) == 0 && !std::ferror(stdout) && ok;
+    else
+        ok = std::fclose(f) == 0 && ok;
     if (!ok)
-        std::fprintf(stderr, "error: short write to '%s'\n",
-                     path.c_str());
+        std::fprintf(stderr, "error: cannot write '%s'\n",
+                     is_stdout ? "<stdout>" : path.c_str());
     return ok;
 }
 

@@ -91,7 +91,8 @@ struct Report
 
 /** Write @p text to @p path ("" or "-" = stdout), creating missing
  *  parent directories. Returns false and prints a diagnostic to stderr
- *  on I/O failure. */
+ *  on I/O failure, including one that shows only when the file is
+ *  closed or stdout flushed. */
 bool writeOut(const std::string &path, const std::string &text);
 
 } // namespace specint::experiment

@@ -43,21 +43,16 @@ generateWorkload(const WorkloadSpec &spec)
     const Addr data_base = spec.dataBase ? spec.dataBase : kDataBase;
     const Addr ring_base = data_base + (kRingBase - kDataBase);
 
-    // Pointer ring for chase loads: ring_i -> ring_{(i+stride)%N}. A
-    // large stride defeats spatial locality, like mcf's access stream.
-    const unsigned ring = footprint;
-    for (unsigned i = 0; i < ring; ++i) {
-        const unsigned next = (i + 17) % ring;
-        out.memInit.emplace_back(ring_base + 64ULL * i,
-                                 ring_base + 64ULL * next);
-    }
+    // Chase loads walk the image's pointer ring from its first line.
     prog.setReg(rChase, ring_base);
 
     // Branch predicate data: word 0 of every footprint line holds a
     // uniform value in [0, 100), so predicate loads are as cold as the
     // workload's data stream and resolve as slowly.
-    for (unsigned i = 0; i < footprint; ++i)
-        out.memInit.emplace_back(data_base + 64ULL * i, rng.below(100));
+    std::vector<std::uint8_t> predicates(footprint);
+    for (std::uint8_t &p : predicates)
+        p = static_cast<std::uint8_t>(rng.below(100));
+    out.memInit = MemImage(ring_base, data_base, std::move(predicates));
 
     const std::int64_t taken_threshold =
         static_cast<std::int64_t>(spec.branchTakenProb * 100.0);
@@ -106,13 +101,12 @@ generateWorkload(const WorkloadSpec &spec)
                               data_base + 64ULL * rng.below(footprint)));
                 extra = 1;
             } else {
+                // A branch on rChase compares the pointer (nonzero)
+                // conservatively: rChase >= threshold, so LT is
+                // not-taken.
                 pred = spec.chaseFrac > 0 && rng.chance(spec.chaseFrac)
                            ? rChase
                            : rData;
-                if (pred == rChase) {
-                    // Compare the pointer (nonzero) conservatively:
-                    // rChase >= threshold, so LT is not-taken.
-                }
             }
             const unsigned br =
                 prog.branch(BranchCond::LT, pred, 63, 0);

@@ -630,6 +630,15 @@ TEST(Report, WriteOutCreatesMissingParentDirectories)
     fs::remove_all(root, ec);
 }
 
+TEST(Report, WriteOutReportsAFailedFlush)
+{
+    // /dev/full opens and buffers the write; only the flush at close
+    // fails, which must still fail the run.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this platform";
+    EXPECT_FALSE(writeOut("/dev/full", "x"));
+}
+
 TEST(Driver, EveryFormatWritesItsRenderingAndExitsWithTheVerdict)
 {
     // One emit path: the legacy text is rendered in every format, so

@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "cpu/core.hh"
 #include "memory/hierarchy.hh"
+#include "sim/rng.hh"
 #include "workload/suite.hh"
 
 namespace specint
@@ -57,6 +63,57 @@ TEST(Generator, ProgramsRunToCompletion)
         const CoreStats s = core.run(wl.prog);
         EXPECT_TRUE(s.finished) << spec.name;
         EXPECT_GT(s.retired, spec.instructions / 2) << spec.name;
+    }
+}
+
+/** The memory image of @p spec as an explicit list: the ring words,
+ *  then one predicate word per footprint line drawn as the first
+ *  values of the spec's stream. */
+std::vector<std::pair<Addr, std::uint64_t>>
+imageAsList(const WorkloadSpec &spec)
+{
+    const unsigned lines = std::max(1u, spec.footprintLines);
+    const Addr data = spec.dataBase ? spec.dataBase : 0x08000000;
+    const Addr ring = data + (0x0c000000 - 0x08000000);
+    std::vector<std::pair<Addr, std::uint64_t>> list;
+    for (unsigned i = 0; i < lines; ++i)
+        list.emplace_back(ring + 64ULL * i,
+                          ring + 64ULL * ((i + 17) % lines));
+    Rng rng(spec.seed);
+    for (unsigned i = 0; i < lines; ++i)
+        list.emplace_back(data + 64ULL * i, rng.below(100));
+    return list;
+}
+
+TEST(Generator, MemImageMatchesTheListItReplaced)
+{
+    std::vector<WorkloadSpec> specs = spec2017Archetypes(200);
+    WorkloadSpec placed;
+    placed.name = "placed";
+    placed.instructions = 200;
+    placed.dataBase = 0x20000000;
+    placed.codeBase = 0x00500000;
+    specs.push_back(placed);
+    // Rings shorter than the stride: every line wraps.
+    for (unsigned lines : {1u, 5u}) {
+        WorkloadSpec small;
+        small.name = "lines" + std::to_string(lines);
+        small.instructions = 200;
+        small.footprintLines = lines;
+        specs.push_back(small);
+    }
+
+    for (const WorkloadSpec &spec : specs) {
+        const auto want = imageAsList(spec);
+        const auto wl = generateWorkload(spec);
+        std::size_t k = 0;
+        for (const auto &[a, v] : wl.memInit) {
+            ASSERT_LT(k, want.size()) << spec.name;
+            ASSERT_EQ(a, want[k].first) << spec.name << " pair " << k;
+            ASSERT_EQ(v, want[k].second) << spec.name << " pair " << k;
+            ++k;
+        }
+        EXPECT_EQ(k, want.size()) << spec.name;
     }
 }
 
