@@ -238,12 +238,11 @@ CrossCoreHarness::prepare(unsigned secret, NoiseModel *noise)
     sys_.core(0).predictor(0).train(atk_.branchPc, !fail, 6);
 
     // The untimed setup above must not carry shared-level queueing or
-    // prefetcher counts into the timed run. (Without prefetchers or
-    // coherence, the last two are no-ops.)
+    // prefetcher counts into the timed run. (Without prefetchers, the
+    // last one is a no-op.)
     hier.resetContention();
     for (CoreId c = 0; c < static_cast<CoreId>(sys_.numCores()); ++c)
         hier.prefetcher(c).reset();
-    hier.clearCoherenceTrace();
 }
 
 ProbeTrialOutcome

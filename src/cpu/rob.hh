@@ -29,7 +29,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <vector>
 
 #include "cpu/isa.hh"
@@ -129,7 +128,7 @@ struct DynInstCold
 /**
  * One dynamic instruction — the hot record. Exactly one cache line;
  * the cold remainder hangs off @ref cold_ (wired once by the owning
- * Rob, or by OwnedDynInst for standalone records in unit tests).
+ * Rob).
  */
 struct alignas(64) DynInst
 {
@@ -270,32 +269,6 @@ struct alignas(64) DynInst
 
 static_assert(sizeof(DynInst) == 64,
               "hot DynInst record must stay one cache line");
-
-/**
- * Self-contained dynamic instruction owning its cold bank. For unit
- * tests and tools that build standalone records outside a Rob; copies
- * re-wire the hot record to the copy's own cold slot, so values may
- * live in resizable containers.
- */
-struct OwnedDynInst
-{
-    DynInstCold cold;
-    DynInst inst;
-
-    OwnedDynInst() { inst.cold_ = &cold; }
-    OwnedDynInst(const OwnedDynInst &o) : cold(o.cold), inst(o.inst)
-    {
-        inst.cold_ = &cold;
-    }
-    OwnedDynInst &
-    operator=(const OwnedDynInst &o)
-    {
-        cold = o.cold;
-        inst = o.inst;
-        inst.cold_ = &cold;
-        return *this;
-    }
-};
 
 /** Largest ROB a SlotSet can index; CoreConfig::validate() rejects a
  *  larger robSize. The sets store their words inline, so a thread's
@@ -468,91 +441,28 @@ class Rob
     }
     /// @}
 
-    /** Random-access iterator over entries in age order, dereferencing
-     *  to DynInst& (entries themselves never move). */
-    template <typename RobT, typename ValueT>
-    class IterBase
+    /** Const forward iterator over entries in age order (oldest
+     *  first), for range-for. */
+    class const_iterator
     {
       public:
-        using iterator_category = std::random_access_iterator_tag;
-        using value_type = ValueT;
-        using difference_type = std::ptrdiff_t;
-        using pointer = ValueT *;
-        using reference = ValueT &;
-
-        IterBase() = default;
-        IterBase(RobT *rob, std::size_t idx) : rob_(rob), idx_(idx) {}
-
-        reference operator*() const { return *rob_->at(idx_); }
-        pointer operator->() const { return rob_->at(idx_); }
-        reference operator[](difference_type n) const
+        const_iterator(const Rob *rob, std::size_t idx)
+            : rob_(rob), idx_(idx)
+        {}
+        const DynInst &operator*() const { return *rob_->at(idx_); }
+        const_iterator &operator++() { ++idx_; return *this; }
+        bool operator!=(const const_iterator &o) const
         {
-            return *rob_->at(idx_ + n);
-        }
-
-        IterBase &operator++() { ++idx_; return *this; }
-        IterBase operator++(int) { IterBase t = *this; ++idx_; return t; }
-        IterBase &operator--() { --idx_; return *this; }
-        IterBase operator--(int) { IterBase t = *this; --idx_; return t; }
-        IterBase &operator+=(difference_type n) { idx_ += n; return *this; }
-        IterBase &operator-=(difference_type n) { idx_ -= n; return *this; }
-        friend IterBase operator+(IterBase it, difference_type n)
-        {
-            it += n; return it;
-        }
-        friend IterBase operator+(difference_type n, IterBase it)
-        {
-            it += n; return it;
-        }
-        friend IterBase operator-(IterBase it, difference_type n)
-        {
-            it -= n; return it;
-        }
-        friend difference_type operator-(const IterBase &a, const IterBase &b)
-        {
-            return static_cast<difference_type>(a.idx_) -
-                   static_cast<difference_type>(b.idx_);
-        }
-        friend bool operator==(const IterBase &a, const IterBase &b)
-        {
-            return a.idx_ == b.idx_;
-        }
-        friend bool operator!=(const IterBase &a, const IterBase &b)
-        {
-            return a.idx_ != b.idx_;
-        }
-        friend bool operator<(const IterBase &a, const IterBase &b)
-        {
-            return a.idx_ < b.idx_;
-        }
-        friend bool operator>(const IterBase &a, const IterBase &b)
-        {
-            return a.idx_ > b.idx_;
-        }
-        friend bool operator<=(const IterBase &a, const IterBase &b)
-        {
-            return a.idx_ <= b.idx_;
-        }
-        friend bool operator>=(const IterBase &a, const IterBase &b)
-        {
-            return a.idx_ >= b.idx_;
+            return idx_ != o.idx_;
         }
 
       private:
-        RobT *rob_ = nullptr;
-        std::size_t idx_ = 0;
+        const Rob *rob_;
+        std::size_t idx_;
     };
 
-    using iterator = IterBase<Rob, DynInst>;
-    using const_iterator = IterBase<const Rob, const DynInst>;
-
-    /** @name Iteration (age order: oldest first) */
-    /// @{
-    iterator begin() { return {this, 0}; }
-    iterator end() { return {this, count_}; }
     const_iterator begin() const { return {this, 0}; }
     const_iterator end() const { return {this, count_}; }
-    /// @}
 
     void clear();
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * MESI directory implementation: read/write-intent transitions,
- * sharer bookkeeping, the coherence traffic trace and per-core stats.
+ * sharer bookkeeping and per-core stats.
  */
 
 #include "memory/coherence.hh"
@@ -11,31 +11,6 @@
 
 namespace specint
 {
-
-const char *
-mesiStateName(MesiState s)
-{
-    switch (s) {
-      case MesiState::Invalid: return "I";
-      case MesiState::Shared: return "S";
-      case MesiState::Exclusive: return "E";
-      case MesiState::Modified: return "M";
-    }
-    return "?";
-}
-
-const char *
-coherenceMsgName(CoherenceMsg m)
-{
-    switch (m) {
-      case CoherenceMsg::Invalidate: return "invalidate";
-      case CoherenceMsg::Downgrade: return "downgrade";
-      case CoherenceMsg::SharedFill: return "shared-fill";
-      case CoherenceMsg::ExclusiveFill: return "exclusive-fill";
-      case CoherenceMsg::Upgrade: return "upgrade";
-    }
-    return "?";
-}
 
 CoherenceDirectory::CoherenceDirectory(unsigned clients,
                                        CoherenceParams params)
@@ -50,15 +25,8 @@ CoherenceDirectory::holds(const LineInfo &info, CoreId core)
            info.holders.end();
 }
 
-void
-CoherenceDirectory::record(Tick now, Addr line, CoherenceMsg msg,
-                           CoreId from, CoreId to)
-{
-    trace_.push_back({now, line, msg, from, to});
-}
-
 CoherenceDirectory::ReadOutcome
-CoherenceDirectory::read(CoreId core, Addr line, Tick now, bool join)
+CoherenceDirectory::read(CoreId core, Addr line, bool join)
 {
     assert(core < stats_.size());
     line = lineAlign(line);
@@ -77,7 +45,6 @@ CoherenceDirectory::read(CoreId core, Addr line, Tick now, bool join)
     if ((info.modified || info.exclusive) && !info.holders.empty()) {
         if (info.modified)
             out.extraLatency = params_.writebackLatency;
-        record(now, line, CoherenceMsg::Downgrade, core, info.owner);
         ++stats_[info.owner].downgradesReceived;
         info.modified = false;
         info.exclusive = false;
@@ -95,17 +62,14 @@ CoherenceDirectory::read(CoreId core, Addr line, Tick now, bool join)
         info.exclusive = true;
         out.granted = MesiState::Exclusive;
         ++stats_[core].exclusiveGrants;
-        record(now, line, CoherenceMsg::ExclusiveFill, core, core);
     } else {
         out.granted = MesiState::Shared;
-        record(now, line, CoherenceMsg::SharedFill, core, core);
     }
     return out;
 }
 
 CoherenceDirectory::WriteOutcome
-CoherenceDirectory::write(CoreId core, Addr line, Tick now,
-                          bool take_ownership)
+CoherenceDirectory::write(CoreId core, Addr line, bool take_ownership)
 {
     assert(core < stats_.size());
     line = lineAlign(line);
@@ -121,7 +85,6 @@ CoherenceDirectory::write(CoreId core, Addr line, Tick now,
             if (holder == core)
                 continue;
             out.invalidate.push_back(holder);
-            record(now, line, CoherenceMsg::Invalidate, core, holder);
             ++stats_[core].invalidationsSent;
             ++stats_[holder].invalidationsReceived;
         }
@@ -139,10 +102,8 @@ CoherenceDirectory::write(CoreId core, Addr line, Tick now,
         info.holders.push_back(core);
         info.owner = core;
         info.exclusive = false;
-        if (!(sole_owner && info.modified)) {
-            record(now, line, CoherenceMsg::Upgrade, core, core);
+        if (!(sole_owner && info.modified))
             ++stats_[core].upgrades;
-        }
         info.modified = true;
     } else {
         // Deferred upgrade (speculative RFO): the invalidations above
@@ -203,7 +164,6 @@ void
 CoherenceDirectory::reset()
 {
     lines_.clear();
-    trace_.clear();
     std::fill(stats_.begin(), stats_.end(), CoherenceStats{});
 }
 

@@ -59,9 +59,6 @@ enum class MesiState : std::uint8_t
     Modified,
 };
 
-/** Short display name ("I", "S", "E", "M"). */
-const char *mesiStateName(MesiState s);
-
 /** Coherence model parameters (HierarchyConfig::coherence). */
 struct CoherenceParams
 {
@@ -74,30 +71,6 @@ struct CoherenceParams
     /** Cycles a read adds when a remote Modified owner must write the
      *  dirty line back before the data can be served. */
     Tick writebackLatency = 40;
-};
-
-/** Message kinds appearing in the coherence traffic trace. */
-enum class CoherenceMsg : std::uint8_t
-{
-    Invalidate,    ///< write-intent request invalidated a remote copy
-    Downgrade,     ///< read demoted a remote M/E owner to Shared
-    SharedFill,    ///< requester joined an existing sharer set
-    ExclusiveFill, ///< requester became sole (Exclusive) owner
-    Upgrade,       ///< requester took Modified ownership
-};
-
-const char *coherenceMsgName(CoherenceMsg m);
-
-/** One entry of the visible per-core coherence-traffic trace. */
-struct CoherenceEvent
-{
-    Tick when = 0;
-    Addr line = 0;
-    CoherenceMsg msg = CoherenceMsg::SharedFill;
-    /** Requester that caused the message. */
-    CoreId from = 0;
-    /** Core the message acted on (== from for fills/upgrades). */
-    CoreId to = 0;
 };
 
 /** Per-core coherence traffic counters. */
@@ -144,7 +117,7 @@ class CoherenceDirectory
      * otherwise. Direct LLC clients pass join=false: they have no
      * private caches to track.
      */
-    ReadOutcome read(CoreId core, Addr line, Tick now, bool join);
+    ReadOutcome read(CoreId core, Addr line, bool join);
 
     /** Outcome of a write-intent consult. */
     struct WriteOutcome
@@ -165,8 +138,7 @@ class CoherenceDirectory
      * the invalidations still go out — that is the leak — but the
      * requester's M state waits for the retirement-time write).
      */
-    WriteOutcome write(CoreId core, Addr line, Tick now,
-                       bool take_ownership = true);
+    WriteOutcome write(CoreId core, Addr line, bool take_ownership = true);
 
     /** MESI state of @p core's private copy of @p line. */
     MesiState state(CoreId core, Addr line) const;
@@ -183,18 +155,14 @@ class CoherenceDirectory
      *  conservative-sharer-set design in the file comment. */
     void dropLine(Addr line);
 
-    /** Clear all line state, stats and the trace. */
+    /** Clear all line state and stats. */
     void reset();
 
-    /** @name Visible per-core coherence-traffic trace */
-    /// @{
-    const std::vector<CoherenceEvent> &trace() const { return trace_; }
-    void clearTrace() { trace_.clear(); }
+    /** Per-core coherence traffic counters. */
     const CoherenceStats &stats(CoreId core) const
     {
         return stats_[core];
     }
-    /// @}
 
   private:
     /** Directory entry: sharer set plus owner state for one line. */
@@ -207,14 +175,11 @@ class CoherenceDirectory
         bool exclusive = false;
     };
 
-    void record(Tick now, Addr line, CoherenceMsg msg, CoreId from,
-                CoreId to);
     static bool holds(const LineInfo &info, CoreId core);
 
     CoherenceParams params_;
     std::unordered_map<Addr, LineInfo> lines_;
     std::vector<CoherenceStats> stats_;
-    std::vector<CoherenceEvent> trace_;
 };
 
 } // namespace specint

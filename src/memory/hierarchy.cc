@@ -374,7 +374,7 @@ Hierarchy::walkVisible(MemTransaction &txn)
     if (cfg_.coherence.enabled && txn.type == AccessType::Data &&
         txn.intent == MemIntent::Read) {
         const CoherenceDirectory::ReadOutcome coh =
-            directory_.read(core, addr, now, /*join=*/true);
+            directory_.read(core, addr, /*join=*/true);
         res.latency += coh.extraLatency;
         res.coherenceDelay += coh.extraLatency;
     }
@@ -440,7 +440,7 @@ Hierarchy::walkDirect(MemTransaction &txn)
     // set, but it still forces a dirty remote owner to write back.
     if (cfg_.coherence.enabled) {
         const CoherenceDirectory::ReadOutcome coh =
-            directory_.read(core, addr, now, /*join=*/false);
+            directory_.read(core, addr, /*join=*/false);
         res.latency += coh.extraLatency;
         res.coherenceDelay += coh.extraLatency;
     }
@@ -467,8 +467,8 @@ Hierarchy::coherenceWriteFinish(MemTransaction &txn)
         txn.type != AccessType::Data) {
         return;
     }
-    const CoherenceDirectory::WriteOutcome out = directory_.write(
-        txn.core, txn.addr, txn.issuedAt, /*take_ownership=*/true);
+    const CoherenceDirectory::WriteOutcome out =
+        directory_.write(txn.core, txn.addr, /*take_ownership=*/true);
     for (CoreId victim : out.invalidate)
         invalidatePrivate(victim, lineAlign(txn.addr));
     if (!out.invalidate.empty() && obs::tracingEnabled()) {
@@ -599,7 +599,7 @@ Hierarchy::specStoreUpgrade(CoreId core, Addr addr, Tick now,
     if (!cfg_.coherence.enabled)
         return 0;
     const CoherenceDirectory::WriteOutcome out =
-        directory_.write(core, addr, now, take_ownership);
+        directory_.write(core, addr, take_ownership);
     for (CoreId victim : out.invalidate)
         invalidatePrivate(victim, lineAlign(addr));
     if (!out.invalidate.empty() && obs::tracingEnabled())

@@ -280,12 +280,6 @@ class Hierarchy
     {
         return directory_.stats(core);
     }
-    /** The visible per-core coherence-traffic trace. */
-    const std::vector<CoherenceEvent> &coherenceTrace() const
-    {
-        return directory_.trace();
-    }
-    void clearCoherenceTrace() { directory_.clearTrace(); }
     /// @}
 
     /** @name Prefetcher layer (meaningful only when enabled) */

@@ -138,7 +138,6 @@ runResolved(const Scenario &scenario, const RunOptions &options)
         report.cacheEnabled = true;
         report.cacheHits = cs.hits;
         report.cacheMisses = cs.misses;
-        cache->flushIndex(fingerprint);
         std::fprintf(stderr,
                      "[cache] dir=%s hits=%llu misses=%llu stores=%llu "
                      "corrupt=%llu\n",

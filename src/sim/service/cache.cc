@@ -6,32 +6,18 @@
 
 #include "sim/service/cache.hh"
 
-#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <system_error>
 
-#include <fcntl.h>
-#include <sys/file.h>
 #include <unistd.h>
 
 namespace fs = std::filesystem;
 
 namespace specint::service
 {
-
-std::uint64_t
-fnv1a64(const std::string &data, std::uint64_t basis)
-{
-    std::uint64_t h = basis;
-    for (unsigned char c : data) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 std::string
 CacheKey::hex() const
@@ -84,18 +70,6 @@ makeCacheKey(const JobSpec &spec, std::size_t point_index,
     return key;
 }
 
-namespace
-{
-
-/** Checksum material: the payload a reader must be able to trust. */
-std::string
-payloadChecksumInput(const Json &rows, const std::string &legacy)
-{
-    return rows.dump() + "\x1f" + legacy;
-}
-
-} // namespace
-
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
 {
     std::error_code ec;
@@ -116,7 +90,7 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
 std::string
 ResultCache::entryPath(const CacheKey &key) const
 {
-    return (fs::path(dir_) / "objects" / (key.hex() + ".json")).string();
+    return (fs::path(dir_) / "objects" / key.hex()).string();
 }
 
 bool
@@ -148,25 +122,14 @@ ResultCache::lookup(const CacheKey &key,
         return false;
     };
 
-    Json entry;
-    if (!Json::parse(body.str(), entry) || !entry.isObj())
-        return reject("unparseable");
-    if (entry.getU64("v") != 1)
-        return reject("unknown version");
-    if (entry.getStr("key") != key.canonical)
-        return reject("key mismatch");
-    const Json &jrows = entry.get("rows");
-    const std::string entry_legacy = entry.getStr("legacy");
-    const std::uint64_t want =
-        fnv1a64(payloadChecksumInput(jrows, entry_legacy));
-    if (entry.getU64("checksum") != want)
-        return reject("checksum mismatch");
     std::vector<experiment::Row> decoded;
-    if (!decodeRows(jrows, decoded))
-        return reject("undecodable rows");
+    std::string entry_legacy;
+    if (const char *why =
+            decodeEntry(body.str(), key.canonical, decoded, entry_legacy))
+        return reject(why);
 
     rows = std::move(decoded);
-    legacy = entry_legacy;
+    legacy = std::move(entry_legacy);
     ++stats_.hits;
     return true;
 }
@@ -180,16 +143,6 @@ ResultCache::store(const CacheKey &key,
     if (!enabled_)
         return;
 
-    Json jrows = encodeRows(rows);
-    Json entry = Json::object();
-    entry.set("v", Json::uinteger(1));
-    entry.set("key", Json::str(key.canonical));
-    entry.set("checksum",
-              Json::uinteger(
-                  fnv1a64(payloadChecksumInput(jrows, legacy))));
-    entry.set("legacy", Json::str(legacy));
-    entry.set("rows", std::move(jrows));
-
     // Unique tmp name per writer: concurrent runs sharing one
     // --cache-dir never clobber each other's half-written files, and
     // rename() makes publication atomic.
@@ -197,91 +150,23 @@ ResultCache::store(const CacheKey &key,
         (fs::path(dir_) / "tmp" /
          (key.hex() + "." + std::to_string(::getpid())))
             .string();
+    const std::string entry = encodeEntry(key.canonical, rows, legacy);
+    bool written;
     {
         std::ofstream out(tmp_path, std::ios::binary);
-        if (!out)
-            return;
-        out << entry.dump() << '\n';
-        if (!out.good())
-            return;
+        written = out.write(entry.data(),
+                            static_cast<std::streamsize>(entry.size()))
+                      .flush()
+                      .good();
     }
     std::error_code ec;
-    fs::rename(tmp_path, entryPath(key), ec);
-    if (ec) {
+    if (written)
+        fs::rename(tmp_path, entryPath(key), ec);
+    if (!written || ec) {
         fs::remove(tmp_path, ec);
         return;
     }
     ++stats_.stores;
-}
-
-void
-ResultCache::flushIndex(const std::string &fingerprint)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!enabled_)
-        return;
-    // Cumulative counters: merge this handle's stats into whatever a
-    // previous run recorded, atomically like any entry. The
-    // read-merge-write below is a classic lost-update race when two
-    // runs share one --cache-dir, so it runs under an exclusive flock
-    // on a sidecar lockfile (advisory, but every writer is this
-    // code). Object files need no lock: they are content-addressed
-    // and published by rename.
-    const std::string lock_path =
-        (fs::path(dir_) / "index.lock").string();
-    const int lock_fd =
-        ::open(lock_path.c_str(), O_CREAT | O_RDWR, 0644);
-    if (lock_fd >= 0) {
-        while (::flock(lock_fd, LOCK_EX) != 0 && errno == EINTR) {
-        }
-    }
-
-    std::uint64_t hits = stats_.hits, misses = stats_.misses,
-                  stores = stats_.stores, corrupt = stats_.corrupt;
-    const std::string index_path =
-        (fs::path(dir_) / "index.json").string();
-    {
-        std::ifstream in(index_path, std::ios::binary);
-        if (in) {
-            std::ostringstream body;
-            body << in.rdbuf();
-            Json prev;
-            if (Json::parse(body.str(), prev) && prev.isObj()) {
-                hits += prev.getU64("hits");
-                misses += prev.getU64("misses");
-                stores += prev.getU64("stores");
-                corrupt += prev.getU64("corrupt");
-            }
-        }
-    }
-    Json index = Json::object();
-    index.set("v", Json::uinteger(1));
-    index.set("fingerprint", Json::str(fingerprint));
-    index.set("hits", Json::uinteger(hits));
-    index.set("misses", Json::uinteger(misses));
-    index.set("stores", Json::uinteger(stores));
-    index.set("corrupt", Json::uinteger(corrupt));
-
-    const std::string tmp_path =
-        (fs::path(dir_) / "tmp" /
-         ("index." + std::to_string(::getpid())))
-            .string();
-    std::error_code ec;
-    {
-        std::ofstream out(tmp_path, std::ios::binary);
-        if (out)
-            out << index.dump() << '\n';
-        if (!out) {
-            if (lock_fd >= 0)
-                ::close(lock_fd);
-            return;
-        }
-    }
-    fs::rename(tmp_path, index_path, ec);
-    if (ec)
-        fs::remove(tmp_path, ec);
-    if (lock_fd >= 0)
-        ::close(lock_fd); // releases the flock
 }
 
 } // namespace specint::service

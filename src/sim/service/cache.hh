@@ -8,15 +8,16 @@
  * serializes exactly those inputs (plus the point's axis values, for
  * human debuggability), is hashed with 64-bit FNV-1a twice (two offset
  * bases -> 128 bits of address space), and the entry lands in
- * objects/<32 hex>.json: one flat directory, so a store creates a file
- * and no directory.
+ * objects/<32 hex>: one flat directory, so a store creates a file and
+ * no directory. The entry's bytes are encodeEntry()'s (wire.hh).
  *
  * Safety over speed on the read path: a hit is only served when the
  * entry parses, its embedded canonical key string matches the probe
  * byte-for-byte (hash collisions cannot alias), and its payload
  * checksum verifies (truncated/corrupted files are recomputed, not
  * trusted). Writes are atomic (tmp file + rename), so a crashed or
- * interrupted run never publishes a partial entry.
+ * interrupted run never publishes a partial entry, and runs sharing
+ * one directory need no lock.
  */
 
 #ifndef SPECINT_SIM_SERVICE_CACHE_HH
@@ -33,10 +34,6 @@
 
 namespace specint::service
 {
-
-/** FNV-1a 64-bit over @p data with offset basis @p basis. */
-std::uint64_t fnv1a64(const std::string &data,
-                      std::uint64_t basis = 0xcbf29ce484222325ULL);
 
 /** A fully resolved cache key: canonical string + 128-bit address. */
 struct CacheKey
@@ -105,13 +102,9 @@ class ResultCache
         return stats_;
     }
 
-    /**
-     * Flush the human-readable index summary (index.json at the cache
-     * root: fingerprint of the last writer plus cumulative counters).
-     * Called once at the end of a run; an interrupted run leaves the
-     * previous index, while its stored entries stay valid.
-     */
-    void flushIndex(const std::string &fingerprint);
+    /** Does nothing: the cache keeps no index. perfbench's
+     *  sweep_replay (perfbench/src/sweep_replay.cc) still calls it. */
+    void flushIndex(const std::string &) {}
 
   private:
     std::string entryPath(const CacheKey &key) const;

@@ -1,11 +1,12 @@
 /**
  * @file
- * Cell/row codec implementation and JobSpec construction.
+ * Entry codec, the version-1 rows text and JobSpec construction.
  */
 
 #include "sim/service/wire.hh"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -16,122 +17,230 @@ using experiment::Row;
 using experiment::RunOptions;
 using experiment::Value;
 
-Json
-encodeValue(const Value &v)
+namespace
 {
-    Json j = Json::object();
-    switch (v.kind()) {
-      case Value::Kind::Str:
-        j.set("t", Json::str("s"));
-        j.set("v", Json::str(v.strValue()));
-        break;
-      case Value::Kind::Int:
-        j.set("t", Json::str("i"));
-        j.set("v", Json::integer(v.intValue()));
-        break;
-      case Value::Kind::UInt:
-        j.set("t", Json::str("u"));
-        j.set("v", Json::uinteger(v.uintValue()));
-        break;
-      case Value::Kind::Real: {
-        j.set("t", Json::str("r"));
-        // As text: %.17g round-trips the double exactly, and the
-        // display precision rides along so text()/csv() renderings of
-        // the decoded cell are byte-identical.
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.17g", v.realValue());
-        j.set("v", Json::str(buf));
-        j.set("p", Json::integer(v.precision()));
-        break;
-      }
-      case Value::Kind::Bool:
-        j.set("t", Json::str("b"));
-        j.set("v", Json::boolean(v.boolValue()));
-        break;
-    }
-    return j;
+
+constexpr std::string_view kVersionLine = "specsim-cache v2";
+
+/** A cell's type letter, in both formats. */
+char
+tagOf(const Value &v)
+{
+    return "siurb"[static_cast<int>(v.kind())]; // Value::Kind order
 }
 
-bool
-decodeValue(const Json &j, Value &out)
+/** %.17g round-trips every double exactly. */
+std::string
+realText(double d)
 {
-    if (!j.isObj())
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+    return buf;
+}
+
+void
+putText(std::string &out, std::string_view s)
+{
+    out += std::to_string(s.size());
+    out += ' ';
+    out += s;
+    out += '\n';
+}
+
+/** Cursor over an entry's bytes. Each read consumes one field and its
+ *  terminator, and returns false on anything malformed. */
+struct Reader
+{
+    std::string_view rest;
+
+    /** The bytes up to the next @p end, which is consumed too. */
+    bool
+    token(std::string_view &out, char end = '\n')
+    {
+        const std::size_t n = rest.find(end);
+        if (n == std::string_view::npos)
+            return false;
+        out = rest.substr(0, n);
+        rest.remove_prefix(n + 1);
+        return true;
+    }
+
+    template <typename T>
+    bool
+    number(T &out, char end = '\n', int base = 10)
+    {
+        std::string_view t;
+        if (!token(t, end))
+            return false;
+        const auto [p, ec] =
+            std::from_chars(t.data(), t.data() + t.size(), out, base);
+        return ec == std::errc() && p == t.data() + t.size();
+    }
+
+    bool
+    text(std::string &out)
+    {
+        std::size_t n = 0;
+        if (!number(n, ' ') || rest.size() <= n || rest[n] != '\n')
+            return false;
+        out.assign(rest.data(), n);
+        rest.remove_prefix(n + 1);
+        return true;
+    }
+
+    bool
+    cell(Value &out)
+    {
+        std::string_view tag;
+        if (!token(tag, ' ') || tag.size() != 1)
+            return false;
+        switch (tag[0]) {
+          case 's': {
+            std::string s;
+            if (!text(s))
+                return false;
+            out = Value::str(std::move(s));
+            return true;
+          }
+          case 'i': {
+            std::int64_t v = 0;
+            if (!number(v))
+                return false;
+            out = Value::integer(v);
+            return true;
+          }
+          case 'u': {
+            std::uint64_t v = 0;
+            if (!number(v))
+                return false;
+            out = Value::uinteger(v);
+            return true;
+          }
+          case 'r': {
+            int precision = 0;
+            std::string_view t;
+            if (!number(precision, ' ') || !token(t))
+                return false;
+            const std::string s(t);
+            errno = 0;
+            char *tail = nullptr;
+            const double d = std::strtod(s.c_str(), &tail);
+            if (s.empty() || errno != 0 || *tail != '\0')
+                return false;
+            out = Value::real(d, precision);
+            return true;
+          }
+          case 'b': {
+            std::string_view t;
+            if (!token(t) || (t != "0" && t != "1"))
+                return false;
+            out = Value::boolean(t == "1");
+            return true;
+          }
+        }
         return false;
-    const std::string t = j.getStr("t");
-    const Json &v = j.get("v");
-    if (t == "s") {
-        if (!v.isStr())
-            return false;
-        out = Value::str(v.strValue());
-        return true;
     }
-    if (t == "i") {
-        if (!v.isNumber())
-            return false;
-        out = Value::integer(v.i64());
-        return true;
+};
+
+} // namespace
+
+std::uint64_t
+fnv1a64(std::string_view data, std::uint64_t basis)
+{
+    std::uint64_t h = basis;
+    for (unsigned char c : data) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
     }
-    if (t == "u") {
-        if (!v.isNumber())
-            return false;
-        out = Value::uinteger(v.u64());
-        return true;
-    }
-    if (t == "r") {
-        if (!v.isStr())
-            return false;
-        errno = 0;
-        char *tail = nullptr;
-        const double d = std::strtod(v.strValue().c_str(), &tail);
-        if (errno != 0 || !tail || *tail != '\0')
-            return false;
-        out = Value::real(d,
-                          static_cast<int>(j.get("p").i64()));
-        return true;
-    }
-    if (t == "b") {
-        if (!v.isBool())
-            return false;
-        out = Value::boolean(v.boolValue());
-        return true;
-    }
-    return false;
+    return h;
 }
 
-Json
+std::string
+encodeEntry(const std::string &key, const std::vector<Row> &rows,
+            const std::string &legacy)
+{
+    std::string body;
+    putText(body, legacy);
+    body += std::to_string(rows.size()) + '\n';
+    for (const Row &row : rows) {
+        body += std::to_string(row.size()) + '\n';
+        for (const Value &v : row) {
+            body += tagOf(v);
+            body += ' ';
+            if (v.kind() == Value::Kind::Str)
+                putText(body, v.strValue());
+            else if (v.kind() == Value::Kind::Real)
+                body += std::to_string(v.precision()) + ' ' +
+                        realText(v.realValue()) + '\n';
+            else // i, u and b: text() is exact
+                body += v.text() + '\n';
+        }
+    }
+
+    std::string out(kVersionLine);
+    out += '\n';
+    putText(out, key);
+    char sum[24];
+    std::snprintf(sum, sizeof(sum), "%016llx\n",
+                  static_cast<unsigned long long>(fnv1a64(body)));
+    return out + sum + body;
+}
+
+const char *
+decodeEntry(const std::string &entry, const std::string &key,
+            std::vector<Row> &rows, std::string &legacy)
+{
+    Reader in{entry};
+    std::string_view version;
+    if (!in.token(version) || version != kVersionLine)
+        return "unknown version";
+    std::string entry_key;
+    if (!in.text(entry_key))
+        return "unparseable";
+    if (entry_key != key)
+        return "key mismatch";
+    std::uint64_t sum = 0;
+    if (!in.number(sum, '\n', 16) || sum != fnv1a64(in.rest))
+        return "checksum mismatch";
+
+    std::size_t n_rows = 0;
+    if (!in.text(legacy) || !in.number(n_rows))
+        return "unparseable";
+    rows.clear();
+    for (std::size_t r = 0; r < n_rows; ++r) {
+        std::size_t n_cells = 0;
+        if (!in.number(n_cells))
+            return "unparseable";
+        Row &row = rows.emplace_back();
+        for (std::size_t c = 0; c < n_cells; ++c)
+            if (!in.cell(row.emplace_back()))
+                return "unparseable";
+    }
+    return in.rest.empty() ? nullptr : "unparseable";
+}
+
+RowsText
 encodeRows(const std::vector<Row> &rows)
 {
-    Json arr = Json::array();
-    for (const Row &row : rows) {
-        Json jrow = Json::array();
-        for (const Value &cell : row)
-            jrow.push(encodeValue(cell));
-        arr.push(std::move(jrow));
-    }
-    return arr;
-}
-
-bool
-decodeRows(const Json &j, std::vector<Row> &out)
-{
-    if (!j.isArr())
-        return false;
-    out.clear();
-    out.reserve(j.items().size());
-    for (const Json &jrow : j.items()) {
-        if (!jrow.isArr())
-            return false;
-        Row row;
-        row.reserve(jrow.items().size());
-        for (const Json &jcell : jrow.items()) {
-            Value cell;
-            if (!decodeValue(jcell, cell))
-                return false;
-            row.push_back(std::move(cell));
+    // Object keys in sorted order, as the version-1 entries held them.
+    std::string out = "[";
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        out += r ? ",[" : "[";
+        for (std::size_t c = 0; c < rows[r].size(); ++c) {
+            const Value &v = rows[r][c];
+            out += c ? ",{" : "{";
+            if (v.kind() == Value::Kind::Real)
+                out += "\"p\":" + std::to_string(v.precision()) +
+                       ",\"t\":\"r\",\"v\":" +
+                       experiment::jsonEscape(realText(v.realValue()));
+            else
+                out += std::string("\"t\":\"") + tagOf(v) +
+                       "\",\"v\":" + v.json();
+            out += '}';
         }
-        out.push_back(std::move(row));
+        out += ']';
     }
-    return true;
+    return {out + "]"};
 }
 
 JobSpec

@@ -2,12 +2,12 @@
  * @file
  * Tests of the result cache (src/sim/service/cache.*): canonical-key
  * stability and sensitivity (every semantic input must change the
- * key), store/lookup round-trips through the row codec, the
- * corruption defenses — truncated, garbage, tampered and
- * version-skewed entries must all be rejected and recomputed, never
- * trusted — and the driver's cached path end to end: CSV output with
- * a cold or warm --cache-dir is byte-identical to an uncached run at
- * any --jobs.
+ * key), store/lookup round-trips through the entry codec, the
+ * corruption defenses — truncated, garbage, tampered, wrong-key and
+ * old-format entries must all be rejected and recomputed, never
+ * trusted — writers sharing one directory, and the driver's cached
+ * path end to end: CSV output with a cold or warm --cache-dir is
+ * byte-identical to an uncached run at any --jobs.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -88,7 +90,7 @@ basePoint()
 fs::path
 entryPathFor(const fs::path &root, const CacheKey &key)
 {
-    return root / "objects" / (key.hex() + ".json");
+    return root / "objects" / key.hex();
 }
 
 std::vector<Row>
@@ -112,11 +114,48 @@ expectRowsEqual(const std::vector<Row> &a, const std::vector<Row> &b)
     EXPECT_EQ(encodeRows(a).dump(), encodeRows(b).dump());
 }
 
+std::string
+readFile(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+std::size_t
+filesIn(const fs::path &dir)
+{
+    std::size_t n = 0;
+    for (const fs::directory_entry &e : fs::directory_iterator(dir))
+        n += e.is_regular_file();
+    return n;
+}
+
 } // namespace
 
 // --------------------------------------------------------------------------
-// fnv1a64 / key derivation
+// fnv1a64 / key derivation / rows text
 // --------------------------------------------------------------------------
+
+TEST(EncodeRows, SpellsRowsAsTheVersionOneCacheDid)
+{
+    // perfbench's sweep_replay digests this text against its committed
+    // reference, so it must not change by a byte.
+    EXPECT_EQ(
+        encodeRows(sampleRows()).dump(),
+        "[[{\"t\":\"s\",\"v\":\"dcache\"},{\"t\":\"i\",\"v\":-42},"
+        "{\"t\":\"u\",\"v\":18446744073709551615},"
+        "{\"p\":4,\"t\":\"r\",\"v\":\"0.12345678901234566\"},"
+        "{\"t\":\"b\",\"v\":true}],"
+        "[{\"t\":\"s\",\"v\":\"icache\"},{\"t\":\"i\",\"v\":7},"
+        "{\"t\":\"u\",\"v\":1},"
+        "{\"p\":2,\"t\":\"r\",\"v\":\"-1.5000000000000001e-300\"},"
+        "{\"t\":\"b\",\"v\":false}]]");
+    EXPECT_EQ(encodeRows({}).dump(), "[]");
+    EXPECT_EQ(encodeRows({Row{}}).dump(), "[[]]");
+    EXPECT_EQ(encodeRows({{Value::str("a\n\"\\\x1f\xc3\xa9")}}).dump(),
+              "[[{\"t\":\"s\",\"v\":\"a\\n\\\"\\\\\\u001f\xc3\xa9\"}]]");
+}
 
 TEST(Fnv1a64, MatchesReferenceVectors)
 {
@@ -219,10 +258,35 @@ TEST(ResultCache, StoreLookupRoundTripsEveryValueKind)
     // Exact text rendering survives (what CSV byte-identity needs).
     EXPECT_EQ(out[0][3].text(), rows[0][3].text());
 
+    // Any byte survives a string cell, and empty parts round-trip.
+    const struct
+    {
+        std::vector<Row> rows;
+        std::string legacy;
+    } cases[] = {
+        {{{Value::str("a\nb\"c\\d\x1f\xc3\xa9"), Value::str("")},
+          {},
+          {Value::str("\n")}},
+         "legacy\n"},
+        {{}, "no rows\n"},
+        {sampleRows(), ""},
+        {sampleRows(), "no trailing newline"},
+    };
+    for (std::size_t i = 0; i < std::size(cases); ++i) {
+        const CacheKey k =
+            makeCacheKey(baseSpec(), 10 + i, 1, basePoint(), "fp0");
+        cache.store(k, cases[i].rows, cases[i].legacy);
+        out.assign(3, Row{Value::str("stale")});
+        out_legacy = "stale";
+        ASSERT_TRUE(cache.lookup(k, out, out_legacy)) << "case " << i;
+        expectRowsEqual(out, cases[i].rows);
+        EXPECT_EQ(out_legacy, cases[i].legacy) << "case " << i;
+    }
+
     const CacheStats st = cache.stats();
-    EXPECT_EQ(st.hits, 1u);
+    EXPECT_EQ(st.hits, 1u + std::size(cases));
     EXPECT_EQ(st.misses, 1u);
-    EXPECT_EQ(st.stores, 1u);
+    EXPECT_EQ(st.stores, 1u + std::size(cases));
     EXPECT_EQ(st.corrupt, 0u);
 }
 
@@ -234,14 +298,12 @@ TEST(ResultCache, SecondHandleSeesPersistedEntries)
     {
         ResultCache writer(tmp.path.string());
         writer.store(key, sampleRows(), "L");
-        writer.flushIndex("fp0");
     }
     ResultCache reader(tmp.path.string());
     std::vector<Row> out;
     std::string legacy;
     ASSERT_TRUE(reader.lookup(key, out, legacy));
     expectRowsEqual(out, sampleRows());
-    EXPECT_TRUE(fs::exists(tmp.path / "index.json"));
 }
 
 TEST(ResultCache, GarbageEntryIsRejectedAndRecomputable)
@@ -326,6 +388,35 @@ TEST(ResultCache, WrongKeyInEntryIsRejected)
     EXPECT_EQ(cache.stats().corrupt, 1u);
 }
 
+TEST(ResultCache, VersionOneEntryIsRejectedAndRecomputed)
+{
+    // An entry as the version-1 cache wrote it, checksum and all,
+    // placed where this key's entry lives: the format changed, so it is
+    // counted corrupt and recomputed, never parsed as a hit.
+    TempDir tmp;
+    ResultCache cache(tmp.path.string());
+    const CacheKey key =
+        makeCacheKey(baseSpec(), 0, 1, basePoint(), "fp0");
+    const std::string rows = encodeRows(sampleRows()).dump();
+    const std::string legacy = "L\n";
+    std::ofstream(entryPathFor(tmp.path, key), std::ios::binary)
+        << "{\"checksum\":" << fnv1a64(rows + "\x1f" + legacy)
+        << ",\"key\":" << jsonEscape(key.canonical)
+        << ",\"legacy\":" << jsonEscape(legacy) << ",\"rows\":" << rows
+        << ",\"v\":1}\n";
+
+    std::vector<Row> out;
+    std::string out_legacy;
+    EXPECT_FALSE(cache.lookup(key, out, out_legacy));
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+
+    cache.store(key, sampleRows(), legacy);
+    ASSERT_TRUE(cache.lookup(key, out, out_legacy));
+    expectRowsEqual(out, sampleRows());
+    EXPECT_EQ(out_legacy, legacy);
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+}
+
 TEST(ResultCache, UnwritableRootDegradesToDisabled)
 {
     ResultCache cache("/dev/null/not_a_directory");
@@ -336,7 +427,6 @@ TEST(ResultCache, UnwritableRootDegradesToDisabled)
     std::string legacy;
     EXPECT_FALSE(cache.lookup(key, out, legacy)); // miss, no crash
     cache.store(key, sampleRows(), "L");          // dropped, no crash
-    cache.flushIndex("fp0");
     EXPECT_EQ(cache.stats().stores, 0u);
 }
 
@@ -359,16 +449,17 @@ TEST(ResultCache, FingerprintChangeMissesOldEntries)
     EXPECT_TRUE(cache.lookup(old_key, out, legacy));
 }
 
-TEST(ResultCache, ConcurrentWritersNeverLoseIndexUpdates)
+TEST(ResultCache, ConcurrentWritersOfTheSameKeysLeaveValidEntries)
 {
-    // Several runs may share one --cache-dir at once. Object files
-    // are content-addressed and rename-published, but index.json is a
-    // read-merge-write — without the flock it is a lost-update race.
-    // Hammer it: several forked writers each store distinct entries
-    // and flush concurrently; the final index must account for every
-    // store.
+    // Several runs may share one --cache-dir at once, and nothing but
+    // tmp file + rename() keeps them apart. Hammer it: forked writers
+    // all store the same keys at once; every entry must then verify
+    // from a fresh handle, and no writer may leave a tmp file behind.
     constexpr int kWriters = 8;
-    constexpr int kStoresPerWriter = 4;
+    constexpr std::size_t kKeys = 4;
+    const auto keyOf = [](std::size_t k) {
+        return makeCacheKey(baseSpec(), k, 1, basePoint(), "fp-mp");
+    };
 
     TempDir tmp;
     std::vector<pid_t> children;
@@ -377,18 +468,9 @@ TEST(ResultCache, ConcurrentWritersNeverLoseIndexUpdates)
         ASSERT_GE(pid, 0);
         if (pid == 0) {
             ResultCache cache(tmp.path.string());
-            for (int s = 0; s < kStoresPerWriter; ++s) {
-                // Distinct (writer, store) -> distinct key.
-                const CacheKey key = makeCacheKey(
-                    baseSpec(),
-                    static_cast<std::size_t>(w * kStoresPerWriter +
-                                             s),
-                    static_cast<std::uint64_t>(w + 1), basePoint(),
-                    "fp-mp");
-                cache.store(key, sampleRows(), "L");
-            }
-            cache.flushIndex("fp-mp");
-            ::_exit(::testing::Test::HasFailure() ? 1 : 0);
+            for (std::size_t k = 0; k < kKeys; ++k)
+                cache.store(keyOf(k), sampleRows(), "L");
+            ::_exit(cache.stats().stores == kKeys ? 0 : 1);
         }
         children.push_back(pid);
     }
@@ -399,31 +481,16 @@ TEST(ResultCache, ConcurrentWritersNeverLoseIndexUpdates)
         EXPECT_EQ(WEXITSTATUS(status), 0);
     }
 
-    std::ifstream in(tmp.path / "index.json");
-    ASSERT_TRUE(in.good());
-    std::string body((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    Json index;
-    ASSERT_TRUE(Json::parse(body, index)) << body;
-    EXPECT_EQ(index.getU64("stores"),
-              static_cast<std::uint64_t>(kWriters) *
-                  kStoresPerWriter)
-        << body;
-
-    // Every entry is individually readable from a fresh handle.
     ResultCache reader(tmp.path.string());
-    for (int w = 0; w < kWriters; ++w)
-        for (int s = 0; s < kStoresPerWriter; ++s) {
-            const CacheKey key = makeCacheKey(
-                baseSpec(),
-                static_cast<std::size_t>(w * kStoresPerWriter + s),
-                static_cast<std::uint64_t>(w + 1), basePoint(),
-                "fp-mp");
-            std::vector<Row> out;
-            std::string legacy;
-            EXPECT_TRUE(reader.lookup(key, out, legacy))
-                << "writer " << w << " store " << s;
-        }
+    for (std::size_t k = 0; k < kKeys; ++k) {
+        std::vector<Row> out;
+        std::string legacy;
+        EXPECT_TRUE(reader.lookup(keyOf(k), out, legacy)) << "key " << k;
+        expectRowsEqual(out, sampleRows());
+    }
+    EXPECT_EQ(reader.stats().corrupt, 0u);
+    EXPECT_EQ(filesIn(tmp.path / "objects"), kKeys);
+    EXPECT_EQ(filesIn(tmp.path / "tmp"), 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -432,22 +499,6 @@ TEST(ResultCache, ConcurrentWritersNeverLoseIndexUpdates)
 
 namespace
 {
-
-std::string
-readFile(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-}
-
-Json
-readJson(const fs::path &path)
-{
-    Json j;
-    EXPECT_TRUE(Json::parse(readFile(path), j)) << path;
-    return j;
-}
 
 /** Run `specsim_bench <args...>` in-process; returns the exit code. */
 int
@@ -502,9 +553,15 @@ TEST_P(CachedCli, CsvIsByteIdenticalUncachedColdAndWarmAtJobs1And4)
             ASSERT_EQ(runCli(args), 0) << mode << " --jobs " << jobs;
             csvs.push_back(readFile(out));
             if (mode == "cold") {
-                EXPECT_EQ(readJson(cache / "index.json").getU64("stores"),
-                          points)
+                // One entry per point; no index beside them.
+                EXPECT_EQ(filesIn(cache / "objects"), points)
                     << "--jobs " << jobs;
+                EXPECT_EQ(filesIn(cache / "tmp"), 0u);
+                std::set<std::string> root;
+                for (const fs::directory_entry &e :
+                     fs::directory_iterator(cache))
+                    root.insert(e.path().filename().string());
+                EXPECT_EQ(root, (std::set<std::string>{"objects", "tmp"}));
             }
         }
     }
@@ -517,9 +574,10 @@ TEST_P(CachedCli, CsvIsByteIdenticalUncachedColdAndWarmAtJobs1And4)
     ASSERT_EQ(runCli({name, "--json", "--out", json.string(),
                       "--cache-dir", (tmp.path / "cache-j1").string()}),
               0);
-    const Json cache = readJson(json).get("cache");
-    EXPECT_EQ(cache.getU64("hits"), points);
-    EXPECT_EQ(cache.getU64("misses"), 0u);
+    EXPECT_NE(readFile(json).find("\"cache\": {\"hits\": " +
+                                  std::to_string(points) +
+                                  ", \"misses\": 0}"),
+              std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(Scenarios, CachedCli,

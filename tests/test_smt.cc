@@ -233,31 +233,21 @@ TEST(SmtUnitTest, MshrSquashAndAccountingAreThreadLocal)
 
 TEST(SmtUnitTest, ReservationStationPartitionedVsShared)
 {
-    auto make_inst = [](ThreadId tid) {
-        OwnedDynInst d;
-        d.inst.tid = tid;
-        return d;
-    };
+    // Records come from a Rob, as the front end dispatches them.
+    Rob rob;
+    SeqNum seq = 0;
 
     ReservationStation part(8, 2, SharingPolicy::Partitioned);
-    std::vector<OwnedDynInst> insts;
-    insts.reserve(16);
-    for (unsigned i = 0; i < 4; ++i) {
-        insts.push_back(make_inst(0));
-        part.allocate(insts.back().inst);
-    }
+    for (unsigned i = 0; i < 4; ++i)
+        part.allocate(rob.allocTail(seq++));
     EXPECT_TRUE(part.full(0));  // thread 0 exhausted its 8/2 share
     EXPECT_FALSE(part.full(1)); // thread 1's share untouched
     EXPECT_EQ(part.occupancy(), 4u);
     EXPECT_EQ(part.occupancy() - part.occupancy(1), 4u);
 
     ReservationStation shared(8, 2, SharingPolicy::Shared);
-    std::vector<OwnedDynInst> insts2;
-    insts2.reserve(16);
-    for (unsigned i = 0; i < 8; ++i) {
-        insts2.push_back(make_inst(0));
-        shared.allocate(insts2.back().inst);
-    }
+    for (unsigned i = 0; i < 8; ++i)
+        shared.allocate(rob.allocTail(seq++));
     EXPECT_TRUE(shared.full(0));
     EXPECT_TRUE(shared.full(1)); // one thread can starve the sibling
 }
@@ -269,29 +259,27 @@ TEST(SmtUnitTest, LsqPartitionedVsShared)
         s.op = Op::Load;
         return s;
     }();
-    auto load_inst = [](ThreadId tid) {
-        OwnedDynInst d;
-        d.inst.tid = tid;
-        d.inst.setStaticInst(&load_si);
+    // Records come from a Rob, as the front end dispatches them.
+    Rob rob;
+    SeqNum seq = 0;
+    auto load_inst = [&](ThreadId tid) -> DynInst & {
+        DynInst &d = rob.allocTail(seq++);
+        d.tid = tid;
+        d.setStaticInst(&load_si);
         return d;
     };
 
     Lsq part(4, 4, 2, SharingPolicy::Partitioned, SharingPolicy::Shared);
-    for (unsigned i = 0; i < 2; ++i) {
-        const OwnedDynInst d = load_inst(0);
-        ASSERT_TRUE(part.allocate(d.inst));
-    }
+    for (unsigned i = 0; i < 2; ++i)
+        ASSERT_TRUE(part.allocate(load_inst(0)));
     EXPECT_TRUE(part.lqFull(0));
     EXPECT_FALSE(part.lqFull(1));
 
     Lsq shared(4, 4, 2, SharingPolicy::Shared, SharingPolicy::Shared);
-    for (unsigned i = 0; i < 4; ++i) {
-        const OwnedDynInst d = load_inst(0);
-        ASSERT_TRUE(shared.allocate(d.inst));
-    }
+    for (unsigned i = 0; i < 4; ++i)
+        ASSERT_TRUE(shared.allocate(load_inst(0)));
     EXPECT_TRUE(shared.lqFull(1));
-    const OwnedDynInst d = load_inst(1);
-    EXPECT_FALSE(shared.allocate(d.inst));
+    EXPECT_FALSE(shared.allocate(load_inst(1)));
 }
 
 TEST(SmtCoreTest, PartitionedRsProtectsSiblingFromCongestion)
