@@ -2,7 +2,8 @@
  * @file
  * Scenario: microbenchmarks of the simulator itself — raw cache-array
  * throughput, hierarchy accesses, full-core/SMT/System simulation
- * speed, receiver round cost, and end-to-end trial cost. Formerly a
+ * speed, receiver round cost, end-to-end trial cost, and the cost of
+ * generating the synthetic SPEC2017-archetype programs. Formerly a
  * google-benchmark binary; now a self-timed scenario so the rows feed
  * the unified emitters and the CI perf-trajectory artifact
  * (BENCH_microbench.json) without an optional dependency.
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "attack/receiver.hh"
 #include "attack/sender.hh"
@@ -364,6 +366,35 @@ benchTrialSetupReuse(unsigned trials)
         trials);
 }
 
+/** Cost of building perfbench defense_suite's programs at its seed 1:
+ *  the 12 SPEC2017 archetypes at 600 instructions, two seeds each,
+ *  through generateWorkload. One op builds all 24; the throughput
+ *  column counts generated instructions, not simulated cycles. */
+KernelResult
+benchWorkloadGenerate(unsigned trials)
+{
+    std::vector<WorkloadSpec> specs;
+    std::uint64_t k = 0;
+    for (const WorkloadSpec &base : spec2017Archetypes(600)) {
+        for (unsigned v = 0; v < 2; ++v) {
+            specs.push_back(base);
+            specs.back().seed = splitSeed(1, k++);
+        }
+    }
+    return measure(
+        [&](std::uint64_t n) {
+            std::uint64_t instructions = 0;
+            for (std::uint64_t i = 0; i < n; ++i) {
+                for (const WorkloadSpec &spec : specs) {
+                    const GeneratedWorkload wl = generateWorkload(spec);
+                    instructions += wl.prog.size();
+                }
+            }
+            return instructions;
+        },
+        trials);
+}
+
 struct Kernel
 {
     const char *name;
@@ -403,6 +434,7 @@ const Kernel kKernels[] = {
     {"EndToEndAttackTrial", benchEndToEndAttackTrial},
     {"TrialSetup/fresh", benchTrialSetupFresh},
     {"TrialSetup/reuse", benchTrialSetupReuse},
+    {"WorkloadGenerate/spec2017x600", benchWorkloadGenerate},
 };
 
 PointResult
@@ -441,7 +473,8 @@ renderLegacy(const Report &report, const RunOptions &, std::FILE *out)
                  "sim cycles/sec: simulated-cycles-per-wall-second of "
                  "the core/SMT/System kernels\n(the headline "
                  "simulation-speed metric; timings are wall-clock and "
-                 "machine-dependent).\n");
+                 "machine-dependent).\nWorkloadGenerate's column counts "
+                 "generated instructions per wall-second.\n");
     return 0;
 }
 
@@ -454,7 +487,8 @@ registerMicrobench(experiment::ScenarioRegistry &r)
     sc.name = "microbench";
     sc.description = "self-timed microbenchmarks of the simulator "
                      "(cache array, hierarchy, core/SMT/System, "
-                     "receiver, end-to-end trial)";
+                     "receiver, end-to-end trial, workload "
+                     "generation)";
     sc.paperRef = "";
     sc.defaultTrials = 4;
     sc.defaultSeed = 0;

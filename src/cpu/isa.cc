@@ -1,7 +1,7 @@
 /**
  * @file
  * Static instruction helpers: op names, branch-condition evaluation
- * and the disassembly used by Program::dump(). (Op resource traits are
+ * and the disassembly used by Program::listing(). (Op resource traits are
  * the constant table in isa.hh.)
  */
 
@@ -75,8 +75,6 @@ disassemble(const StaticInst &si)
       default:
         break;
     }
-    if (!si.label.empty())
-        os << "  ; " << si.label;
     return os.str();
 }
 

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
+#include <type_traits>
 
 #include "sim/types.hh"
 
@@ -48,7 +49,12 @@ enum class Op : std::uint8_t
 /** Branch condition kinds. */
 enum class BranchCond : std::uint8_t { LT, GE, EQ, NE };
 
-/** One static instruction. */
+/**
+ * One static instruction: a 32-byte trivially copyable record. Its
+ * label text, when it has one, lives in the owning Program's label
+ * table (Program::label), so building and copying code moves no
+ * strings.
+ */
 struct StaticInst
 {
     Op op = Op::Nop;
@@ -61,10 +67,11 @@ struct StaticInst
     std::uint32_t scale = 1;
     /** Branch condition. */
     BranchCond cond = BranchCond::NE;
+    /** The Program holds a label for this instruction (it sits in the
+     *  padding after cond). */
+    bool labeled = false;
     /** Branch taken-target (index into the program). */
     std::uint32_t target = 0;
-    /** Optional label used by experiments to find instructions. */
-    std::string label;
 
     bool isLoad() const { return op == Op::Load; }
     bool isStore() const { return op == Op::Store; }
@@ -77,6 +84,10 @@ struct StaticInst
                 op == Op::FpDiv || op == Op::Load);
     }
 };
+
+static_assert(std::is_trivially_copyable_v<StaticInst> &&
+                  sizeof(StaticInst) == 32,
+              "StaticInst must stay a 32-byte trivially copyable record");
 
 /** Number of op classes (Op values are dense from 0). */
 constexpr unsigned kNumOps = static_cast<unsigned>(Op::Halt) + 1;
@@ -153,7 +164,8 @@ std::string opName(Op op);
 /** Evaluate a branch condition. */
 bool evalCond(BranchCond cond, std::uint64_t a, std::uint64_t b);
 
-/** Disassemble one instruction (debugging aid). */
+/** Disassemble one instruction, without its label (debugging aid;
+ *  Program::listing adds the labels). */
 std::string disassemble(const StaticInst &si);
 
 } // namespace specint

@@ -105,8 +105,9 @@ CommitUnit::retire(std::vector<std::unique_ptr<ThreadContext>> &threads,
                     "seq", h.seq);
             }
 
-            if (!h.si().label.empty()) {
-                th.trace.push_back({h.si().label, h.pc(), h.seq,
+            if (h.si().labeled) {
+                th.trace.push_back({std::string(th.prog->label(h.pc())),
+                                    h.pc(), h.seq,
                                     h.dispatchedAt(), h.issuedAt(),
                                     h.completeAt, h.retiredAt(),
                                     h.effAddr()});

@@ -7,6 +7,7 @@
 
 #include "cpu/program.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -14,24 +15,27 @@ namespace specint
 {
 
 unsigned
-Program::add(StaticInst si)
+Program::add(StaticInst si, std::string_view label)
 {
-    code_.push_back(std::move(si));
-    return static_cast<unsigned>(code_.size() - 1);
+    const auto pc = static_cast<unsigned>(code_.size());
+    si.labeled = !label.empty();
+    if (si.labeled)
+        labels_.emplace_back(pc, label);
+    code_.push_back(si);
+    return pc;
 }
 
 unsigned
-Program::nop(std::string label)
+Program::nop(std::string_view label)
 {
     StaticInst si;
     si.op = Op::Nop;
-    si.label = std::move(label);
-    return add(si);
+    return add(si, label);
 }
 
 unsigned
 Program::alu(RegId dst, RegId src1, RegId src2, std::int64_t imm,
-             std::string label)
+             std::string_view label)
 {
     StaticInst si;
     si.op = Op::IntAlu;
@@ -39,19 +43,18 @@ Program::alu(RegId dst, RegId src1, RegId src2, std::int64_t imm,
     si.src1 = src1;
     si.src2 = src2;
     si.imm = imm;
-    si.label = std::move(label);
-    return add(si);
+    return add(si, label);
 }
 
 unsigned
-Program::movi(RegId dst, std::int64_t imm, std::string label)
+Program::movi(RegId dst, std::int64_t imm, std::string_view label)
 {
-    return alu(dst, kNoReg, kNoReg, imm, std::move(label));
+    return alu(dst, kNoReg, kNoReg, imm, label);
 }
 
 unsigned
 Program::mul(RegId dst, RegId src1, RegId src2, std::int64_t imm,
-             std::string label)
+             std::string_view label)
 {
     StaticInst si;
     si.op = Op::IntMul;
@@ -59,35 +62,32 @@ Program::mul(RegId dst, RegId src1, RegId src2, std::int64_t imm,
     si.src1 = src1;
     si.src2 = src2;
     si.imm = imm;
-    si.label = std::move(label);
-    return add(si);
+    return add(si, label);
 }
 
 unsigned
-Program::sqrt(RegId dst, RegId src1, std::string label)
+Program::sqrt(RegId dst, RegId src1, std::string_view label)
 {
     StaticInst si;
     si.op = Op::FpSqrt;
     si.dst = dst;
     si.src1 = src1;
-    si.label = std::move(label);
-    return add(si);
+    return add(si, label);
 }
 
 unsigned
-Program::fdiv(RegId dst, RegId src1, std::string label)
+Program::fdiv(RegId dst, RegId src1, std::string_view label)
 {
     StaticInst si;
     si.op = Op::FpDiv;
     si.dst = dst;
     si.src1 = src1;
-    si.label = std::move(label);
-    return add(si);
+    return add(si, label);
 }
 
 unsigned
 Program::load(RegId dst, RegId base, std::int64_t disp,
-              std::uint32_t scale, std::string label)
+              std::uint32_t scale, std::string_view label)
 {
     StaticInst si;
     si.op = Op::Load;
@@ -95,13 +95,12 @@ Program::load(RegId dst, RegId base, std::int64_t disp,
     si.src1 = base;
     si.imm = disp;
     si.scale = scale;
-    si.label = std::move(label);
-    return add(si);
+    return add(si, label);
 }
 
 unsigned
 Program::store(RegId base, RegId value, std::int64_t disp,
-               std::uint32_t scale, std::string label)
+               std::uint32_t scale, std::string_view label)
 {
     StaticInst si;
     si.op = Op::Store;
@@ -109,13 +108,12 @@ Program::store(RegId base, RegId value, std::int64_t disp,
     si.src2 = value;
     si.imm = disp;
     si.scale = scale;
-    si.label = std::move(label);
-    return add(si);
+    return add(si, label);
 }
 
 unsigned
 Program::branch(BranchCond cond, RegId src1, RegId src2,
-                std::uint32_t target, std::string label)
+                std::uint32_t target, std::string_view label)
 {
     StaticInst si;
     si.op = Op::Branch;
@@ -123,17 +121,15 @@ Program::branch(BranchCond cond, RegId src1, RegId src2,
     si.src1 = src1;
     si.src2 = src2;
     si.target = target;
-    si.label = std::move(label);
-    return add(si);
+    return add(si, label);
 }
 
 unsigned
-Program::fence(std::string label)
+Program::fence(std::string_view label)
 {
     StaticInst si;
     si.op = Op::Fence;
-    si.label = std::move(label);
-    return add(si);
+    return add(si, label);
 }
 
 unsigned
@@ -165,12 +161,23 @@ Program::setImmediate(unsigned idx, std::int64_t imm)
     code_[idx].imm = imm;
 }
 
-int
-Program::findLabel(const std::string &label) const
+std::string_view
+Program::label(unsigned pc) const
 {
-    for (std::size_t i = 0; i < code_.size(); ++i)
-        if (code_[i].label == label)
-            return static_cast<int>(i);
+    const auto it = std::lower_bound(
+        labels_.begin(), labels_.end(), pc,
+        [](const auto &entry, unsigned p) { return entry.first < p; });
+    if (it == labels_.end() || it->first != pc)
+        return {};
+    return it->second;
+}
+
+int
+Program::findLabel(std::string_view label) const
+{
+    for (const auto &[pc, text] : labels_)
+        if (text == label)
+            return static_cast<int>(pc);
     return -1;
 }
 
@@ -178,8 +185,12 @@ std::string
 Program::listing() const
 {
     std::ostringstream os;
-    for (std::size_t i = 0; i < code_.size(); ++i)
-        os << i << ":\t" << disassemble(code_[i]) << '\n';
+    for (std::size_t i = 0; i < code_.size(); ++i) {
+        os << i << ":\t" << disassemble(code_[i]);
+        if (code_[i].labeled)
+            os << "  ; " << label(static_cast<unsigned>(i));
+        os << '\n';
+    }
     return os.str();
 }
 

@@ -14,7 +14,8 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cpu/isa.hh"
@@ -33,32 +34,36 @@ class Program
         : codeBase_(code_base)
     {}
 
-    /** @name Builder interface (returns the new instruction's index) */
+    /** @name Builder interface (returns the new instruction's index)
+     *  An empty label leaves the instruction unlabelled. */
     /// @{
-    unsigned add(StaticInst si);
+    unsigned add(StaticInst si, std::string_view label = {});
 
-    unsigned nop(std::string label = "");
+    unsigned nop(std::string_view label = {});
     /** dst = src1 + src2 + imm. */
     unsigned alu(RegId dst, RegId src1, RegId src2 = kNoReg,
-                 std::int64_t imm = 0, std::string label = "");
+                 std::int64_t imm = 0, std::string_view label = {});
     /** dst = imm (move-immediate pseudo-op). */
-    unsigned movi(RegId dst, std::int64_t imm, std::string label = "");
+    unsigned movi(RegId dst, std::int64_t imm, std::string_view label = {});
     unsigned mul(RegId dst, RegId src1, RegId src2 = kNoReg,
-                 std::int64_t imm = 0, std::string label = "");
+                 std::int64_t imm = 0, std::string_view label = {});
     /** Long-latency non-pipelined op (VSQRTPD analogue). */
-    unsigned sqrt(RegId dst, RegId src1, std::string label = "");
-    unsigned fdiv(RegId dst, RegId src1, std::string label = "");
+    unsigned sqrt(RegId dst, RegId src1, std::string_view label = {});
+    unsigned fdiv(RegId dst, RegId src1, std::string_view label = {});
     /** dst = mem[src1*scale + disp]. src1 == kNoReg: absolute. */
     unsigned load(RegId dst, RegId base, std::int64_t disp,
-                  std::uint32_t scale = 1, std::string label = "");
+                  std::uint32_t scale = 1, std::string_view label = {});
     unsigned store(RegId base, RegId value, std::int64_t disp,
-                   std::uint32_t scale = 1, std::string label = "");
+                   std::uint32_t scale = 1, std::string_view label = {});
     /** Branch to @p target if (src1 cond src2). */
     unsigned branch(BranchCond cond, RegId src1, RegId src2,
-                    std::uint32_t target, std::string label = "");
-    unsigned fence(std::string label = "");
+                    std::uint32_t target, std::string_view label = {});
+    unsigned fence(std::string_view label = {});
     unsigned halt();
     /// @}
+
+    /** Reserve room for @p instructions instructions. */
+    void reserve(std::size_t instructions) { code_.reserve(instructions); }
 
     /** Set the initial value of a register. */
     void setReg(RegId reg, std::uint64_t value);
@@ -82,8 +87,11 @@ class Program
 
     const std::vector<std::uint64_t> &initRegs() const { return regs_; }
 
+    /** Label of instruction @p pc ("" if it has none). */
+    std::string_view label(unsigned pc) const;
+
     /** Index of the first instruction carrying @p label (-1 if none). */
-    int findLabel(const std::string &label) const;
+    int findLabel(std::string_view label) const;
 
     /** Full disassembly listing. */
     std::string listing() const;
@@ -91,6 +99,8 @@ class Program
   private:
     Addr codeBase_;
     std::vector<StaticInst> code_;
+    /** (pc, label) of every labelled instruction, in pc order. */
+    std::vector<std::pair<unsigned, std::string>> labels_;
     std::vector<std::uint64_t> regs_ = std::vector<std::uint64_t>(
         kNumRegs, 0);
 };

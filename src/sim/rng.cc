@@ -1,11 +1,9 @@
 /**
  * @file
- * xoshiro256** RNG implementation, seeded via SplitMix64.
+ * xoshiro256** seeding via SplitMix64, and the inclusive range draw.
  */
 
 #include "sim/rng.hh"
-
-#include <cassert>
 
 namespace specint
 {
@@ -21,12 +19,6 @@ splitmix64(std::uint64_t &x)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
-}
-
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
 }
 
 } // namespace
@@ -45,52 +37,14 @@ Rng::seed(std::uint64_t seed_value)
 }
 
 std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::below(std::uint64_t bound)
-{
-    assert(bound != 0);
-    // Debiased multiply-shift (Lemire). The bias after one rejection
-    // pass is negligible for simulation purposes.
-    __uint128_t m = static_cast<__uint128_t>(next()) * bound;
-    return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::uint64_t
 Rng::range(std::uint64_t lo, std::uint64_t hi)
 {
     assert(lo <= hi);
+    // [0, 2^64 - 1] has 2^64 values: hi - lo + 1 wraps to 0, and every
+    // raw draw is already in range.
+    if (hi - lo == ~0ULL)
+        return lo + next();
     return lo + below(hi - lo + 1);
-}
-
-double
-Rng::uniform()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 } // namespace specint

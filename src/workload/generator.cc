@@ -36,6 +36,9 @@ generateWorkload(const WorkloadSpec &spec)
     Program &prog = out.prog;
     if (spec.codeBase)
         prog = Program(spec.codeBase);
+    // A branch block may overshoot the count by 4 (a predicate load, the
+    // branch and 3 skipped ALU ops), and then comes the halt.
+    prog.reserve(spec.instructions + 5);
 
     const unsigned footprint = std::max(1u, spec.footprintLines);
     // Same region split as the defaults (ring 64 MB past the data), so
@@ -57,18 +60,30 @@ generateWorkload(const WorkloadSpec &spec)
     const std::int64_t taken_threshold =
         static_cast<std::int64_t>(spec.branchTakenProb * 100.0);
 
+    // Every draw is its own statement, never one of several arguments
+    // of a call: argument order is unspecified, and the seeded streams
+    // (and the golden traces pinned on them) must not depend on the
+    // compiler's choice. Where a builder takes several drawn operands,
+    // the historical order is the last operand first (src2, src1, dst).
     auto tmp = [&]() -> RegId {
         return static_cast<RegId>(rFirstTmp + rng.below(kTmpRegs));
     };
     auto footprint_addr = [&]() -> std::int64_t {
-        // Explicitly sequenced: the two draws inside one expression
-        // would have unspecified order, and the seeded streams (and
-        // the golden traces pinned on them) must not depend on the
-        // compiler's choice. Line-then-word is the historical order.
+        // Line-then-word is the historical order.
         const std::uint64_t line = rng.below(footprint);
         const std::uint64_t word = rng.below(8);
         return static_cast<std::int64_t>(data_base + 64ULL * line +
                                          8ULL * word);
+    };
+    // dst = src1 op src2 + 1 (IntAlu or IntMul) over three temporaries.
+    auto arith = [&](Op op) {
+        StaticInst si;
+        si.op = op;
+        si.src2 = tmp();
+        si.src1 = tmp();
+        si.dst = tmp();
+        si.imm = 1;
+        prog.add(si);
     };
 
     unsigned emitted = 0;
@@ -82,7 +97,9 @@ generateWorkload(const WorkloadSpec &spec)
                 prog.load(rData, kNoReg, footprint_addr());
             }
         } else if (roll < (acc += spec.storeFrac)) {
-            prog.store(kNoReg, tmp(), footprint_addr());
+            const std::int64_t addr = footprint_addr();
+            const RegId value = tmp();
+            prog.store(kNoReg, value, addr);
         } else if (roll < (acc += spec.branchFrac)) {
             // Data-dependent forward branch over 1-3 instructions.
             // Half the branches load a fresh predicate word (taken iff
@@ -113,18 +130,20 @@ generateWorkload(const WorkloadSpec &spec)
             const unsigned skip = 1 + static_cast<unsigned>(
                                           rng.below(3));
             for (unsigned k = 0; k < skip; ++k)
-                prog.alu(tmp(), tmp(), tmp(), 1);
+                arith(Op::IntAlu);
             prog.setBranchTarget(br,
                                  static_cast<std::uint32_t>(
                                      prog.size()));
             emitted += skip + 1 + extra;
             continue;
         } else if (roll < (acc += spec.mulFrac)) {
-            prog.mul(tmp(), tmp(), tmp(), 1);
+            arith(Op::IntMul);
         } else if (roll < (acc += spec.sqrtFrac)) {
-            prog.sqrt(tmp(), tmp());
+            const RegId src1 = tmp();
+            const RegId dst = tmp();
+            prog.sqrt(dst, src1);
         } else {
-            prog.alu(tmp(), tmp(), tmp(), 1);
+            arith(Op::IntAlu);
         }
         ++emitted;
     }

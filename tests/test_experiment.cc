@@ -556,7 +556,7 @@ TEST(RegisteredScenarios, SweepSizesMatchLegacyGrids)
         {"fig12", 12},   {"ablation_advanced", 5},
         {"ablation_mshr", 7}, {"ablation_rs", 6},
         {"ablation_smt", 72}, {"ablation_cross_core", 24},
-        {"microbench", 18},
+        {"microbench", 19},
     };
     for (const auto &e : expected) {
         const Scenario *sc = reg.find(e.name);

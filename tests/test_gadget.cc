@@ -122,8 +122,8 @@ TEST(SenderBuildDetails, MshrGadgetHasOneLoadPerMshr)
     p.mshrLoads = 10;
     const SenderProgram sp = buildSender(p, hier);
     unsigned gadget_loads = 0;
-    for (const auto &si : sp.prog.code())
-        if (si.label.rfind("gml", 0) == 0)
+    for (unsigned pc = 0; pc < sp.prog.size(); ++pc)
+        if (sp.prog.label(pc).substr(0, 3) == "gml")
             ++gadget_loads;
     EXPECT_EQ(gadget_loads, 10u);
     // All candidate lines must be pre-staged in the LLC.

@@ -95,19 +95,60 @@ TEST(Program, SetImmediatePatchesDisplacement)
     EXPECT_EQ(p.at(ld).imm, 0xbeef);
 }
 
-TEST(Program, ListingDisassemblesEveryInstruction)
+/** Labelled and unlabelled instructions, "lab" twice. */
+Program
+mixedLabelProgram()
 {
     Program p;
     p.movi(1, 7);
     p.load(2, 1, 16, 64, "lab");
     p.store(1, 2, 8);
-    p.branch(BranchCond::GE, 1, 2, 0);
+    p.sqrt(3, 2, "root");
+    const unsigned br = p.branch(BranchCond::GE, 1, 2, 0, "br");
+    p.mul(4, 3, kNoReg, 2);
+    p.fence("lab");
     p.halt();
-    const std::string lst = p.listing();
-    EXPECT_NE(lst.find("load"), std::string::npos);
-    EXPECT_NE(lst.find("store"), std::string::npos);
-    EXPECT_NE(lst.find("lab"), std::string::npos);
-    EXPECT_NE(lst.find("br"), std::string::npos);
+    p.setBranchTarget(br, 7);
+    return p;
+}
+
+TEST(Program, ListingDisassemblesEveryInstruction)
+{
+    // Every instruction, with "  ; label" after each labelled one.
+    EXPECT_EQ(mixedLabelProgram().listing(),
+              "0:\tadd r1, -, -, #7\n"
+              "1:\tload r2, [r1*64 + 16]  ; lab\n"
+              "2:\tstore [r1*1 + 8], r2\n"
+              "3:\tvsqrtpd r3, r2, -, #0  ; root\n"
+              "4:\tbr r1, r2 -> 7  ; br\n"
+              "5:\tmul r4, r3, -, #2\n"
+              "6:\tfence  ; lab\n"
+              "7:\thalt\n");
+}
+
+TEST(Program, LabelTableAnswersByPcAndSurvivesACopy)
+{
+    Program copy;
+    {
+        const Program original = mixedLabelProgram();
+        copy = original;
+    }
+    const Program fresh = mixedLabelProgram();
+    const Program *const programs[] = {&fresh, &copy};
+    for (const Program *p : programs) {
+        EXPECT_EQ(p->label(1), "lab");
+        EXPECT_EQ(p->label(3), "root");
+        EXPECT_EQ(p->label(6), "lab");
+        EXPECT_EQ(p->label(0), "");
+        EXPECT_EQ(p->label(5), "");
+        EXPECT_EQ(p->label(7), "");
+        EXPECT_TRUE(p->at(1).labeled);
+        EXPECT_FALSE(p->at(2).labeled);
+        // The first of the two "lab" instructions.
+        EXPECT_EQ(p->findLabel("lab"), 1);
+        EXPECT_EQ(p->findLabel("br"), 4);
+    }
+    EXPECT_EQ(copy.listing(), fresh.listing());
 }
 
 } // namespace

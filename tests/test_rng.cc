@@ -76,6 +76,51 @@ TEST(Rng, ChanceRespectsProbability)
     EXPECT_TRUE(rng.chance(1.0));
 }
 
+/** The first draws of two seeded streams: every seeded experiment and
+ *  golden trace depends on them. */
+TEST(Rng, KnownAnswers)
+{
+    const struct
+    {
+        std::uint64_t seed;
+        std::uint64_t next[4];
+        std::uint64_t below100[8];
+        double uniform[4];
+        bool chance30[16];
+    } cases[] = {
+        {1,
+         {0xb3f2af6d0fc710c5ULL, 0x853b559647364ceaULL,
+          0x92f89756082a4514ULL, 0x642e1c7bc266a3a7ULL},
+         {70, 52, 57, 39, 69, 14, 7, 38},
+         {0x1.67e55eda1f8e2p-1, 0x1.0a76ab2c8e6c9p-1,
+          0x1.25f12eac10548p-1, 0x1.90b871ef099a8p-2},
+         {0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+        {90917,
+         {0x48a8517c8626e838ULL, 0xe1d72748d01a4913ULL,
+          0x43566984538094bcULL, 0x12005165892eb6bcULL},
+         {28, 88, 26, 7, 58, 99, 39, 49},
+         {0x1.22a145f2189bap-2, 0x1.c3ae4e91a0349p-1,
+          0x1.0d59a6114e024p-2, 0x1.2005165892ebp-4},
+         {1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.seed);
+        Rng next(c.seed), below(c.seed), uniform(c.seed), chance(c.seed);
+        for (std::uint64_t v : c.next)
+            EXPECT_EQ(next.next(), v);
+        for (std::uint64_t v : c.below100)
+            EXPECT_EQ(below.below(100), v);
+        for (double v : c.uniform)
+            EXPECT_EQ(uniform.uniform(), v);
+        for (bool v : c.chance30)
+            EXPECT_EQ(chance.chance(0.3), v);
+        // The full 64-bit span takes the raw draw (hi - lo + 1 wraps).
+        Rng full(c.seed);
+        EXPECT_EQ(full.range(0, ~0ULL), c.next[0]);
+        EXPECT_EQ(full.range(0, ~0ULL), c.next[1]);
+    }
+}
+
 TEST(Rng, ReseedRestoresStream)
 {
     Rng rng(9);
