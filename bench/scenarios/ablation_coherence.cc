@@ -2,10 +2,11 @@
  * @file
  * Scenario: the four cross-core channels — eviction and occupancy
  * (shared-LLC state/bandwidth, cross_core_probe.hh) next to the two
- * opened by the transaction-based memory model: coherence
- * invalidation and prefetcher training (coherence_probe.hh) — across
- * every defense scheme. One point per combination; the per-scheme
- * verdict (LEAKS/closed) propagates through the experiment harness.
+ * opened by the memory model's coherence and prefetcher layers:
+ * coherence invalidation and prefetcher training (coherence_probe.hh)
+ * — across every defense scheme. One point per combination; the
+ * per-scheme verdict (LEAKS/closed) propagates through the experiment
+ * harness.
  */
 
 #include "scenarios/scenarios.hh"

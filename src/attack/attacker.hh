@@ -40,7 +40,6 @@ class AttackerAgent
 
     /** Attacker-local time (cycles spent issuing accesses). */
     Tick now() const { return now_; }
-    void advance(Tick cycles) { now_ += cycles; }
     void resetClock() { now_ = 0; }
 
   private:

@@ -1,8 +1,8 @@
 /**
  * @file
  * Cross-core coherence and prefetcher-training probes: the two
- * interference channels opened by the transaction-based memory model
- * (memory/coherence.hh, memory/prefetcher.hh).
+ * interference channels opened by the memory model's coherence and
+ * prefetcher layers (memory/coherence.hh, memory/prefetcher.hh).
  *
  * The victim runs on core 0 of a two-core System; the probe is a real
  * program on core 1. Unlike the shared-LLC channels of

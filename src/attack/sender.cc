@@ -112,7 +112,6 @@ TrialHarness::run(const SenderProgram &sp, Tick ref_time)
         if (second != kAddrInvalid && res.posSecond == SIZE_MAX &&
             trace[i].lineAddr == second) {
             res.posSecond = i;
-            res.timeSecond = trace[i].when;
         }
     }
     if (sp.icacheTarget != kAddrInvalid)

@@ -41,7 +41,6 @@ struct TrialResult
     std::size_t posSecond = SIZE_MAX;
     /** Victim-time of the first monitored access (kTickMax if none). */
     Tick timeFirst = kTickMax;
-    Tick timeSecond = kTickMax;
     /** Presence orderings: is the target I-line in the LLC after the
      *  run? */
     bool targetPresent = false;

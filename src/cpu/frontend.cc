@@ -74,7 +74,6 @@ Frontend::tick(Tick now, const Program &prog,
         const StaticInst &si = prog.at(pc_);
         FetchedInst fi;
         fi.pc = pc_;
-        fi.lineAddr = line;
         if (firstOfLine_ && pendingInvisible_)
             fi.exposureLine = line;
         firstOfLine_ = false;

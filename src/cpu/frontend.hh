@@ -32,7 +32,6 @@ namespace specint
 struct FetchedInst
 {
     std::uint32_t pc = 0;
-    Addr lineAddr = kAddrInvalid;
     bool predictedTaken = false;
     /** This instruction carries the deferred visible fetch of its
      *  line (I-fetch was invisible; expose at retire). */
@@ -55,18 +54,12 @@ class Frontend
     {
         unsigned fetchWidth = 4;
         unsigned queueCapacity = 24;
-        /** SMT thread this frontend fetches for (tag only: the SMT
-         *  fetch arbiter decides which frontend ticks each cycle). */
-        ThreadId tid = 0;
     };
 
     using IFetchFn = std::function<IFetchResult(Addr line)>;
 
     Frontend() : Frontend(Config{}) {}
     explicit Frontend(Config cfg) : cfg_(cfg) {}
-
-    const Config &config() const { return cfg_; }
-    ThreadId tid() const { return cfg_.tid; }
 
     /** Could a tick() at @p now make progress? Used by the SMT fetch
      *  arbiter so a stalled thread never wastes the fetch slot.

@@ -64,8 +64,7 @@ CommitUnit::retire(std::vector<std::unique_ptr<ThreadContext>> &threads,
                     h.exposurePending = false;
                 }
                 if (h.deferredTouchPending) {
-                    hier_.l1DeferredTouch(id_, h.effAddr(),
-                                          AccessType::Data);
+                    hier_.l1DeferredTouch(id_, h.effAddr());
                     h.deferredTouchPending = false;
                 }
                 th.pendingVisibility.erase(th.rob.slotOf(h));
@@ -92,7 +91,6 @@ CommitUnit::retire(std::vector<std::unique_ptr<ThreadContext>> &threads,
             }
 
             h.state = InstState::Retired;
-            h.retiredAt() = now;
             ++th.stats.retired;
 
             if (obs::tracingEnabled()) {
@@ -109,7 +107,7 @@ CommitUnit::retire(std::vector<std::unique_ptr<ThreadContext>> &threads,
                 th.trace.push_back({std::string(th.prog->label(h.pc())),
                                     h.pc(), h.seq,
                                     h.dispatchedAt(), h.issuedAt(),
-                                    h.completeAt, h.retiredAt(),
+                                    h.completeAt, now,
                                     h.effAddr()});
             }
             th.rob.popHead();
@@ -218,7 +216,6 @@ CommitUnit::writeback(std::vector<std::unique_ptr<ThreadContext>> &threads,
                 continue;
             }
             inst.state = InstState::WrittenBack;
-            inst.wbAt() = now;
             th.issued.erase(th.rob.slotOf(inst));
             ports_.releaseIfHeldBy(inst.seq, th.tid);
             resolveBranch(th, inst, now);
@@ -249,7 +246,6 @@ CommitUnit::writeback(std::vector<std::unique_ptr<ThreadContext>> &threads,
             continue;
         }
         inst->state = InstState::WrittenBack;
-        inst->wbAt() = now;
         const std::size_t slot = th->rob.slotOf(*inst);
         th->issued.erase(slot);
         th->incompleteLoads.erase(slot);

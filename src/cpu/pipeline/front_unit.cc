@@ -138,14 +138,13 @@ FrontUnit::fetch(std::vector<std::unique_ptr<ThreadContext>> &threads,
     const auto ifetch = [&](Addr line) -> IFetchResult {
         // Speculating iff the thread holds any unresolved branch.
         const bool speculative = th.frontiers().branch != SlotSet::kNone;
-        if (th.scheme.protectsIFetch() && speculative) {
-            const MemAccessResult res = hier_.accessInvisible(
-                id_, line, AccessType::Instr, now);
-            return {res.l1Hit ? now : now + res.latency, true};
-        }
+        const bool invisible = th.scheme.protectsIFetch() && speculative;
         const MemAccessResult res =
-            hier_.access(id_, line, AccessType::Instr, now);
-        return {res.l1Hit ? now : now + res.latency, false};
+            invisible
+                ? hier_.accessInvisible(id_, line, AccessType::Instr, now)
+                : hier_.access(id_, line, AccessType::Instr, now);
+        const bool l1_hit = res.servedBy == ServedBy::L1;
+        return {l1_hit ? now : now + res.latency, invisible};
     };
 
     th.frontend.tick(now, *th.prog, th.predictor, ifetch);

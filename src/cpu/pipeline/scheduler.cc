@@ -62,8 +62,7 @@ Scheduler::safety(std::vector<std::unique_ptr<ThreadContext>> &threads,
             }
             if (inst.deferredTouchPending) {
                 // DoM deferred replacement update.
-                hier_.l1DeferredTouch(id_, inst.effAddr(),
-                                      AccessType::Data);
+                hier_.l1DeferredTouch(id_, inst.effAddr());
                 inst.deferredTouchPending = false;
             }
             th.pendingVisibility.erase(th.rob.slotOf(inst));
@@ -256,7 +255,6 @@ Scheduler::tryIssue(ThreadContext &th, DynInst &inst, std::size_t age,
 
     ports_.issue(static_cast<std::uint8_t>(port), op, now,
                  inst.completeAt, inst.seq, speculative, th.tid);
-    inst.port() = port;
     inst.state = InstState::Issued;
     th.readySet.erase(th.rob.slotOf(inst));
     th.issued.insert(th.rob.slotOf(inst));
@@ -278,7 +276,6 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
     if (inst.loadPhase == LoadPhase::None)
         ++th.stats.loads; // count each load once, not per retry
     if (const DynInst *st = lsq_.forwardingStore(inst, th.rob, th.stores)) {
-        inst.forwarded() = true;
         inst.result() = st->result();
         inst.completeAt = now + cfg_.storeForwardLatency;
         inst.loadPhase = LoadPhase::Done;
@@ -318,7 +315,7 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
 
     switch (policy) {
       case SpecLoadPolicy::Visible: {
-        if (!hier_.l1Probe(id_, inst.effAddr(), AccessType::Data) &&
+        if (!hier_.l1Probe(id_, inst.effAddr()) &&
             !acquire_mshr(speculative)) {
             return false;
         }
@@ -327,9 +324,8 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
         const MemAccessResult res = hier_.access(
             id_, inst.effAddr(), AccessType::Data, now, MemIntent::Read,
             safe || th.scheme.trainsPrefetcher());
-        if (res.l1Hit)
+        if (res.servedBy == ServedBy::L1)
             ++th.stats.loadL1Hits;
-        inst.servedBy() = res.servedBy;
         inst.completeAt = now + res.latency + jitter;
         inst.result() = mem_.read(inst.effAddr());
         inst.loadPhase = LoadPhase::InFlight;
@@ -337,10 +333,9 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
       }
 
       case SpecLoadPolicy::DelayOnMiss: {
-        if (hier_.l1Probe(id_, inst.effAddr(), AccessType::Data)) {
+        if (hier_.l1Probe(id_, inst.effAddr())) {
             // Speculative L1 hit: serve the data, defer the
             // replacement-state update until the load is safe.
-            inst.servedBy() = ServedBy::L1;
             ++th.stats.loadL1Hits;
             inst.completeAt =
                 now + hier_.config().l1Latency + jitter;
@@ -360,7 +355,6 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
         if (policy == SpecLoadPolicy::InvisibleFilter &&
             th.filter.probe(line)) {
             // MuonTrap filter-cache hit: core-local, fast.
-            inst.servedBy() = ServedBy::L1;
             inst.completeAt =
                 now + hier_.config().l1Latency + jitter;
             inst.result() = mem_.read(inst.effAddr());
@@ -376,7 +370,7 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
         // (bandwidth-consuming) invisible request only happens once
         // the load actually goes out — a denied load must not charge
         // shared-level occupancy on every retry.
-        if (!hier_.l1Probe(id_, inst.effAddr(), AccessType::Data) &&
+        if (!hier_.l1Probe(id_, inst.effAddr()) &&
             !acquire_mshr(true)) {
             return false;
         }
@@ -387,9 +381,8 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
         const MemAccessResult res = hier_.accessInvisible(
             id_, inst.effAddr(), AccessType::Data, now,
             th.scheme.trainsPrefetcher());
-        if (res.l1Hit)
+        if (res.servedBy == ServedBy::L1)
             ++th.stats.loadL1Hits;
-        inst.servedBy() = res.servedBy;
         inst.completeAt = now + res.latency + jitter;
         inst.result() = mem_.read(inst.effAddr());
         inst.exposurePending = true;

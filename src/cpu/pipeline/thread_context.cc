@@ -11,7 +11,7 @@ namespace specint
 {
 
 ThreadContext::ThreadContext(const CoreConfig &cfg, ThreadId t)
-    : tid(t), frontend({cfg.fetchWidth, cfg.decodeQueue, t}),
+    : tid(t), frontend({cfg.fetchWidth, cfg.decodeQueue}),
       rob(cfg.robSize), readySet(cfg.robSize), issued(cfg.robSize),
       unresolvedBranches(cfg.robSize), incompleteLoads(cfg.robSize),
       incompleteStores(cfg.robSize), pendingVisibility(cfg.robSize),

@@ -8,9 +8,9 @@
  * stage and the retire head check all touch `state`, the readiness
  * bits, the tick fields and the cached kind flags. Everything an
  * instruction accumulates at discrete pipeline events (renamed operand
- * values, the decoded StaticInst, memory results, trace timestamps,
- * the consumer waiter list) lives in a parallel DynInstCold bank
- * reached through one pointer hop, touched only at
+ * values, the decoded StaticInst, the effective address, trace
+ * timestamps, the consumer waiter list) lives in a parallel
+ * DynInstCold bank reached through one pointer hop, touched only at
  * dispatch/execute/writeback/retire.
  *
  * The ROB owns both banks as capacity-sized parallel arrays indexed by
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "cpu/isa.hh"
-#include "memory/transaction.hh"
 #include "sim/types.hh"
 
 namespace specint
@@ -80,14 +79,8 @@ struct DynInstCold
 
     std::uint64_t result = 0;
 
-    /** @name Memory */
-    /// @{
+    /** Effective address of a load or store. */
     Addr effAddr = kAddrInvalid;
-    /** Level that served this load's data (L1 until known). */
-    ServedBy servedBy = ServedBy::L1;
-    /** Load was served by store-to-load forwarding. */
-    bool forwarded = false;
-    /// @}
 
     /** @name Branch outcome (written at execute) */
     /// @{
@@ -96,14 +89,10 @@ struct DynInstCold
     bool mispredicted = false;
     /// @}
 
-    int port = -1;
-
     /** @name Event timestamps (trace metadata) */
     /// @{
     Tick dispatchedAt = 0;
     Tick issuedAt = kTickMax;
-    Tick wbAt = kTickMax;
-    Tick retiredAt = kTickMax;
     /// @}
 
     /** I-fetch exposure: line whose visible fetch happens at retire
@@ -225,26 +214,16 @@ struct alignas(64) DynInst
     std::uint64_t result() const { return cold_->result; }
     Addr &effAddr() { return cold_->effAddr; }
     Addr effAddr() const { return cold_->effAddr; }
-    ServedBy &servedBy() { return cold_->servedBy; }
-    ServedBy servedBy() const { return cold_->servedBy; }
-    bool &forwarded() { return cold_->forwarded; }
-    bool forwarded() const { return cold_->forwarded; }
     bool &predictedTaken() { return cold_->predictedTaken; }
     bool predictedTaken() const { return cold_->predictedTaken; }
     bool &actualTaken() { return cold_->actualTaken; }
     bool actualTaken() const { return cold_->actualTaken; }
     bool &mispredicted() { return cold_->mispredicted; }
     bool mispredicted() const { return cold_->mispredicted; }
-    int &port() { return cold_->port; }
-    int port() const { return cold_->port; }
     Tick &dispatchedAt() { return cold_->dispatchedAt; }
     Tick dispatchedAt() const { return cold_->dispatchedAt; }
     Tick &issuedAt() { return cold_->issuedAt; }
     Tick issuedAt() const { return cold_->issuedAt; }
-    Tick &wbAt() { return cold_->wbAt; }
-    Tick wbAt() const { return cold_->wbAt; }
-    Tick &retiredAt() { return cold_->retiredAt; }
-    Tick retiredAt() const { return cold_->retiredAt; }
     Addr &ifetchExposureLine() { return cold_->ifetchExposureLine; }
     Addr ifetchExposureLine() const { return cold_->ifetchExposureLine; }
     /// @}

@@ -69,12 +69,9 @@ CacheArray::touch(Addr addr)
 {
     const unsigned set = setIndex(addr);
     const int way = findWay(set, lineNumber(addr));
-    if (way < 0) {
-        ++stats_.misses;
+    if (way < 0)
         return false;
-    }
     replHit(geo_.policy, replRow(set), static_cast<unsigned>(way), clock_);
-    ++stats_.hits;
     return true;
 }
 
@@ -94,14 +91,12 @@ CacheArray::fill(Addr addr)
             replVictim(geo_.policy, replRow(set), geo_.ways));
         assert(row[way].valid);
         evicted = row[way].lineNum << kLineShift;
-        ++stats_.evictions;
     }
 
     row[way].valid = true;
     row[way].lineNum = line_num;
     replInsert(geo_.policy, replRow(set), static_cast<unsigned>(way),
                clock_);
-    ++stats_.fills;
     return evicted;
 }
 
@@ -113,7 +108,6 @@ CacheArray::invalidate(Addr addr)
     if (way < 0)
         return false;
     lines_[static_cast<std::size_t>(set) * geo_.ways + way].valid = false;
-    ++stats_.invalidations;
     return true;
 }
 
@@ -124,7 +118,6 @@ CacheArray::reset()
         l.valid = false;
     std::fill(repl_.begin(), repl_.end(), 0);
     clock_ = 0;
-    stats_ = CacheArrayStats{};
 }
 
 void

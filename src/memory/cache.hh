@@ -43,16 +43,6 @@ struct WaySnapshot
     std::uint8_t age = 0;
 };
 
-/** Occupancy/hit counters for one array. */
-struct CacheArrayStats
-{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t fills = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t invalidations = 0;
-};
-
 /**
  * One set-associative tag array.
  *
@@ -68,8 +58,6 @@ class CacheArray
   public:
     explicit CacheArray(CacheGeometry geo);
 
-    const CacheGeometry &geometry() const { return geo_; }
-
     /** Set index for an address. */
     unsigned setIndex(Addr addr) const;
 
@@ -81,9 +69,6 @@ class CacheArray
      * true; on miss return false (no fill — caller decides).
      */
     bool touch(Addr addr);
-
-    /** Probe: hit/miss without any replacement update (DoM probe). */
-    bool probe(Addr addr) const { return contains(addr); }
 
     /**
      * Fill the line (must not already be present), selecting a victim
@@ -111,8 +96,6 @@ class CacheArray
     /** Number of valid lines in a set. */
     unsigned occupancy(unsigned set) const;
 
-    const CacheArrayStats &stats() const { return stats_; }
-
   private:
     struct Line
     {
@@ -136,7 +119,6 @@ class CacheArray
     std::vector<std::uint64_t> repl_;  // one word per way, like lines_
     /** LRU clock: every LRU insert or hit stamps its way with ++clock_. */
     std::uint64_t clock_ = 0;
-    CacheArrayStats stats_;
 };
 
 } // namespace specint

@@ -5,8 +5,8 @@
  * The directory tracks, per cache line, which cores hold a private
  * (L1/L2) copy and in what MESI state: Modified (sole dirty owner),
  * Exclusive (sole clean owner), Shared, Invalid. It is consulted by
- * the Hierarchy's transaction walk whenever a request reaches the
- * shared level, and by write-intent transactions at any level (a store
+ * the Hierarchy's request walks whenever a request reaches the
+ * shared level, and by write-intent requests at any level (a store
  * to a Shared line must invalidate remote sharers even on an L1 hit).
  *
  * Why this matters for the paper: coherence transactions are a side
@@ -97,8 +97,6 @@ class CoherenceDirectory
 {
   public:
     CoherenceDirectory(unsigned clients, CoherenceParams params);
-
-    const CoherenceParams &params() const { return params_; }
 
     /** Outcome of a read-intent consult. */
     struct ReadOutcome

@@ -1,8 +1,8 @@
 /**
  * @file
- * Cache hierarchy implementation: the transaction walk over per-core
+ * Cache hierarchy implementation: the request walks over per-core
  * L1-I/L1-D/L2 and the sliced inclusive LLC, visible access tracing,
- * invisible transactions, the MESI coherence hooks, the prefetcher
+ * invisible requests, the MESI coherence hooks, the prefetcher
  * layer and the flush/warm helpers the attack harness uses.
  */
 
@@ -202,11 +202,11 @@ Hierarchy::sharedLevelDelay(CoreId core, Addr addr, Tick now,
 }
 
 void
-Hierarchy::applyQueueDelay(MemTransaction &txn, std::int64_t extra)
+Hierarchy::applyQueueDelay(MemAccessResult &res, std::int64_t extra)
 {
-    txn.result.queueDelay = static_cast<Tick>(extra > 0 ? extra : 0);
-    txn.result.latency = static_cast<Tick>(
-        static_cast<std::int64_t>(txn.result.latency) + extra);
+    res.queueDelay = static_cast<Tick>(extra > 0 ? extra : 0);
+    res.latency =
+        static_cast<Tick>(static_cast<std::int64_t>(res.latency) + extra);
 }
 
 unsigned
@@ -261,93 +261,68 @@ Hierarchy::llcFill(Addr addr)
         backInvalidate(evicted);
 }
 
-MemAccessResult
-Hierarchy::execute(MemTransaction &txn)
-{
-    switch (txn.source) {
-      case TxnSource::Direct:
-        walkDirect(txn);
-        break;
-      case TxnSource::Demand:
-      case TxnSource::Prefetch:
-        if (txn.visibility == TxnVisibility::Visible)
-            walkVisible(txn);
-        else
-            walkInvisible(txn);
-        break;
-    }
-    if (obs::tracingEnabled())
-        traceTxn(txn);
-    if (txn.train && txn.source == TxnSource::Demand &&
-        txn.type == AccessType::Data && prefetchEnabled()) {
-        trainPrefetcher(txn);
-    }
-    return txn.result;
-}
-
 void
-Hierarchy::traceTxn(const MemTransaction &txn)
+Hierarchy::finishRequest(CoreId core, Addr addr, Tick now,
+                         const MemAccessResult &res, TxnSource source,
+                         const char *cat, bool train)
 {
-    obs::EventTracer &tracer = obs::EventTracer::global();
-    std::uint32_t track;
-    if (txn.source == TxnSource::Direct) {
-        if (directTraceTrack_ == 0)
-            directTraceTrack_ = tracer.track("llc.direct");
-        track = directTraceTrack_;
-    } else {
-        std::uint32_t &slot = memTraceTracks_[txn.core];
-        if (slot == 0) {
-            slot = tracer.track("core" + std::to_string(txn.core) +
-                                ".mem");
+    if (obs::tracingEnabled()) {
+        obs::EventTracer &tracer = obs::EventTracer::global();
+        std::uint32_t &track = source == TxnSource::Direct
+                                   ? directTraceTrack_
+                                   : memTraceTracks_[core];
+        if (track == 0) {
+            track = tracer.track(source == TxnSource::Direct
+                                     ? std::string("llc.direct")
+                                     : "core" + std::to_string(core) +
+                                           ".mem");
         }
-        track = slot;
+        // Span name = the level that served the request, so the
+        // Perfetto timeline reads as the walk's outcome.
+        tracer.complete(track, servedByName(res.servedBy), cat, now,
+                        res.latency, "addr", addr, "queue_delay",
+                        res.queueDelay);
     }
-    // Span name = the level that served the request, so the Perfetto
-    // timeline reads as the walk's outcome; the category separates
-    // demand, prefetch and invisible traffic for filtering.
-    const char *cat =
-        txn.source == TxnSource::Prefetch
-            ? "prefetch"
-            : (txn.visibility == TxnVisibility::Invisible
-                   ? "invisible"
-                   : "mem");
-    tracer.complete(track, servedByName(txn.result.servedBy), cat,
-                    txn.issuedAt, txn.result.latency, "addr",
-                    txn.addr, "queue_delay", txn.result.queueDelay);
+    if (train && prefetchEnabled())
+        trainPrefetcher(core, addr, now, res.servedBy);
 }
 
 void
-Hierarchy::traceInvalidations(CoreId requester, std::size_t victims,
-                              Addr addr, Tick now)
+Hierarchy::coherenceWrite(CoreId core, Addr addr, Tick now,
+                          bool take_ownership, MemAccessResult &res)
 {
-    (void)requester;
-    obs::EventTracer &tracer = obs::EventTracer::global();
-    if (cohTraceTrack_ == 0)
-        cohTraceTrack_ = tracer.track("llc.coherence");
-    tracer.instant(cohTraceTrack_, "invalidate", "coherence", now,
-                   "addr", lineAlign(addr), "victims", victims);
+    const CoherenceDirectory::WriteOutcome out =
+        directory_.write(core, addr, take_ownership);
+    for (CoreId victim : out.invalidate)
+        invalidatePrivate(victim, lineAlign(addr));
+    if (!out.invalidate.empty() && obs::tracingEnabled()) {
+        obs::EventTracer &tracer = obs::EventTracer::global();
+        if (cohTraceTrack_ == 0)
+            cohTraceTrack_ = tracer.track("llc.coherence");
+        tracer.instant(cohTraceTrack_, "invalidate", "coherence", now,
+                       "addr", lineAlign(addr), "victims",
+                       out.invalidate.size());
+    }
+    res.latency += out.extraLatency;
+    res.coherenceDelay += out.extraLatency;
+    res.invalidations += static_cast<unsigned>(out.invalidate.size());
 }
 
-void
-Hierarchy::walkVisible(MemTransaction &txn)
+MemAccessResult
+Hierarchy::walkVisible(CoreId core, Addr addr, AccessType type,
+                       MemIntent intent, TxnSource source, Tick now)
 {
-    assert(txn.core < cfg_.cores);
-    MemAccessResult &res = txn.result;
-    const CoreId core = txn.core;
-    const Addr addr = txn.addr;
-    const Tick now = txn.issuedAt;
+    assert(core < cfg_.cores);
+    MemAccessResult res;
 
     CacheArray *l1 = nullptr;
-    if (txn.source == TxnSource::Demand) {
+    if (source == TxnSource::Demand) {
         // L1 stage.
-        l1 = (txn.type == AccessType::Instr) ? &l1i_[core]
-                                             : &l1d_[core];
+        l1 = (type == AccessType::Instr) ? &l1i_[core] : &l1d_[core];
         res.latency = cfg_.l1Latency;
         if (l1->touch(addr)) {
             res.servedBy = ServedBy::L1;
-            res.l1Hit = true;
-            coherenceWriteFinish(txn);
-            return;
+            return res;
         }
 
         // L2 stage.
@@ -355,24 +330,23 @@ Hierarchy::walkVisible(MemTransaction &txn)
         if (l2_[core].touch(addr)) {
             res.servedBy = ServedBy::L2;
             l1->fill(addr);
-            coherenceWriteFinish(txn);
-            return;
+            return res;
         }
     }
-    // Prefetch transactions start here: the prefetcher sits beside L2
-    // and fills L2/LLC, never L1.
+    // Prefetches start here: the prefetcher sits beside L2 and fills
+    // L2/LLC, never L1.
 
-    // LLC stage. The transaction reaches the shared level: this is a
+    // LLC stage. The request reaches the shared level: this is a
     // visible access and enters the C(E) trace regardless of hit/miss
     // (both change LLC replacement state).
-    trace_.push_back({core, lineAlign(addr), now, txn.type, txn.source});
+    trace_.push_back({core, lineAlign(addr), now, type, source});
 
     // Coherence: a read arriving at the shared level may have to
     // demote a remote owner (Modified owners add the writeback
-    // latency) and joins the sharer set. Write-intent transactions
-    // settle ownership in coherenceWriteFinish() instead.
-    if (cfg_.coherence.enabled && txn.type == AccessType::Data &&
-        txn.intent == MemIntent::Read) {
+    // latency) and joins the sharer set. A write settles ownership in
+    // coherenceWrite() once the walk is done instead.
+    if (cfg_.coherence.enabled && type == AccessType::Data &&
+        intent == MemIntent::Read) {
         const CoherenceDirectory::ReadOutcome coh =
             directory_.read(core, addr, /*join=*/true);
         res.latency += coh.extraLatency;
@@ -380,59 +354,46 @@ Hierarchy::walkVisible(MemTransaction &txn)
     }
 
     res.latency += cfg_.llcLatency;
-    CacheArray &slice = llc_[llcSliceIndex(addr)];
-    if (slice.touch(addr)) {
-        res.servedBy = ServedBy::Llc;
-        res.llcHit = true;
-        applyQueueDelay(txn, sharedLevelDelay(core, addr, now, false));
-        l2_[core].fill(addr);
-        if (l1)
-            l1->fill(addr);
-        coherenceWriteFinish(txn);
-        return;
-    }
-
-    // Memory stage.
-    res.latency += cfg_.memLatency;
-    res.servedBy = ServedBy::Mem;
-    applyQueueDelay(txn, sharedLevelDelay(core, addr, now, true));
-    llcFill(addr);
+    const bool hit = llc_[llcSliceIndex(addr)].touch(addr);
+    if (!hit)
+        res.latency += cfg_.memLatency; // memory stage
+    applyQueueDelay(res, sharedLevelDelay(core, addr, now, !hit));
+    res.servedBy = hit ? ServedBy::Llc : ServedBy::Mem;
+    if (!hit)
+        llcFill(addr);
     l2_[core].fill(addr);
     if (l1)
         l1->fill(addr);
-    coherenceWriteFinish(txn);
+    return res;
 }
 
-void
-Hierarchy::walkInvisible(MemTransaction &txn)
+MemAccessResult
+Hierarchy::walkInvisible(CoreId core, Addr addr, AccessType type,
+                         Tick now)
 {
-    txn.result = peekLatency(txn.core, txn.addr, txn.type);
-    MemAccessResult &res = txn.result;
+    MemAccessResult res = peekLatency(core, addr, type);
     if (res.servedBy >= ServedBy::Llc) {
         // The invisible request still travelled to the shared level.
         // It pays a remote Modified owner's writeback (the data has to
         // be snooped even though no state changes) ...
-        if (cfg_.coherence.enabled && txn.type == AccessType::Data &&
-            directory_.remoteModified(txn.core, txn.addr)) {
+        if (cfg_.coherence.enabled && type == AccessType::Data &&
+            directory_.remoteModified(core, addr)) {
             res.latency += cfg_.coherence.writebackLatency;
             res.coherenceDelay += cfg_.coherence.writebackLatency;
         }
         // ... and its bandwidth/MSHR occupancy is charged (state stays
         // untouched).
-        applyQueueDelay(txn, sharedLevelDelay(
-                                 txn.core, txn.addr, txn.issuedAt,
+        applyQueueDelay(res, sharedLevelDelay(
+                                 core, addr, now,
                                  res.servedBy == ServedBy::Mem));
     }
+    return res;
 }
 
-void
-Hierarchy::walkDirect(MemTransaction &txn)
+MemAccessResult
+Hierarchy::walkDirect(CoreId core, Addr addr, Tick now)
 {
-    MemAccessResult &res = txn.result;
-    const CoreId core = txn.core;
-    const Addr addr = txn.addr;
-    const Tick now = txn.issuedAt;
-
+    MemAccessResult res;
     trace_.push_back({core, lineAlign(addr), now, AccessType::Data,
                       TxnSource::Direct});
 
@@ -446,71 +407,40 @@ Hierarchy::walkDirect(MemTransaction &txn)
     }
 
     res.latency += cfg_.llcLatency;
-    CacheArray &slice = llc_[llcSliceIndex(addr)];
-    const bool hit = slice.touch(addr);
+    const bool hit = llc_[llcSliceIndex(addr)].touch(addr);
     if (!hit)
         res.latency += cfg_.memLatency;
-    applyQueueDelay(txn, sharedLevelDelay(core, addr, now, !hit));
-    if (hit) {
-        res.servedBy = ServedBy::Llc;
-        res.llcHit = true;
-        return;
-    }
-    res.servedBy = ServedBy::Mem;
-    llcFill(addr);
+    applyQueueDelay(res, sharedLevelDelay(core, addr, now, !hit));
+    res.servedBy = hit ? ServedBy::Llc : ServedBy::Mem;
+    if (!hit)
+        llcFill(addr);
+    return res;
 }
 
 void
-Hierarchy::coherenceWriteFinish(MemTransaction &txn)
+Hierarchy::trainPrefetcher(CoreId core, Addr addr, Tick now,
+                           ServedBy served)
 {
-    if (!cfg_.coherence.enabled || txn.intent != MemIntent::Write ||
-        txn.type != AccessType::Data) {
-        return;
-    }
-    const CoherenceDirectory::WriteOutcome out =
-        directory_.write(txn.core, txn.addr, /*take_ownership=*/true);
-    for (CoreId victim : out.invalidate)
-        invalidatePrivate(victim, lineAlign(txn.addr));
-    if (!out.invalidate.empty() && obs::tracingEnabled()) {
-        traceInvalidations(txn.core, out.invalidate.size(), txn.addr,
-                           txn.issuedAt);
-    }
-    txn.result.latency += out.extraLatency;
-    txn.result.coherenceDelay += out.extraLatency;
-    txn.result.invalidations +=
-        static_cast<unsigned>(out.invalidate.size());
-}
-
-void
-Hierarchy::trainPrefetcher(const MemTransaction &txn)
-{
-    Prefetcher &pf = prefetchers_[txn.core];
+    Prefetcher &pf = prefetchers_[core];
     prefetchCands_.clear();
     // "Miss" from the prefetcher's point of view: the demand request
     // left the private levels (served by the LLC or memory).
-    pf.observe(txn.addr, txn.result.servedBy >= ServedBy::Llc,
-               prefetchCands_);
+    pf.observe(addr, served >= ServedBy::Llc, prefetchCands_);
     for (Addr cand : prefetchCands_) {
-        if (l1d_[txn.core].contains(cand) ||
-            l2_[txn.core].contains(cand)) {
+        if (l1d_[core].contains(cand) || l2_[core].contains(cand)) {
             ++pf.stats().dropped;
             continue;
         }
-        // A real transaction: fills L2/LLC, occupies slice ports and
+        // A real request: fills L2/LLC, occupies slice ports and
         // shared MSHRs, appears in the C(E) trace — and is *visible*
         // even when the demand access that trained it was invisible.
-        MemTransaction p;
-        p.core = txn.core;
-        p.addr = cand;
-        p.type = AccessType::Data;
-        p.intent = MemIntent::Read;
-        p.source = TxnSource::Prefetch;
-        p.visibility = TxnVisibility::Visible;
-        p.train = false;
-        p.issuedAt = txn.issuedAt;
-        execute(p);
+        const MemAccessResult res =
+            walkVisible(core, cand, AccessType::Data, MemIntent::Read,
+                        TxnSource::Prefetch, now);
+        finishRequest(core, cand, now, res, TxnSource::Prefetch,
+                      "prefetch", false);
         ++pf.stats().issued;
-        if (p.result.servedBy == ServedBy::Mem)
+        if (res.servedBy == ServedBy::Mem)
             ++pf.stats().llcFills;
     }
 }
@@ -519,32 +449,27 @@ MemAccessResult
 Hierarchy::access(CoreId core, Addr addr, AccessType type, Tick now,
                   MemIntent intent, bool train)
 {
-    MemTransaction txn;
-    txn.core = core;
-    txn.addr = addr;
-    txn.type = type;
-    txn.intent = intent;
-    txn.source = TxnSource::Demand;
-    txn.visibility = TxnVisibility::Visible;
-    txn.train = train;
-    txn.issuedAt = now;
-    return execute(txn);
+    MemAccessResult res =
+        walkVisible(core, addr, type, intent, TxnSource::Demand, now);
+    // A write acquires Modified ownership and invalidates remote
+    // sharers, whichever level served it.
+    if (cfg_.coherence.enabled && intent == MemIntent::Write &&
+        type == AccessType::Data) {
+        coherenceWrite(core, addr, now, /*take_ownership=*/true, res);
+    }
+    finishRequest(core, addr, now, res, TxnSource::Demand, "mem",
+                  train && type == AccessType::Data);
+    return res;
 }
 
 MemAccessResult
 Hierarchy::accessInvisible(CoreId core, Addr addr, AccessType type,
                            Tick now, bool train)
 {
-    MemTransaction txn;
-    txn.core = core;
-    txn.addr = addr;
-    txn.type = type;
-    txn.intent = MemIntent::Read;
-    txn.source = TxnSource::Demand;
-    txn.visibility = TxnVisibility::Invisible;
-    txn.train = train;
-    txn.issuedAt = now;
-    return execute(txn);
+    const MemAccessResult res = walkInvisible(core, addr, type, now);
+    finishRequest(core, addr, now, res, TxnSource::Demand, "invisible",
+                  train && type == AccessType::Data);
+    return res;
 }
 
 MemAccessResult
@@ -558,7 +483,6 @@ Hierarchy::peekLatency(CoreId core, Addr addr, AccessType type) const
     res.latency = cfg_.l1Latency;
     if (l1.contains(addr)) {
         res.servedBy = ServedBy::L1;
-        res.l1Hit = true;
         return res;
     }
     res.latency += cfg_.l2Latency;
@@ -569,7 +493,6 @@ Hierarchy::peekLatency(CoreId core, Addr addr, AccessType type) const
     res.latency += cfg_.llcLatency;
     if (llc_[llcSliceIndex(addr)].contains(addr)) {
         res.servedBy = ServedBy::Llc;
-        res.llcHit = true;
         return res;
     }
     res.latency += cfg_.memLatency;
@@ -580,16 +503,9 @@ Hierarchy::peekLatency(CoreId core, Addr addr, AccessType type) const
 MemAccessResult
 Hierarchy::accessDirect(CoreId core, Addr addr, Tick now)
 {
-    MemTransaction txn;
-    txn.core = core;
-    txn.addr = addr;
-    txn.type = AccessType::Data;
-    txn.intent = MemIntent::Read;
-    txn.source = TxnSource::Direct;
-    txn.visibility = TxnVisibility::Visible;
-    txn.train = false;
-    txn.issuedAt = now;
-    return execute(txn);
+    const MemAccessResult res = walkDirect(core, addr, now);
+    finishRequest(core, addr, now, res, TxnSource::Direct, "mem", false);
+    return res;
 }
 
 Tick
@@ -598,29 +514,21 @@ Hierarchy::specStoreUpgrade(CoreId core, Addr addr, Tick now,
 {
     if (!cfg_.coherence.enabled)
         return 0;
-    const CoherenceDirectory::WriteOutcome out =
-        directory_.write(core, addr, take_ownership);
-    for (CoreId victim : out.invalidate)
-        invalidatePrivate(victim, lineAlign(addr));
-    if (!out.invalidate.empty() && obs::tracingEnabled())
-        traceInvalidations(core, out.invalidate.size(), addr, now);
-    return out.extraLatency;
+    MemAccessResult res;
+    coherenceWrite(core, addr, now, take_ownership, res);
+    return res.latency;
 }
 
 bool
-Hierarchy::l1Probe(CoreId core, Addr addr, AccessType type) const
+Hierarchy::l1Probe(CoreId core, Addr addr) const
 {
-    const CacheArray &l1 =
-        (type == AccessType::Instr) ? l1i_[core] : l1d_[core];
-    return l1.contains(addr);
+    return l1d_[core].contains(addr);
 }
 
 void
-Hierarchy::l1DeferredTouch(CoreId core, Addr addr, AccessType type)
+Hierarchy::l1DeferredTouch(CoreId core, Addr addr)
 {
-    CacheArray &l1 =
-        (type == AccessType::Instr) ? l1i_[core] : l1d_[core];
-    l1.deferredTouch(addr);
+    l1d_[core].deferredTouch(addr);
 }
 
 void

@@ -4,18 +4,19 @@
  * shared, sliced, inclusive LLC — the i7-7700 organisation the paper
  * evaluates on (§4.1).
  *
- * Every request is a MemTransaction (memory/transaction.hh) that walks
- * L1 -> L2 -> LLC -> memory. Four properties matter for the attacks
- * and are modelled explicitly:
+ * A request walks L1 -> L2 -> LLC -> memory; the entry point the
+ * caller picks decides the walk (access(), accessInvisible(),
+ * accessDirect()). Four properties matter for the attacks and are
+ * modelled explicitly:
  *
- *  1. A *visible LLC access trace*: every transaction that reaches the
+ *  1. A *visible LLC access trace*: every request that reaches the
  *     LLC (private levels missed, or a direct attacker access) is
  *     recorded in order. This trace is the paper's C(E) — the
  *     observable the ideal invisible speculation definition (§5.1)
  *     quantifies over — and the physical substrate of the
  *     replacement-state receiver.
  *
- *  2. *Invisible* transactions (InvisiSpec-style): return the data
+ *  2. *Invisible* requests (InvisiSpec-style): return the data
  *     latency a request would experience but change no cache state at
  *     any level and do not appear in the trace. They still consume
  *     shared-level bandwidth and still train the prefetcher when the
@@ -23,14 +24,14 @@
  *     request.
  *
  *  3. A per-line MESI directory (memory/coherence.hh, off by
- *     default): write-intent transactions acquire Modified ownership
+ *     default): write-intent requests acquire Modified ownership
  *     and invalidate remote Shared copies; reads demote remote owners.
  *     Invalidations happen when the *request* is made — a speculative
  *     store's RFO is not undone by a squash.
  *
  *  4. A per-core next-line prefetcher (memory/prefetcher.hh, off by
- *     default): trained by the demand stream, issuing real Prefetch
- *     transactions that fill L2/LLC and occupy slice ports and shared
+ *     default): trained by the demand stream, issuing real prefetch
+ *     requests that fill L2/LLC and occupy slice ports and shared
  *     MSHRs.
  *
  * The attacker runs on another physical core. Real attackers bypass
@@ -176,15 +177,6 @@ class Hierarchy
     const HierarchyConfig &config() const { return cfg_; }
 
     /**
-     * Execute one transaction: the walk described in the file comment.
-     * The public entry points below are thin constructors over this;
-     * the prefetcher layer calls it directly with TxnSource::Prefetch.
-     * @return the transaction's accumulated result (also left in
-     * txn.result).
-     */
-    MemAccessResult execute(MemTransaction &txn);
-
-    /**
      * Visible demand access from a core: fills and replacement updates
      * apply at every level; the LLC trace is appended to if the
      * request reaches the LLC. Write intent additionally acquires
@@ -240,11 +232,11 @@ class Hierarchy
     Tick specStoreUpgrade(CoreId core, Addr addr, Tick now,
                           bool take_ownership);
 
-    /** L1 probe with no state change (Delay-on-Miss hit check). */
-    bool l1Probe(CoreId core, Addr addr, AccessType type) const;
+    /** L1-D probe with no state change (Delay-on-Miss hit check). */
+    bool l1Probe(CoreId core, Addr addr) const;
 
-    /** Apply a DoM deferred L1 replacement update. */
-    void l1DeferredTouch(CoreId core, Addr addr, AccessType type);
+    /** Apply a DoM deferred L1-D replacement update. */
+    void l1DeferredTouch(CoreId core, Addr addr);
 
     /** clflush analogue: remove the line from every cache (and from
      *  the coherence directory). */
@@ -337,21 +329,40 @@ class Hierarchy
     void publishMetrics();
 
   private:
-    /** @name Transaction walk stages (execute() dispatches here) */
+    /** @name Request walks (the public entry points call these) */
     /// @{
-    /** Visible walk: demand (L1 -> L2 -> LLC -> memory) and prefetch
-     *  (LLC -> memory, filling L2) transactions. */
-    void walkVisible(MemTransaction &txn);
+    /** Visible walk: demand (L1 -> L2 -> LLC -> memory, @p source
+     *  Demand) and prefetch (LLC -> memory, filling L2) requests. */
+    MemAccessResult walkVisible(CoreId core, Addr addr, AccessType type,
+                                MemIntent intent, TxnSource source,
+                                Tick now);
     /** Invisible walk: latency + bandwidth, no state change. */
-    void walkInvisible(MemTransaction &txn);
+    MemAccessResult walkInvisible(CoreId core, Addr addr,
+                                  AccessType type, Tick now);
     /** Direct-client walk: LLC only. */
-    void walkDirect(MemTransaction &txn);
-    /** Write-intent coherence finish: acquire M, invalidate remote
-     *  sharers (any serving level). */
-    void coherenceWriteFinish(MemTransaction &txn);
-    /** Train the core's prefetcher off a completed demand transaction
-     *  and issue the resulting Prefetch transactions. */
-    void trainPrefetcher(const MemTransaction &txn);
+    MemAccessResult walkDirect(CoreId core, Addr addr, Tick now);
+    /**
+     * Finish a request: when tracing, record it as a span named after
+     * its serving level on @p core's memory track ("core<N>.mem";
+     * "llc.direct" for a direct client), with category @p cat ("mem",
+     * "invisible" or "prefetch") so traffic can be filtered by kind;
+     * then, if @p train, train @p core's prefetcher off it.
+     */
+    void finishRequest(CoreId core, Addr addr, Tick now,
+                       const MemAccessResult &res, TxnSource source,
+                       const char *cat, bool train);
+    /**
+     * Write-intent directory consult (CoherenceDirectory::write):
+     * remove the line from every invalidated remote core's private
+     * arrays, record the invalidations on "llc.coherence" when
+     * tracing, and add the round trip and the count to @p res.
+     */
+    void coherenceWrite(CoreId core, Addr addr, Tick now,
+                        bool take_ownership, MemAccessResult &res);
+    /** Train @p core's prefetcher off a demand request served by
+     *  @p served and issue the resulting prefetches. */
+    void trainPrefetcher(CoreId core, Addr addr, Tick now,
+                         ServedBy served);
     /// @}
 
     /** Remove @p line_addr from @p core's private data-side arrays. */
@@ -371,8 +382,8 @@ class Hierarchy
      */
     std::int64_t sharedLevelDelay(CoreId core, Addr addr, Tick now,
                                   bool llc_miss);
-    /** Apply @p extra from sharedLevelDelay to @p txn's result. */
-    static void applyQueueDelay(MemTransaction &txn, std::int64_t extra);
+    /** Apply @p extra from sharedLevelDelay to @p res. */
+    static void applyQueueDelay(MemAccessResult &res, std::int64_t extra);
 
     HierarchyConfig cfg_;
     std::vector<CacheArray> l1i_;
@@ -402,12 +413,6 @@ class Hierarchy
 
     /** @name Observability (opt-in; src/sim/obs) */
     /// @{
-    /** Record a completed transaction as a trace span on its core's
-     *  memory track ("core<N>.mem", direct clients on "llc.direct"). */
-    void traceTxn(const MemTransaction &txn);
-    /** Record a coherence-invalidation instant on "llc.coherence". */
-    void traceInvalidations(CoreId requester, std::size_t victims,
-                            Addr addr, Tick now);
     /** Lazily interned trace tracks (ids are per-object caches of the
      *  global tracer's interning, valid for this object's lifetime). */
     std::vector<std::uint32_t> memTraceTracks_;

@@ -4,7 +4,7 @@
  *
  * The prefetcher observes the demand stream of one core's private
  * hierarchy and proposes prefetch candidates; the Hierarchy turns the
- * candidates into real Prefetch transactions that walk the shared
+ * candidates into real prefetch requests that walk the shared
  * levels (filling L2 and the LLC, occupying slice ports and shared
  * MSHRs) exactly like demand traffic. A demand access to line X that
  * misses the private levels trains it and prefetches X+1..X+degree.
@@ -14,7 +14,7 @@
  * Invisible-speculation schemes suppress the cache-state changes of a
  * speculative load, but the request still leaves the core, the
  * prefetcher still observes it — and the prefetches it triggers are
- * ordinary visible transactions. A mis-speculated (later squashed)
+ * ordinary visible requests. A mis-speculated (later squashed)
  * load can therefore deposit an attacker-observable line in the shared
  * LLC through the prefetcher even under InvisiSpec/SafeSpec/MuonTrap
  * (attack/coherence_probe.hh, PrefetchTraining kind). Whether a
@@ -56,7 +56,7 @@ struct PrefetchStats
 {
     /** Demand accesses that trained the prefetcher. */
     std::uint64_t trained = 0;
-    /** Prefetch transactions issued into the hierarchy. */
+    /** Prefetch requests issued into the hierarchy. */
     std::uint64_t issued = 0;
     /** Candidates dropped because the line was already private. */
     std::uint64_t dropped = 0;
@@ -66,8 +66,8 @@ struct PrefetchStats
 
 /**
  * One core's prefetch engine (see file comment). Purely a training /
- * candidate-generation model: the Hierarchy executes the candidates as
- * transactions and keeps the stats' issued/fill counters.
+ * candidate-generation model: the Hierarchy issues the candidates as
+ * requests and keeps the stats' issued/fill counters.
  */
 class Prefetcher
 {

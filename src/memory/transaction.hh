@@ -1,20 +1,19 @@
 /**
  * @file
- * Memory-transaction vocabulary of the hierarchy.
+ * Vocabulary of the hierarchy's memory requests.
  *
- * Every request the Hierarchy serves is described by a MemTransaction:
- * who issued it (core), what for (demand load, demand store, prefetch,
- * exposure, direct attacker probe), with what intent (read vs
- * write/ownership) and with what visibility (state-changing, invisible,
- * or a pure latency peek). The transaction walks the levels
- * L1 -> L2 -> LLC -> memory; the per-level outcomes accumulate into the
- * embedded MemAccessResult that callers receive.
+ * A request is described by the Hierarchy entry point that takes it
+ * (memory/hierarchy.hh): who issued it (core), what for (demand load or
+ * store, prefetch, direct attacker probe), with what intent (read vs
+ * write/ownership) and whether it changes cache state (access() vs
+ * accessInvisible()). It walks the levels L1 -> L2 -> LLC -> memory,
+ * and the caller receives the per-level outcome as a MemAccessResult.
  *
- * The split matters for the paper's argument: *visibility* describes
- * whether the transaction changes cache state, but even an invisible
- * transaction is a real request — it consumes shared-level bandwidth,
- * trains prefetchers (scheme permitting) and interacts with the
- * coherence layer. Hiding state is not the same as hiding the request.
+ * The split matters for the paper's argument: an invisible request
+ * changes no cache state, but it is still a real request — it consumes
+ * shared-level bandwidth, trains prefetchers (scheme permitting) and
+ * interacts with the coherence layer. Hiding state is not the same as
+ * hiding the request.
  */
 
 #ifndef SPECINT_MEMORY_TRANSACTION_HH
@@ -30,26 +29,19 @@ namespace specint
 /** Data vs instruction-fetch access. */
 enum class AccessType : std::uint8_t { Data, Instr };
 
-/** Read vs write (ownership-acquiring) intent of a transaction. */
+/** Read vs write (ownership-acquiring) intent of a request. */
 enum class MemIntent : std::uint8_t
 {
     Read,  ///< load: any MESI state with valid data serves it
     Write, ///< store: requires M state; remote sharers are invalidated
 };
 
-/** What initiated a transaction. */
+/** What initiated a request. */
 enum class TxnSource : std::uint8_t
 {
     Demand,   ///< pipeline load/store (also exposure/deferred updates)
     Prefetch, ///< issued by a core's hardware prefetcher
     Direct,   ///< direct LLC client (attacker agent; no private caches)
-};
-
-/** Does the transaction change cache state? */
-enum class TxnVisibility : std::uint8_t
-{
-    Visible,   ///< normal access: fills + replacement updates
-    Invisible, ///< InvisiSpec-style: latency only, no state change
 };
 
 /**
@@ -68,15 +60,13 @@ enum class ServedBy : std::uint8_t
 /** Short display name ("L1", "L2", "LLC", "mem"). */
 const char *servedByName(ServedBy s);
 
-/** Result of one memory transaction. */
+/** Result of one memory request. */
 struct MemAccessResult
 {
     /** Cycles from issue to data return. */
     Tick latency = 0;
     /** Level that served the data. */
     ServedBy servedBy = ServedBy::Mem;
-    bool l1Hit = false;
-    bool llcHit = false;
     /** Shared-level queueing the request experienced (included in
      *  latency; 0 unless the contention model is enabled). */
     Tick queueDelay = 0;
@@ -84,41 +74,10 @@ struct MemAccessResult
      *  round trip) included in latency; 0 unless coherence is
      *  modelled. */
     Tick coherenceDelay = 0;
-    /** Remote private copies invalidated by this transaction (write
+    /** Remote private copies invalidated by this request (write
      *  intent under the coherence model). */
     unsigned invalidations = 0;
 };
-
-/**
- * One memory transaction walking the hierarchy (see file comment).
- * Constructed by the Hierarchy's public entry points (demand access,
- * invisible access, direct access) and by the prefetcher layer;
- * executed by Hierarchy::execute().
- */
-struct alignas(64) MemTransaction
-{
-    // Request description first: the fields every level of the walk
-    // reads sit in the line's leading bytes, ahead of the result
-    // block the walk writes into.
-    Addr addr = 0;
-    /** Cycle the request was issued. */
-    Tick issuedAt = 0;
-    CoreId core = 0;
-    AccessType type = AccessType::Data;
-    MemIntent intent = MemIntent::Read;
-    TxnSource source = TxnSource::Demand;
-    TxnVisibility visibility = TxnVisibility::Visible;
-    /** May this transaction train the core's prefetcher? (Demand
-     *  transactions only; the issuing scheme decides for speculative
-     *  requests.) */
-    bool train = false;
-
-    /** Per-level outcomes, filled in by the walk. */
-    MemAccessResult result;
-};
-
-static_assert(sizeof(MemTransaction) == 64,
-              "an in-flight transaction must stay one cache line");
 
 } // namespace specint
 

@@ -54,10 +54,7 @@ class Value
     /** @name Exact per-kind views, used by the result-cache codec to
      *  round-trip cells losslessly (src/sim/service/). */
     /// @{
-    std::int64_t intValue() const { return i_; }
-    std::uint64_t uintValue() const { return u_; }
     double realValue() const { return d_; }
-    bool boolValue() const { return b_; }
     int precision() const { return precision_; }
     /// @}
 

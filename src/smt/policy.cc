@@ -1,22 +1,12 @@
 /**
  * @file
- * Display names for the SMT sharing/arbitration policies.
+ * Display names for the SMT fetch policies.
  */
 
 #include "smt/policy.hh"
 
 namespace specint
 {
-
-std::string
-sharingPolicyName(SharingPolicy p)
-{
-    switch (p) {
-      case SharingPolicy::Partitioned: return "partitioned";
-      case SharingPolicy::Shared: return "shared";
-    }
-    return "?";
-}
 
 std::string
 fetchPolicyName(FetchPolicy p)

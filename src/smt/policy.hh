@@ -48,7 +48,6 @@ partitionedShare(unsigned capacity, unsigned num_threads)
     return num_threads == 0 ? capacity : capacity / num_threads;
 }
 
-std::string sharingPolicyName(SharingPolicy p);
 std::string fetchPolicyName(FetchPolicy p);
 
 } // namespace specint

@@ -33,9 +33,6 @@ TEST(CacheArray, MissThenFillThenHit)
     EXPECT_EQ(c.fill(a), kAddrInvalid);
     EXPECT_TRUE(c.contains(a));
     EXPECT_TRUE(c.touch(a));
-    EXPECT_EQ(c.stats().hits, 1u);
-    EXPECT_EQ(c.stats().misses, 1u);
-    EXPECT_EQ(c.stats().fills, 1u);
 }
 
 TEST(CacheArray, FillEvictsWhenSetFull)
@@ -49,7 +46,6 @@ TEST(CacheArray, FillEvictsWhenSetFull)
     EXPECT_FALSE(c.contains(a0));
     EXPECT_TRUE(c.contains(a1));
     EXPECT_TRUE(c.contains(a2));
-    EXPECT_EQ(c.stats().evictions, 1u);
 }
 
 TEST(CacheArray, TouchUpdatesLruOrder)
@@ -70,7 +66,6 @@ TEST(CacheArray, InvalidateRemovesLine)
     EXPECT_TRUE(c.invalidate(a));
     EXPECT_FALSE(c.contains(a));
     EXPECT_FALSE(c.invalidate(a));
-    EXPECT_EQ(c.stats().invalidations, 1u);
 }
 
 TEST(CacheArray, InvalidWayReusedBeforeEviction)
@@ -93,7 +88,7 @@ TEST(CacheArray, DeferredTouchActsLikeHitUpdate)
     c.fill(a0);
     c.fill(a1);
     // Probe (no update), then apply the deferred touch on a0.
-    EXPECT_TRUE(c.probe(a0));
+    EXPECT_TRUE(c.contains(a0));
     c.deferredTouch(a0);
     EXPECT_EQ(c.fill(a2), a1); // a0 was refreshed, a1 evicted
 }
@@ -137,7 +132,6 @@ TEST(CacheArray, ResetClearsEverything)
     c.fill(addrFor(0, 0));
     c.reset();
     EXPECT_FALSE(c.contains(addrFor(0, 0)));
-    EXPECT_EQ(c.stats().fills, 0u);
 }
 
 TEST(CacheArrayDeathTest, RejectsMoreWaysThanTheVictimScanCovers)

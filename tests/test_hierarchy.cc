@@ -39,7 +39,6 @@ TEST_F(HierarchyTest, SecondAccessHitsL1)
     hier.access(0, a, AccessType::Data, 0);
     const auto r = hier.access(0, a, AccessType::Data, 1);
     EXPECT_EQ(r.servedBy, ServedBy::L1);
-    EXPECT_TRUE(r.l1Hit);
     EXPECT_EQ(r.latency, cfg.l1Latency);
 }
 
@@ -59,7 +58,6 @@ TEST_F(HierarchyTest, CrossCoreSharesOnlyLlc)
     hier.access(0, a, AccessType::Data, 0);
     const auto r = hier.access(1, a, AccessType::Data, 1);
     EXPECT_EQ(r.servedBy, ServedBy::Llc); // hits in the shared LLC
-    EXPECT_TRUE(r.llcHit);
 }
 
 TEST_F(HierarchyTest, InvisibleAccessChangesNoState)
@@ -80,7 +78,6 @@ TEST_F(HierarchyTest, InvisibleAccessReportsCorrectLevel)
     hier.l2(0).invalidate(a);
     const auto r = hier.accessInvisible(0, a, AccessType::Data, 1);
     EXPECT_EQ(r.servedBy, ServedBy::Llc);
-    EXPECT_TRUE(r.llcHit);
 }
 
 TEST_F(HierarchyTest, TraceRecordsOnlyLlcReachingAccesses)
@@ -149,7 +146,7 @@ TEST_F(HierarchyTest, DeferredTouchReachesL1)
     const Addr a = 0xB000;
     hier.access(0, a, AccessType::Data, 0);
     // Smoke: the deferred-touch path must not disturb residency.
-    hier.l1DeferredTouch(0, a, AccessType::Data);
+    hier.l1DeferredTouch(0, a);
     EXPECT_TRUE(hier.l1d(0).contains(a));
 }
 

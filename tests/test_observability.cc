@@ -341,6 +341,66 @@ TEST_F(ObservabilityTest, CoreRunEmitsTraceEventsWhenEnabled)
     EXPECT_NE(json.find("\"inst\""), std::string::npos);
 }
 
+/** Every kind of hierarchy request leaves the same trace events: a
+ *  span per request on its core's memory track ("mem", "invisible" and
+ *  "prefetch" categories) or on "llc.direct", and an instant on
+ *  "llc.coherence" per write that invalidates remote copies. The
+ *  literal pins names, timestamps, latencies and queueing delays. */
+TEST_F(ObservabilityTest, HierarchyTracesEveryKindOfRequest)
+{
+    HierarchyConfig cfg = HierarchyConfig::small();
+    cfg.coherence.enabled = true;
+    cfg.prefetch.kind = PrefetchKind::NextLine;
+    cfg.llcPortBusy = 4;
+    cfg.llcMshrs = 2;
+    Hierarchy hier(cfg);
+    const Addr a = 0x1000, b = 0x2000, c = 0x3000, d = 0x4000;
+
+    obs::EventTracer::global().clear();
+    obs::EventTracer::global().setEnabled(true);
+    // Demand read miss; it trains a prefetch of the next line.
+    hier.access(0, a, AccessType::Data, 10);
+    // A second core reads the same line (served by the LLC).
+    hier.access(1, a, AccessType::Data, 20);
+    // A write that invalidates core 1's copy.
+    hier.access(0, a, AccessType::Data, 30, MemIntent::Write);
+    // Invisible requests: a data one that trains, an instruction one
+    // that cannot.
+    hier.accessInvisible(1, b, AccessType::Data, 40, true);
+    hier.accessInvisible(0, c, AccessType::Instr, 50, true);
+    // The attacker's direct LLC access.
+    hier.accessDirect(1, d, 60);
+    // Core 1 takes a copy of c, which core 0's non-owning speculative
+    // store upgrade then invalidates.
+    hier.access(1, c, AccessType::Data, 70);
+    EXPECT_EQ(hier.specStoreUpgrade(0, c, 80, false),
+              cfg.coherence.invalidateLatency);
+    obs::EventTracer::global().setEnabled(false);
+
+    const std::string expected = R"({"traceEvents":[
+{"ph":"M","name":"process_name","pid":0,"args":{"name":"point 0"}},
+{"ph":"M","name":"thread_name","pid":0,"tid":1,"args":{"name":"core0.mem"}},
+{"ph":"M","name":"thread_name","pid":0,"tid":2,"args":{"name":"core1.mem"}},
+{"ph":"M","name":"thread_name","pid":0,"tid":3,"args":{"name":"llc.coherence"}},
+{"ph":"M","name":"thread_name","pid":0,"tid":4,"args":{"name":"llc.direct"}},
+{"ph":"X","name":"mem","cat":"mem","pid":0,"tid":1,"ts":10,"dur":256,"args":{"addr":4096,"queue_delay":0}},
+{"ph":"X","name":"mem","cat":"prefetch","pid":0,"tid":1,"ts":10,"dur":240,"args":{"addr":4160,"queue_delay":0}},
+{"ph":"X","name":"L1","cat":"mem","pid":0,"tid":1,"ts":30,"dur":28,"args":{"addr":4096,"queue_delay":0}},
+{"ph":"X","name":"mem","cat":"invisible","pid":0,"tid":1,"ts":50,"dur":616,"args":{"addr":12288,"queue_delay":360}},
+{"ph":"X","name":"LLC","cat":"mem","pid":0,"tid":2,"ts":20,"dur":56,"args":{"addr":4096,"queue_delay":0}},
+{"ph":"X","name":"LLC","cat":"prefetch","pid":0,"tid":2,"ts":20,"dur":40,"args":{"addr":4160,"queue_delay":0}},
+{"ph":"X","name":"mem","cat":"invisible","pid":0,"tid":2,"ts":40,"dur":426,"args":{"addr":8192,"queue_delay":170}},
+{"ph":"X","name":"mem","cat":"prefetch","pid":0,"tid":2,"ts":40,"dur":410,"args":{"addr":8256,"queue_delay":170}},
+{"ph":"X","name":"mem","cat":"mem","pid":0,"tid":2,"ts":70,"dur":596,"args":{"addr":12288,"queue_delay":340}},
+{"ph":"X","name":"mem","cat":"prefetch","pid":0,"tid":2,"ts":70,"dur":780,"args":{"addr":12352,"queue_delay":540}},
+{"ph":"i","name":"invalidate","cat":"coherence","pid":0,"tid":3,"ts":30,"s":"t","args":{"addr":4096,"victims":1}},
+{"ph":"i","name":"invalidate","cat":"coherence","pid":0,"tid":3,"ts":80,"s":"t","args":{"addr":12288,"victims":1}},
+{"ph":"X","name":"mem","cat":"mem","pid":0,"tid":4,"ts":60,"dur":590,"args":{"addr":16384,"queue_delay":350}}
+]}
+)";
+    EXPECT_EQ(obs::EventTracer::global().renderJson(), expected);
+}
+
 TEST_F(ObservabilityTest, FastForwardEfficacyPublished)
 {
     auto counter = [](const char *path) {
